@@ -39,7 +39,10 @@ class Generator:
 
     def generate(self, seed: int) -> np.ndarray:
         check_seed(seed, self.seed_bits)
-        return self.generate_batch([seed])[0]
+        # a wide plan takes python-int seeds even when this one is small
+        seeds = np.empty(1, dtype=object if self.seed_bits > 62 else np.int64)
+        seeds[0] = seed
+        return self.generate_batch(seeds)[0]
 
     def generate_batch(self, seeds) -> np.ndarray:
         raise NotImplementedError

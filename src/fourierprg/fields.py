@@ -230,10 +230,12 @@ class GF2Field(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.q = p
+        # int64 products of residues wrap once (p-1)^2 reaches 2^63
+        self._exact = (p - 1) ** 2 >= 1 << 63
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -245,9 +247,15 @@ class PrimeField(Field):
         return (a * b) % self.p
 
     def mul_vec(self, a, b):
+        if self._exact:
+            prod = (np.asarray(a, dtype=object)
+                    * np.asarray(b, dtype=object)) % self.p
+            return prod.astype(np.int64) if self.p <= 1 << 63 else prod
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
 
     def mul_scalar_vec(self, a: int, b):
+        if self._exact:
+            return self.mul_vec(a, b)
         return (a * np.asarray(b, dtype=np.int64)) % self.p
 
     def __repr__(self):
@@ -300,10 +308,42 @@ def prime_field(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly for
+# every n below MR_EXACT_BELOW (Sorenson and Webster, 2015).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n it cannot decide exactly."""
+    if n < 2:
+        return False
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"primality of {n} >= {MR_EXACT_BELOW} "
+                         "is not decided deterministically")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def next_prime(n: int) -> int:
     """Smallest prime >= n."""
     p = max(n, 2)
-    while True:
-        if all(p % d for d in range(2, int(p**0.5) + 1)):
-            return p
+    while not is_prime(p):
         p += 1
+    return p

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .bitseq import check_seed
 from .core import Generator, register_plan
 from .families import (CombinedHashFamily, KWiseVectors, perm_sample,
                        perm_seed_bits)
@@ -45,21 +44,29 @@ class SeedRecycler:
             raise ValueError(f"unknown recycler mode {mode!r}")
 
     def bitstream_batch(self, seeds) -> np.ndarray:
-        """Object array of python ints, total_bits wide each."""
+        """Object array of python ints, total_bits wide each: the INW
+        blocks of a row concatenated MSB first, truncated to total_bits.
+
+        The whole batch passes through one uint8 bit matrix, and each row
+        is read with a single int.from_bytes, so the cost is linear in
+        total_bits."""
         seeds = np.asarray(seeds)
+        out = np.empty(len(seeds), dtype=object)
         if self.mode == "direct":
-            out = np.empty(len(seeds), dtype=object)
             out[:] = [int(s) for s in seeds]
             return out
         blocks = self.inw.expand_batch(seeds)
+        N, T = blocks.shape
         D = self.block_bits
-        out = np.empty(len(seeds), dtype=object)
-        drop = self.inw.T * D - self.total_bits
-        for i in range(len(seeds)):
-            v = 0
-            for b in blocks[i]:
-                v = (v << D) | int(b)
-            out[i] = v >> drop
+        # block_bits <= state_bits <= 16, so a block fits in 2 bytes
+        width = 1 if D <= 8 else 2
+        raw = blocks.astype(f">u{width}").view(np.uint8).reshape(N, T, width)
+        bits = np.unpackbits(raw, axis=2)[:, :, 8 * width - D:]
+        packed = np.packbits(bits.reshape(N, T * D)[:, :self.total_bits],
+                             axis=1)
+        drop = 8 * packed.shape[1] - self.total_bits
+        out[:] = [int.from_bytes(row.tobytes(), "big") >> drop
+                  for row in packed]
         return out
 
     def config(self) -> dict:
@@ -163,11 +170,6 @@ class G1Plan(Generator):
         return cls(d["m"], d["n"], d["p"], d["recycle"], d["delta_map"])
 
 
-def g1_generate(plan: G1Plan, seed: int) -> np.ndarray:
-    check_seed(seed, plan.seed_bits)
-    return plan.generate_batch(np.asarray([seed], dtype=object))[0]
-
-
 class SpreadingFamily:
     """Hash family [n] -> [T] meant to spread any heavy vector's squared
     mass over at least ell buckets with probability 1 - delta.
@@ -219,7 +221,12 @@ class SpreadingFamily:
 @register_plan("glarge")
 class GLargePlan(Generator):
     """Amplified generator: spreading hash plus per-bucket G1 outputs,
-    bucket seeds recycled."""
+    bucket seeds recycled.
+
+    Bucket j of a row reads the j-th g1_bits slice of that row's recycled
+    stream. A batch stacks the seeds of only the (row, bucket) pairs some
+    coordinate hashes to, evaluates G1 once on the stack, and gathers
+    each coordinate from its own pair's G1 row."""
 
     def __init__(self, m: int, n: int, delta: float, p: int = 8,
                  recycle: str = "inw", c_T: float = 0.125,
@@ -245,22 +252,22 @@ class GLargePlan(Generator):
         if self.spreading.seed_bits <= 62:
             hseed = hseed.astype(np.int64)
         rec_seed = seeds & ((1 << self.recycler.seed_bits) - 1)
-        tables = self.spreading.table_batch(hseed)  # (N, n)
+        tables = np.asarray(self.spreading.table_batch(hseed),
+                            dtype=np.int64)  # (N, n)
         stream = self.recycler.bitstream_batch(rec_seed)
         g1_bits = self.g1.seed_bits
-        total = self.recycler.total_bits
-        out = np.zeros((N, self.n), dtype=np.int64)
-        for j in range(self.spreading.T):
-            mask = tables == j
-            if not mask.any():
-                continue
-            shift = total - (j + 1) * g1_bits
-            bucket_seeds = np.empty(N, dtype=object)
-            bucket_seeds[:] = [(int(s) >> shift) & ((1 << g1_bits) - 1)
-                               for s in stream]
-            vals = self.g1.generate_batch(bucket_seeds)
-            out[mask] = vals[mask]
-        return out
+        T = self.spreading.T
+        # one G1 row per (row, bucket) pair that some coordinate uses
+        keys, inv = np.unique(np.arange(N)[:, None] * T + tables,
+                              return_inverse=True)
+        rows, buckets = np.divmod(keys, T)
+        shifts = self.recycler.total_bits - (buckets + 1) * g1_bits
+        mask = (1 << g1_bits) - 1
+        bucket_seeds = np.empty(len(keys), dtype=object)
+        bucket_seeds[:] = [(stream[r] >> int(s)) & mask
+                           for r, s in zip(rows, shifts)]
+        vals = self.g1.generate_batch(bucket_seeds)
+        return vals[inv.reshape(N, self.n), np.arange(self.n)]
 
     def plan(self) -> dict:
         return {"type": "glarge", "m": self.m, "n": self.n,
@@ -275,8 +282,3 @@ class GLargePlan(Generator):
     def from_plan(cls, d):
         return cls(d["m"], d["n"], d["delta"], d["p"], d["recycle"],
                    d["c_T"], d["delta_map"])
-
-
-def glarge_generate(plan: GLargePlan, seed: int) -> np.ndarray:
-    check_seed(seed, plan.seed_bits)
-    return plan.generate_batch(np.asarray([seed], dtype=object))[0]

@@ -8,7 +8,8 @@ import pytest
 from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
                                 build_generator, seed_length,
                                 seed_length_from_plan)
-from fourierprg.core import ConstantStub, UniformStub, plan_to_generator
+from fourierprg.core import (ConstantStub, UniformStub, plan_to_generator,
+                             sample_seeds)
 from fourierprg.shapes import EnumerateMode, fooling_error, random_shape
 
 
@@ -101,6 +102,18 @@ def test_build_generator_recursive_case():
     out = g.generate_batch(seeds)
     assert out.shape == (10, 128)
     assert out.min() >= 0 and out.max() < 2
+    # full-width seeds: batch, scalar and plan replay agree
+    wide = np.empty(4, dtype=object)
+    wide[:] = [int(s) for s in sample_seeds(np.random.default_rng(5),
+                                            g.seed_bits, 3)] \
+        + [(1 << g.seed_bits) - 1]
+    out = g.generate_batch(wide)
+    assert out.shape == (4, 128)
+    assert out.min() >= 0 and out.max() < 2
+    for seed, row in zip(wide, out):
+        assert np.array_equal(g.generate(seed), row)
+    replay = plan_to_generator(json.loads(json.dumps(g.plan())))
+    assert np.array_equal(replay.generate_batch(wide), out)
 
 
 def test_build_generator_plan_replay():

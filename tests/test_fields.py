@@ -1,10 +1,13 @@
 """Finite-field arithmetic against independent schoolbook oracles."""
 
+import time
+
 import numpy as np
 import pytest
 
-from fourierprg.fields import (FieldElem, clmod, clmul, field_mul, gf2,
-                               irreducible_modulus, next_prime, prime_field)
+from fourierprg.fields import (MR_EXACT_BELOW, FieldElem, PrimeField, clmod,
+                               clmul, field_mul, gf2, irreducible_modulus,
+                               is_prime, next_prime, prime_field)
 
 
 def schoolbook_gf2_mul(a: int, b: int, modulus: int) -> int:
@@ -149,3 +152,45 @@ def test_next_prime():
     assert next_prime(2) == 2
     assert next_prime(14) == 17
     assert next_prime(100) == 101
+
+
+def _trial_division_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == \
+        [n for n in range(20000) if _trial_division_prime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747,
+    3474749660383, 341550071728321, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # each is a strong pseudoprime to several of the smallest bases
+    assert not is_prime(n)
+    with pytest.raises(ValueError):
+        PrimeField(n)
+
+
+def test_is_prime_refuses_beyond_exact_range():
+    with pytest.raises(ValueError):
+        is_prime(MR_EXACT_BELOW)  # a strong pseudoprime to 12 bases
+
+
+def test_next_prime_large_is_fast():
+    t0 = time.perf_counter()
+    assert next_prime(2**60) == 2**60 + 33
+    assert next_prime(2**40) == 2**40 + 15
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("p", [2**32 + 15, 2**61 - 1, 2**64 + 13])
+def test_prime_field_vec_products_exact_for_wide_p(p):
+    f = prime_field(p)
+    a = [p - 1, p - 2, 12345, 0]
+    b = [p - 1, p - 3, p - 1, p - 1]
+    want = [x * y % p for x, y in zip(a, b)]
+    assert [int(v) for v in f.mul_vec(a, b)] == want
+    assert [int(v) for v in f.mul_scalar_vec(p - 1, b)] == \
+        [(p - 1) * y % p for y in b]

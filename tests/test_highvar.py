@@ -1,15 +1,16 @@
 """High-variance generators: bucketing conventions, recycling, fooling."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from fourierprg.compose import build_generator
 from fourierprg.core import plan_to_generator, sample_seeds
 from fourierprg.families import PairwisePermutation
 from fourierprg.highvar import (G1Plan, GLargePlan, SeedRecycler,
-                                SpreadingFamily, bucket_split, dyadic_buckets,
-                                g1_generate, glarge_generate)
+                                SpreadingFamily, bucket_split, dyadic_buckets)
 from fourierprg.shapes import (EnumerateMode, SampleMode, fooling_error,
                                random_shape, scale_toward_mean, tvar)
 
@@ -71,7 +72,7 @@ def test_g1_marginals_uniform_direct_mode():
 def test_g1_scalar_matches_batch():
     g = G1Plan(2, 8, p=2, recycle="direct")
     for seed in (0, 3, 1 << (g.seed_bits - 1)):
-        assert np.array_equal(g1_generate(g, seed),
+        assert np.array_equal(g.generate(seed),
                               g.generate_batch([seed])[0])
 
 
@@ -123,7 +124,11 @@ def test_glarge_plan_roundtrip_and_scalar():
     seeds = sample_seeds(np.random.default_rng(3), g.seed_bits, 10)
     assert np.array_equal(g.generate_batch(seeds), g2.generate_batch(seeds))
     s = int(seeds[0])
-    assert np.array_equal(glarge_generate(g, s), g.generate_batch([s])[0])
+    assert np.array_equal(g.generate(s), g.generate_batch([s])[0])
+    # a small value of a wide seed still goes through the python-int path
+    small = np.empty(1, dtype=object)
+    small[0] = 5
+    assert np.array_equal(g.generate(5), g.generate_batch(small)[0])
 
 
 def test_glarge_fools_high_variance_shapes_sampled():
@@ -135,3 +140,92 @@ def test_glarge_fools_high_variance_shapes_sampled():
             f = scale_toward_mean(f, 1.0)  # no-op; keep as drawn
         err, std_err = fooling_error(f, g, SampleMode(20000, 5))
         assert err <= 2 * g.delta + 3 * std_err
+
+
+# Reference implementations: the per-block and per-bucket loops the
+# vectorized code replaced. The new code must match them bit for bit.
+
+def _bitstream_reference(r: SeedRecycler, seeds) -> list[int]:
+    blocks = r.inw.expand_batch(np.asarray(seeds))
+    drop = r.inw.T * r.block_bits - r.total_bits
+    out = []
+    for row in blocks:
+        v = 0
+        for b in row:
+            v = (v << r.block_bits) | int(b)
+        out.append(v >> drop)
+    return out
+
+
+def _glarge_reference(g: GLargePlan, seeds) -> np.ndarray:
+    seeds = np.asarray(seeds)
+    N = len(seeds)
+    hseed = (seeds >> g.recycler.seed_bits) \
+        & ((1 << g.spreading.seed_bits) - 1)
+    if g.spreading.seed_bits <= 62:
+        hseed = hseed.astype(np.int64)
+    rec_seed = seeds & ((1 << g.recycler.seed_bits) - 1)
+    tables = g.spreading.table_batch(hseed)
+    stream = _bitstream_reference(g.recycler, rec_seed)
+    g1_bits = g.g1.seed_bits
+    out = np.zeros((N, g.n), dtype=np.int64)
+    for j in range(g.spreading.T):
+        mask = tables == j
+        if not mask.any():
+            continue
+        shift = g.recycler.total_bits - (j + 1) * g1_bits
+        bucket_seeds = np.empty(N, dtype=object)
+        bucket_seeds[:] = [(s >> shift) & ((1 << g1_bits) - 1)
+                           for s in stream]
+        vals = g.g1.generate_batch(bucket_seeds)
+        out[mask] = vals[mask]
+    return out
+
+
+def _full_width_seeds(nbits: int, rng_seed: int) -> np.ndarray:
+    """Random seeds, the same seeds with the top bit set, and all-ones."""
+    rng = np.random.default_rng(rng_seed)
+    rand = [int(s) for s in sample_seeds(rng, nbits, 6)]
+    top = [s | (1 << (nbits - 1)) for s in rand[:3]]
+    out = np.empty(len(rand) + len(top) + 1, dtype=object)
+    out[:] = rand + top + [(1 << nbits) - 1]
+    return out
+
+
+@pytest.mark.parametrize("total_bits,block_bits", [
+    (403, 8), (403, 5), (77, 5), (250, 11)])
+def test_recycler_matches_blockwise_reference(total_bits, block_bits):
+    assert total_bits % block_bits  # the stream ends inside a block
+    r = SeedRecycler(total_bits, mode="inw", block_bits=block_bits)
+    seeds = _full_width_seeds(r.seed_bits, total_bits + block_bits)
+    out = r.bitstream_batch(seeds)
+    assert out.dtype == object
+    assert list(out) == _bitstream_reference(r, seeds)
+    assert all(v >> total_bits == 0 for v in out)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((2, 16, 0.2), {"p": 2}), ((3, 32, 0.2), {})])
+def test_glarge_matches_per_bucket_reference(args, kwargs):
+    g = GLargePlan(*args, **kwargs)
+    seeds = _full_width_seeds(g.seed_bits, g.n)
+    out = g.generate_batch(seeds)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, _glarge_reference(g, seeds))
+    for r in (g.recycler, g.g1.recycler):
+        rs = _full_width_seeds(r.seed_bits, r.total_bits)
+        assert list(r.bitstream_batch(rs)) == _bitstream_reference(r, rs)
+
+
+def test_recursive_build_output_pinned():
+    # sha256 of build_generator(2, 128, 0.1) outputs, computed with the
+    # per-block recycler and per-bucket GLarge loops
+    g = build_generator(2, 128, 0.1)
+    assert g.seed_bits == 1175
+    seeds = np.empty(4, dtype=object)
+    seeds[:] = [int(s) for s in sample_seeds(np.random.default_rng(20260),
+                                             g.seed_bits, 3)] \
+        + [(1 << g.seed_bits) - 1]
+    out = np.ascontiguousarray(g.generate_batch(seeds), dtype="<i8")
+    assert hashlib.sha256(out.tobytes()).hexdigest() == \
+        "e4321aa29856811e305d8c359f54b52dafdc72a24a8ed583e81ea199439e846e"
