@@ -11,7 +11,7 @@ from .apps import (ChernoffSampler, CombinatorialShape, GeneralizedHalfspace,
                    Halfspace, ModularTest, chernoff_sample,
                    chernoff_tail_check, comb_shape_error, gen_halfspace_error,
                    halfspace_error, modular_error)
-from .compose import ComposePlan, build_generator, seed_length
+from .compose import ComposePlan, build_generator
 from .core import (Generator, UniformStub, plan_seed_bits, plan_to_generator,
                    sample_seeds)
 from .families import (CombinedHashFamily, KWiseFamily, KWiseVectors,
@@ -33,5 +33,5 @@ __all__ = [
     "fooling_error", "fourier_lemma_check", "gen_halfspace_error",
     "halfspace_error", "inw_for_robp", "linear_pmf", "modular_error",
     "plan_seed_bits", "plan_to_generator", "random_shape", "sample_seeds",
-    "seed_length", "shape_to_robp", "tvar", "uniform_expectation",
+    "shape_to_robp", "tvar", "uniform_expectation",
 ]

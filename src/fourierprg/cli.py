@@ -183,7 +183,8 @@ def run_campaign(campaign: VerifyCampaign) -> FoolingReport:
                               "refused": str(exc)})
     done = [r for r in instances if "refused" not in r]
     errs = [r["err_measured"] for r in done]
-    passed = all(
+    # a campaign that measured nothing has shown nothing, so it fails
+    passed = bool(done) and all(
         r["err_measured"] <= campaign.eps + (3 * r["std_err"]
                                              if r["mode"] == "sample" else 0)
         for r in done)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Generator, plan_to_generator, plan_seed_bits, register_plan
+from .core import Generator, plan_to_generator, register_plan
 from .highvar import GLargePlan
 from .reductions import (AlphabetStepPlan, DimStepPlan, alphabet_reduce,
                          dim_step_params)
@@ -36,6 +36,30 @@ class ComposePlan:
 DEFAULT_PLAN = ComposePlan()
 
 
+def symbol_pieces(n: int, b: int, D: int, dtype=np.uint32):
+    """Piece schedule for cutting n b-bit symbols out of a stream of
+    D-bit blocks, MSB first.
+
+    Returns (block, rshift, mask, lshift), each of shape (P, n) with P the
+    largest number of blocks a symbol overlaps: symbol j is the OR over
+    k of ((blocks[block[k, j]] >> rshift[k, j]) & mask[k, j])
+    << lshift[k, j]. Unused pieces have mask 0.
+    """
+    start = np.arange(n, dtype=np.int64) * b
+    stop = start + b
+    npieces = (stop - 1) // D - start // D + 1
+    t = start // D + np.arange(npieces.max(), dtype=np.int64)[:, None]
+    lo = np.maximum(start, t * D)
+    hi = np.minimum(stop, (t + 1) * D)
+    used = hi > lo
+    width = np.where(used, hi - lo, 0)
+    block = np.where(used, t, 0)
+    rshift = np.where(used, (t + 1) * D - hi, 0)
+    lshift = np.where(used, stop - hi, 0)
+    mask = ((1 << width) - 1).astype(dtype)
+    return block, rshift.astype(dtype), mask, lshift.astype(dtype)
+
+
 @register_plan("inw-base")
 class INWBase(Generator):
     """Shape-oblivious base case: INW output bits sliced into symbols.
@@ -43,6 +67,12 @@ class INWBase(Generator):
     Each coordinate consumes bits_per_symbol bits reduced mod m; for
     non-power-of-two m the extra bits push the per-coordinate deviation
     below delta_map / (4n).
+
+    Symbol j is bits [j*b, (j+1)*b) of the stream of T blocks of D bits,
+    MSB first. It overlaps at most ceil(b/D) + 1 blocks, so it is the OR
+    of that many pieces, each one block shifted right, masked and shifted
+    left into place. The pieces come from a schedule fixed per plan, so a
+    batch costs one gather-shift-mask-shift pass per piece position.
     """
 
     def __init__(self, m: int, n: int, delta: float,
@@ -77,21 +107,25 @@ class INWBase(Generator):
         self.seed_bits = self.inw.seed_bits
         if T == 2 and w == D and m & (m - 1) == 0:
             self.exactly_uniform = True
+        self._dtype = np.uint32 if self.bits_per_symbol <= 32 else np.uint64
+        self._pieces = symbol_pieces(n, self.bits_per_symbol, D, self._dtype)
 
     def generate_batch(self, seeds) -> np.ndarray:
-        blocks = self.inw.expand_batch(np.asarray(seeds))
-        D, T = self.inw.D, self.inw.T
-        bits = np.zeros((len(blocks), T * D), dtype=np.int64)
-        for t in range(T):
-            for d in range(D):
-                bits[:, t * D + d] = (blocks[:, t] >> (D - 1 - d)) & 1
-        b = self.bits_per_symbol
-        out = np.zeros((len(blocks), self.n), dtype=np.int64)
-        for j in range(self.n):
-            chunk = bits[:, j * b:(j + 1) * b]
-            weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
-            out[:, j] = (chunk @ weights) % self.m
-        return out
+        blocks = self.inw.expand_batch(seeds).astype(self._dtype)
+        block, rshift, mask, lshift = self._pieces
+        out = np.zeros((len(blocks), self.n), dtype=self._dtype)
+        piece = np.empty_like(out)
+        for k in range(len(block)):
+            np.take(blocks, block[k], axis=1, out=piece)
+            piece >>= rshift[k]
+            piece &= mask[k]
+            piece <<= lshift[k]
+            out |= piece
+        if self.m & (self.m - 1) == 0:
+            out &= self._dtype(self.m - 1)
+        else:
+            out %= self._dtype(self.m)
+        return out.astype(np.int64)
 
     def plan(self) -> dict:
         return {"type": "inw-base", "m": self.m, "n": self.n,
@@ -195,11 +229,3 @@ def _build_for_alphabet(m: int, n: int, delta: float, plan: ComposePlan,
             lambda mm, nn, dd: _build_level(mm, nn, dd, plan, levels_left),
             plan.C_alpha)
     return _build_level(m, n, delta, plan, levels_left)
-
-
-def seed_length(g: Generator) -> int:
-    return g.seed_bits
-
-
-def seed_length_from_plan(d: dict) -> int:
-    return plan_seed_bits(d)

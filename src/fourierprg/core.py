@@ -211,11 +211,10 @@ def sample_seeds(rng: np.random.Generator, nbits: int, count: int):
         return rng.integers(0, 1 << nbits, size=count, dtype=np.int64)
     limbs = (nbits + 31) // 32
     raw = rng.integers(0, 1 << 32, size=(count, limbs), dtype=np.int64)
-    out = np.empty(count, dtype=object)
+    data = raw.astype(">u4").tobytes()
+    row = 4 * limbs
     mask = (1 << nbits) - 1
-    for i in range(count):
-        v = 0
-        for l in raw[i]:
-            v = (v << 32) | int(l)
-        out[i] = v & mask
+    out = np.empty(count, dtype=object)
+    out[:] = [int.from_bytes(data[i:i + row], "big") & mask
+              for i in range(0, len(data), row)]
     return out

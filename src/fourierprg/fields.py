@@ -2,7 +2,8 @@
 
 GF(2^t) elements are ints whose bits are polynomial coefficients, reduced
 by a fixed irreducible modulus per degree so outputs are bit-exact across
-runs. Vectorized multiply uses log/exp tables for t <= 16.
+runs. Vectorized multiply uses a full product table for t <= 8 and
+log/exp tables for t <= 16.
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ class GF2Field(Field):
         self.modulus = irreducible_modulus(t)
         self._log = None
         self._exp = None
+        self._prod = None
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -195,15 +197,28 @@ class GF2Field(Field):
             for i, (x, y) in enumerate(zip(aa.reshape(-1), bb.reshape(-1))):
                 flat[i] = self.mul(int(x), int(y))
             return out
-        log, exp = self._tables()
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.t <= 8:
+            return np.take(self._products(), (a << self.t) | b)
+        return self._mul_logexp(a, b)
+
+    def _mul_logexp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        log, exp = self._tables()
         nz = (a != 0) & (b != 0)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         la = log[a * nz]
         lb = log[b * nz]
         np.copyto(out, exp[la + lb], where=nz)
         return out
+
+    def _products(self) -> np.ndarray:
+        # flat q x q product table, indexed by (a << t) | b; 512 KB at t = 8
+        if self._prod is None:
+            elems = np.arange(self.q, dtype=np.int64)
+            self._prod = self._mul_logexp(elems[:, None],
+                                          elems[None, :]).reshape(-1)
+        return self._prod
 
     def mul_scalar_vec(self, a: int, b):
         """a * b_i for a fixed nonzero scalar a."""

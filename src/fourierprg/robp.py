@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .bitseq import check_seed
+from .bitseq import bit_fields, bit_matrix, check_seed
 from .core import Generator, register_plan
 from .fields import gf2
 
@@ -54,12 +54,6 @@ class ROBP:
             state = self.transitions[t, state, blocks[:, t]]
         return self.labels[state]
 
-    def eval_bits(self, bits: int) -> complex:
-        """Input given as a (D*T)-bit integer, block 0 most significant."""
-        blocks = [(bits >> (self.D * (self.T - 1 - t))) & ((1 << self.D) - 1)
-                  for t in range(self.T)]
-        return self.eval(blocks)
-
     def to_dict(self) -> dict:
         return {
             "width": self.width, "D": self.D, "T": self.T,
@@ -73,10 +67,6 @@ class ROBP:
         labels = np.array([complex(re, im) for re, im in d["labels"]])
         return cls(d["width"], d["D"], d["T"], d["transitions"], labels,
                    d["start"])
-
-
-def robp_eval(p: ROBP, blocks) -> complex:
-    return p.eval(blocks)
 
 
 def parity_robp(nbits: int) -> ROBP:
@@ -109,34 +99,32 @@ class INWGenerator(Generator):
         self.state_bits = state_bits
         self.field = gf2(state_bits)
         self.seed_bits = state_bits + self.levels * 2 * state_bits
+        # expand_batch stores states level by level; block t is the state
+        # whose index is t with its `levels` bits reversed
+        t = np.arange(T, dtype=np.int64)
+        self._order = np.zeros(T, dtype=np.int64)
+        for i in range(self.levels):
+            self._order |= ((t >> i) & 1) << (self.levels - 1 - i)
         # generator view: alphabet [2^D], dimension T
         self.m = 1 << D
         self.n = T
 
     def expand_batch(self, seeds) -> np.ndarray:
         """(len(seeds), T) blocks of D bits."""
-        seeds = np.asarray(seeds)
+        # x, then (a, b) per level, as w-bit seed fields MSB first
         w = self.state_bits
-        mask = (1 << w) - 1
-        # split off x then the per-level hash coefficients, MSB first
-        shift = self.seed_bits - w
-        x = ((seeds >> shift) & mask).astype(np.int64)
-        hashes = []
-        for _ in range(self.levels):
-            shift -= w
-            a = ((seeds >> shift) & mask).astype(np.int64)
-            shift -= w
-            b = ((seeds >> shift) & mask).astype(np.int64)
-            hashes.append((a, b))
-        states = x[:, None]
-        for a, b in hashes:
-            mapped = self.field.mul_vec(a[:, None], states) ^ b[:, None]
-            merged = np.empty((states.shape[0], 2 * states.shape[1]),
-                              dtype=np.int64)
-            merged[:, 0::2] = states
-            merged[:, 1::2] = mapped
-            states = merged
-        return states >> (w - self.D)
+        fields = bit_fields(bit_matrix(seeds, self.seed_bits), w)
+        # level i appends the images under h_i of the 2^i states so far
+        states = np.empty((len(fields), self.T), dtype=np.int64)
+        states[:, 0] = fields[:, 0]
+        for lvl in range(self.levels):
+            k = 1 << lvl
+            a = fields[:, 1 + 2 * lvl:2 + 2 * lvl]
+            b = fields[:, 2 + 2 * lvl:3 + 2 * lvl]
+            states[:, k:2 * k] = self.field.mul_vec(a, states[:, :k]) ^ b
+        blocks = np.take(states, self._order, axis=1)
+        blocks >>= w - self.D
+        return blocks
 
     generate_batch = expand_batch
 
@@ -153,10 +141,6 @@ class INWGenerator(Generator):
     @classmethod
     def from_plan(cls, d):
         return cls(d["D"], d["T"], d["state_bits"])
-
-
-def inw_expand(g: INWGenerator, seed: int) -> np.ndarray:
-    return g.expand(seed)
 
 
 def inw_for_robp(S: int, D: int, T: int, delta: float,

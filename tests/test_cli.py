@@ -79,6 +79,20 @@ def test_run_campaign_records_refusals():
     report = run_campaign(c)
     assert report.summary["refused"] == 2
     assert all("refused" in r for r in report.instances)
+    # nothing was measured, so nothing passed
+    assert report.summary["pass"] is False
+
+
+def test_verify_all_refused_exit_code(capsys):
+    # a 49-bit seed against the 26-bit enumeration cap: every instance
+    # refuses, and a campaign that measured nothing fails
+    code, out, _ = run_main(capsys, "verify", "--family", "shapes",
+                            "--m", "2", "--n", "40", "--eps", "0.1",
+                            "--count", "2")
+    assert code == 1
+    summary = json.loads(out.strip().split("\n")[-1])
+    assert summary["refused"] == 2
+    assert summary["pass"] is False
 
 
 # ---------------------------------------------------------------------------

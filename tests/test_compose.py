@@ -4,13 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
-                                build_generator, seed_length,
-                                seed_length_from_plan)
-from fourierprg.core import (ConstantStub, UniformStub, plan_to_generator,
-                             sample_seeds)
+                                build_generator, symbol_pieces)
+from fourierprg.core import (ConstantStub, UniformStub, plan_seed_bits,
+                             plan_to_generator, sample_seeds)
 from fourierprg.shapes import EnumerateMode, fooling_error, random_shape
+from test_robp import edge_seeds
 
 
 def test_inw_base_small_instance_exactly_uniform():
@@ -42,6 +44,106 @@ def test_inw_base_plan_roundtrip():
     g2 = plan_to_generator(json.loads(json.dumps(g.plan())))
     seeds = np.arange(1 << g.seed_bits, dtype=np.int64)
     assert np.array_equal(g.generate_batch(seeds), g2.generate_batch(seeds))
+
+
+def reference_inw_base(g: INWBase, seeds) -> np.ndarray:
+    """Symbols as first written: unpack every block into an (N, T*D)
+    matrix of stream bits one bit at a time, then read each symbol with
+    a weighted sum of its bits, mod m."""
+    blocks = g.inw.expand_batch(seeds)
+    D, T = g.inw.D, g.inw.T
+    bits = np.zeros((len(blocks), T * D), dtype=np.int64)
+    for t in range(T):
+        for d in range(D):
+            bits[:, t * D + d] = (blocks[:, t] >> (D - 1 - d)) & 1
+    b = g.bits_per_symbol
+    out = np.zeros((len(blocks), g.n), dtype=np.int64)
+    for j in range(g.n):
+        chunk = bits[:, j * b:(j + 1) * b]
+        weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
+        out[:, j] = (chunk @ weights) % g.m
+    return out
+
+
+# (m, n, block_bits): b = bits_per_symbol against the block width D
+INW_BASE_CASES = [
+    (2, 8, 6),          # T = 2, w = D: the exactly uniform case
+    (3, 1, 6),          # T = 2 with a non-power-of-two m
+    (2, 64, 6),         # b = 1 < D = 4
+    (64, 16, 6),        # b = D = 6
+    (4096, 64, 6),      # b = 12 = 2D, two blocks per symbol
+    (3, 10, 6),         # b = 17, D = 6: three and four blocks per symbol
+    (5, 20, 6),         # non-power-of-two m, b = 19 > D
+    (8, 64, 12),        # D = 12 > 8
+    (1000, 5, 6),       # b = 25
+    (1 << 40, 3, 6),    # b = 40 > 32: 64-bit temporaries
+    (10 ** 9 + 7, 2, 6),  # b = 44, non-power-of-two
+]
+
+
+@pytest.mark.parametrize("m,n,block_bits", INW_BASE_CASES)
+def test_inw_base_matches_reference(m, n, block_bits):
+    g = INWBase(m, n, 0.1, block_bits)
+    rng = np.random.default_rng(m % 1000 + n)
+    seeds = edge_seeds(g.seed_bits, 100, rng)
+    want = reference_inw_base(g, seeds)
+    got = g.generate_batch(seeds)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert got.min() >= 0 and got.max() < m
+    if g.seed_bits <= 62:
+        assert np.array_equal(g.generate_batch(seeds.astype(np.int64)), want)
+    for seed, row in zip(seeds[-5:], want[-5:]):
+        assert np.array_equal(g.generate(int(seed)), row)
+
+
+def test_inw_base_case_shapes():
+    # the cases above really cover the schedule shapes they claim
+    spans = {}
+    for m, n, block_bits in INW_BASE_CASES:
+        g = INWBase(m, n, 0.1, block_bits)
+        block, _, mask, _ = symbol_pieces(n, g.bits_per_symbol, g.inw.D)
+        spans[(m, n)] = (g.bits_per_symbol, g.inw.D, g.inw.T,
+                         int((mask > 0).sum(axis=0).max()))
+    assert spans[(2, 8)][2] == spans[(3, 1)][2] == 2
+    assert spans[(2, 64)][0] < spans[(2, 64)][1]
+    assert spans[(64, 16)][0] == spans[(64, 16)][1]
+    assert spans[(3, 10)][3] >= 3
+    assert spans[(8, 64)][1] > 8
+    assert spans[(1 << 40, 3)][0] > 32
+
+
+def test_symbol_pieces_cover_stream():
+    # every stream bit a symbol needs comes from exactly one piece
+    for n, b, D in ((5, 3, 4), (7, 17, 6), (4, 6, 6), (3, 44, 6), (9, 1, 5)):
+        block, rshift, mask, lshift = symbol_pieces(n, b, D, np.uint64)
+        assert len(block) <= -(-b // D) + 1
+        for j in range(n):
+            covered = []
+            for k in range(len(block)):
+                width = int(mask[k, j]).bit_length()
+                if width == 0:
+                    continue
+                first = block[k, j] * D + D - int(rshift[k, j]) - width
+                covered += range(first, first + width)
+                assert int(lshift[k, j]) == (j + 1) * b - first - width
+            assert covered == list(range(j * b, (j + 1) * b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 300), n=st.integers(1, 24),
+       block_bits=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_inw_base_batch_scalar_replay_agree(m, n, block_bits, seed):
+    g = INWBase(m, n, 0.1, block_bits)
+    seeds = edge_seeds(g.seed_bits, 6, np.random.default_rng(seed))
+    out = g.generate_batch(seeds)
+    assert out.shape == (len(seeds), n)
+    assert out.min() >= 0 and out.max() < m
+    assert np.array_equal(out, reference_inw_base(g, seeds))
+    for s, row in zip(seeds, out):
+        assert np.array_equal(g.generate(int(s)), row)
+    replay = plan_to_generator(json.loads(json.dumps(g.plan())))
+    assert np.array_equal(replay.generate_batch(seeds), out)
 
 
 def test_xor_compose_mismatch():
@@ -120,7 +222,7 @@ def test_build_generator_plan_replay():
     g = build_generator(2, 128, 0.2)
     d = json.loads(json.dumps(g.plan()))
     g2 = plan_to_generator(d)
-    assert seed_length(g2) == seed_length(g) == seed_length_from_plan(d)
+    assert g2.seed_bits == g.seed_bits == plan_seed_bits(d)
     seeds = np.arange(5, dtype=object)
     assert np.array_equal(g.generate_batch(seeds), g2.generate_batch(seeds))
 

@@ -104,6 +104,18 @@ def test_mul_vec_matches_scalar():
             assert out[i] == f.mul(int(a[i]), int(b[i]))
 
 
+@pytest.mark.parametrize("t", [1, 2, 5, 8])
+def test_mul_vec_product_table_exhaustive(t):
+    # t <= 8 multiplies through a full product table: check every pair
+    # against the scalar product and the broadcast (N, 1) x (N, k) form
+    f = gf2(t)
+    elems = np.arange(f.q, dtype=np.int64)
+    out = f.mul_vec(elems[:, None], elems[None, :])
+    assert out.dtype == np.int64 and out.shape == (f.q, f.q)
+    want = [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
+    assert out.tolist() == want
+
+
 def test_mul_vec_big_field_fallback():
     f = gf2(78)
     rng = np.random.default_rng(0)

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from fourierprg.core import sample_seeds
 from fourierprg.robp import (INWGenerator, ROBP, default_precision_bits,
-                             inw_expand, inw_for_robp, parity_robp, robp_eval,
-                             shape_to_robp)
+                             inw_for_robp, parity_robp, shape_to_robp)
 from fourierprg.shapes import (FourierShape, eval_shape, linear_shape,
                                random_shape, constant_shape)
 
@@ -24,14 +24,14 @@ def random_robp(rng, width, D, T):
 def test_single_state_program():
     p = ROBP(1, 1, 3, np.zeros((3, 1, 2), dtype=int), np.array([1.0 + 0j]))
     for bits in itertools.product([0, 1], repeat=3):
-        assert robp_eval(p, list(bits)) == pytest.approx(1.0)
+        assert p.eval(list(bits)) == pytest.approx(1.0)
 
 
 def test_parity_program():
     p = parity_robp(5)
     for bits in itertools.product([0, 1], repeat=5):
         expected = (-1.0) ** (sum(bits) % 2)
-        assert robp_eval(p, list(bits)) == pytest.approx(expected)
+        assert p.eval(list(bits)) == pytest.approx(expected)
 
 
 def test_linear_form_tracking_program():
@@ -67,7 +67,7 @@ def test_robp_serialization_roundtrip():
 def test_inw_t1_returns_data_block():
     g = INWGenerator(3, 1, 5)
     for seed in range(32):
-        assert inw_expand(g, seed)[0] == seed >> 2
+        assert g.expand(seed)[0] == seed >> 2
 
 
 def test_inw_t2_identity_hash_repeats_block():
@@ -75,8 +75,77 @@ def test_inw_t2_identity_hash_repeats_block():
     g = INWGenerator(3, 2, 3)
     for x in range(8):
         seed = (x << 6) | (1 << 3) | 0
-        blocks = inw_expand(g, seed)
+        blocks = g.expand(seed)
         assert blocks[0] == blocks[1] == x
+
+
+def reference_expand_batch(g: INWGenerator, seeds) -> np.ndarray:
+    """The expansion as first written: 2*levels+1 shift-and-mask passes
+    over the seed array, scalar field products, and one interleave of
+    (states, h(states)) per level."""
+    seeds = np.asarray(seeds)
+    w = g.state_bits
+    mask = (1 << w) - 1
+    shift = g.seed_bits - w
+    x = ((seeds >> shift) & mask).astype(np.int64)
+    hashes = []
+    for _ in range(g.levels):
+        shift -= w
+        a = ((seeds >> shift) & mask).astype(np.int64)
+        shift -= w
+        b = ((seeds >> shift) & mask).astype(np.int64)
+        hashes.append((a, b))
+    states = x[:, None]
+    for a, b in hashes:
+        mapped = np.array([[g.field.mul(int(ai), int(s)) for s in row]
+                           for ai, row in zip(a, states)],
+                          dtype=np.int64).reshape(states.shape) ^ b[:, None]
+        merged = np.empty((states.shape[0], 2 * states.shape[1]),
+                          dtype=np.int64)
+        merged[:, 0::2] = states
+        merged[:, 1::2] = mapped
+        states = merged
+    return states >> (w - g.D)
+
+
+def edge_seeds(nbits: int, count: int, rng) -> np.ndarray:
+    """Full-width random seeds plus zero, all ones and top-bit-set seeds,
+    as an object array of python ints."""
+    seeds = [int(s) for s in sample_seeds(rng, nbits, count)]
+    top = 1 << (nbits - 1)
+    seeds += [0, (1 << nbits) - 1, top, top | 1, top | int(seeds[0])]
+    out = np.empty(len(seeds), dtype=object)
+    out[:] = seeds
+    return out
+
+
+@pytest.mark.parametrize("D,T,w", [
+    (3, 1, 5), (2, 4, 3), (3, 8, 5), (6, 128, 8), (8, 64, 10),
+    (16, 64, 16), (4, 4, 20), (1, 2, 1),
+])
+def test_inw_expand_matches_reference(D, T, w):
+    g = INWGenerator(D, T, w)
+    rng = np.random.default_rng(D * 1000 + T + w)
+    seeds = edge_seeds(g.seed_bits, 60, rng)
+    want = reference_expand_batch(g, seeds)
+    got = g.expand_batch(seeds)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    # the int64 carrier gives the same blocks as python ints
+    if g.seed_bits <= 62:
+        assert np.array_equal(g.expand_batch(seeds.astype(np.int64)), want)
+    for seed, row in zip(seeds[-5:], want[-5:]):
+        assert np.array_equal(g.expand(int(seed)), row)
+
+
+def test_inw_expand_reads_low_seed_bits_only():
+    # bits above seed_bits are ignored, as in the shift-and-mask reading
+    for g in (INWGenerator(3, 8, 5), INWGenerator(6, 128, 8)):
+        rng = np.random.default_rng(g.seed_bits)
+        seeds = edge_seeds(g.seed_bits, 20, rng)
+        wide = seeds + (rng.integers(1, 1 << 20) << g.seed_bits)
+        assert np.array_equal(g.expand_batch(wide),
+                              reference_expand_batch(g, seeds))
 
 
 def test_inw_block_marginals_exactly_uniform():
