@@ -8,9 +8,9 @@ measures fooling error exactly against brute-force oracles at desk scale.
 """
 
 from .apps import (ChernoffSampler, CombinatorialShape, GeneralizedHalfspace,
-                   Halfspace, ModularTest, chernoff_sample,
-                   chernoff_tail_check, comb_shape_error, gen_halfspace_error,
-                   halfspace_error, modular_error)
+                   Halfspace, ModularTest, chernoff_tail_check,
+                   comb_shape_error, gen_halfspace_error, halfspace_error,
+                   modular_error)
 from .compose import ComposePlan, build_generator
 from .core import (Generator, UniformStub, plan_seed_bits, plan_to_generator,
                    sample_seeds)
@@ -28,8 +28,8 @@ __all__ = [
     "GeneralizedHalfspace", "Generator", "Halfspace", "INWGenerator",
     "IntPMF", "KWiseFamily", "KWiseVectors", "ModularTest",
     "PairwisePermutation", "ROBP", "SampleMode", "SmallBiasFamily",
-    "UniformStub", "build_generator", "chernoff_sample",
-    "chernoff_tail_check", "comb_shape_error", "d_ft", "d_k", "d_tv",
+    "UniformStub", "build_generator", "chernoff_tail_check",
+    "comb_shape_error", "d_ft", "d_k", "d_tv",
     "fooling_error", "fourier_lemma_check", "gen_halfspace_error",
     "halfspace_error", "inw_for_robp", "linear_pmf", "modular_error",
     "plan_seed_bits", "plan_to_generator", "random_shape", "sample_seeds",

@@ -418,15 +418,10 @@ class ChernoffSampler:
         return out
 
     def sample(self, seed: int) -> np.ndarray:
-        return self.map_batch(self.generator.generate_batch(
-            np.asarray([seed], dtype=object)))[0]
+        return self.map_batch(self.generator.generate(seed)[None, :])[0]
 
     def sample_batch(self, seeds) -> np.ndarray:
         return self.map_batch(self.generator.generate_batch(seeds))
-
-
-def chernoff_sample(s: ChernoffSampler, seed: int) -> np.ndarray:
-    return s.sample(seed)
 
 
 @dataclass(frozen=True)

@@ -246,10 +246,7 @@ def cmd_gen(args) -> int:
     if args.seed is not None:
         if args.samples not in (None, 1):
             raise ValueError("--seed emits exactly one sample")
-        seed = int(args.seed, 16)
-        if seed >> g.seed_bits:
-            raise ValueError(f"seed does not fit in {g.seed_bits} bits")
-        out = g.generate_batch(np.asarray([seed], dtype=object))[0]
+        out = g.generate(int(args.seed, 16))
         print(" ".join(str(int(v)) for v in out))
     elif args.samples:
         rng = np.random.default_rng(args.rng_seed)

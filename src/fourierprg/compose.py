@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitseq import as_bits
 from .core import Generator, plan_to_generator, register_plan
 from .highvar import GLargePlan
 from .reductions import (AlphabetStepPlan, DimStepPlan, alphabet_reduce,
@@ -158,11 +159,10 @@ class XorCompose(Generator):
         self.seed_bits = left.seed_bits + right.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        seeds = np.asarray(seeds)
-        ls = seeds >> self.right.seed_bits
-        rs = seeds & ((1 << self.right.seed_bits) - 1)
-        return (self.left.generate_batch(ls)
-                + self.right.generate_batch(rs)) % self.m
+        bits = as_bits(seeds, self.seed_bits)
+        lbits = self.left.seed_bits
+        return (self.left.generate_batch(bits[:, :lbits])
+                + self.right.generate_batch(bits[:, lbits:])) % self.m
 
     def plan(self) -> dict:
         return {"type": "xor-compose", "m": self.m, "n": self.n,

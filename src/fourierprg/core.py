@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .bitseq import check_seed
+from .bitseq import as_bits, check_seed, to_ints
 from .families import KWiseVectors, SmallBiasFamily
 
 PLAN_REGISTRY: dict[str, type] = {}
@@ -27,7 +27,11 @@ def register_plan(name: str):
 
 class Generator:
     """Base class. Subclasses set m, n, seed_bits and implement
-    generate_batch; plans round-trip through plan()/from_plan()."""
+    generate_batch; plans round-trip through plan()/from_plan().
+
+    generate_batch takes any seed batch `bitseq.as_bits` accepts, turns it
+    into an (N, seed_bits) bit matrix with one as_bits call and returns an
+    (N, n) array of output symbols."""
 
     m: int
     n: int
@@ -39,10 +43,7 @@ class Generator:
 
     def generate(self, seed: int) -> np.ndarray:
         check_seed(seed, self.seed_bits)
-        # a wide plan takes python-int seeds even when this one is small
-        seeds = np.empty(1, dtype=object if self.seed_bits > 62 else np.int64)
-        seeds[0] = seed
-        return self.generate_batch(seeds)[0]
+        return self.generate_batch(as_bits(seed, self.seed_bits))[0]
 
     def generate_batch(self, seeds) -> np.ndarray:
         raise NotImplementedError
@@ -115,9 +116,8 @@ class UniformStub(Generator):
         self.seed_bits = n * max(1, (m - 1).bit_length())
 
     def generate_batch(self, seeds) -> np.ndarray:
-        seeds = np.asarray(seeds)
-        out = np.empty((len(seeds), self.n), dtype=np.int64)
-        rem = seeds.astype(object) % (self.m ** self.n)
+        rem = to_ints(as_bits(seeds, self.seed_bits)) % (self.m ** self.n)
+        out = np.empty((len(rem), self.n), dtype=np.int64)
         for j in range(self.n - 1, -1, -1):
             out[:, j] = (rem % self.m).astype(np.int64)
             rem //= self.m
@@ -145,7 +145,8 @@ class ConstantStub(Generator):
         self.seed_bits = 0
 
     def generate_batch(self, seeds) -> np.ndarray:
-        return np.full((len(seeds), self.n), self.value, dtype=np.int64)
+        bits = as_bits(seeds, self.seed_bits)
+        return np.full((len(bits), self.n), self.value, dtype=np.int64)
 
     def plan(self) -> dict:
         return {"type": "constant-stub", "m": self.m, "n": self.n,
@@ -167,8 +168,7 @@ class KWiseGenerator(Generator):
         self.seed_bits = self.family.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        return self.family.sample_batch(seeds)
+        return self.family.sample_batch(as_bits(seeds, self.seed_bits))
 
     def plan(self) -> dict:
         return {"type": "kwise", "m": self.m, "n": self.n, "k": self.k,
@@ -192,8 +192,7 @@ class SmallBiasLift(Generator):
         self.seed_bits = self.family.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        seeds = np.asarray(seeds, dtype=np.int64)
-        return self.family.sample_batch(seeds)
+        return self.family.sample_batch(as_bits(seeds, self.seed_bits))
 
     def plan(self) -> dict:
         return {"type": "small-bias-lift", "n": self.n, "delta": self.delta,
@@ -205,16 +204,16 @@ class SmallBiasLift(Generator):
 
 
 def sample_seeds(rng: np.random.Generator, nbits: int, count: int):
-    """count independent uniform nbits-long seeds; int64 array when they
-    fit, otherwise an object array of python ints."""
+    """count independent uniform nbits-long seeds, as a (count, nbits)
+    bit matrix.
+
+    Up to 62 bits a seed is one bounded int64 draw; a wider seed is the
+    low nbits bits of ceil(nbits / 32) 32-bit limbs drawn most
+    significant first. Campaign outputs depend on these draws."""
     if nbits <= 62:
-        return rng.integers(0, 1 << nbits, size=count, dtype=np.int64)
+        return as_bits(
+            rng.integers(0, 1 << nbits, size=count, dtype=np.int64), nbits)
     limbs = (nbits + 31) // 32
     raw = rng.integers(0, 1 << 32, size=(count, limbs), dtype=np.int64)
-    data = raw.astype(">u4").tobytes()
-    row = 4 * limbs
-    mask = (1 << nbits) - 1
-    out = np.empty(count, dtype=object)
-    out[:] = [int.from_bytes(data[i:i + row], "big") & mask
-              for i in range(0, len(data), row)]
-    return out
+    bits = np.unpackbits(raw.astype(">u4").view(np.uint8), axis=1)
+    return bits[:, 32 * limbs - nbits:]

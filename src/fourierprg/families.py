@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bitseq import bit_slice, check_seed
+from .bitseq import as_bits, bit_fields, check_seed, to_ints
 from .fields import Field, GF2Field, gf2, next_prime, prime_field
 
 
@@ -37,75 +37,44 @@ class KWiseFamily:
         self.coeff_bits = _coeff_bits(field.q)
         self.seed_bits = k * self.coeff_bits
 
-    def coeffs(self, seed: int) -> list[int]:
-        check_seed(seed, self.seed_bits)
+    def _coeff_batch(self, seeds) -> np.ndarray:
+        """(N, k) coefficients per seed, constant term first: the
+        coeff_bits-wide seed fields MSB first, reduced mod q. Python ints
+        only for fields too wide for int64 arithmetic."""
+        bits = as_bits(seeds, self.seed_bits)
         w = self.coeff_bits
-        return [bit_slice(seed, self.seed_bits, j * w, (j + 1) * w) % self.q
-                for j in range(self.k)]
+        if self.q > 1 << 62:
+            c = np.stack([to_ints(bits[:, j * w:(j + 1) * w])
+                          for j in range(self.k)], axis=1)
+        else:
+            c = bit_fields(bits, w)
+        return c % self.q
+
+    def _horner(self, coeffs: np.ndarray, points) -> np.ndarray:
+        """sum_j coeffs[..., j] * points^j over the field, elementwise."""
+        f = self.field
+        acc = np.zeros_like(coeffs[..., 0])
+        for j in range(self.k - 1, -1, -1):
+            acc = f.add(f.mul_vec(acc, points), coeffs[..., j])
+        return acc
 
     def eval_at(self, seed: int, point: int) -> int:
-        c = self.coeffs(seed)
-        acc = 0
-        for cj in reversed(c):
-            acc = self.field.add(self.field.mul(acc, point), cj)
-        return acc
+        check_seed(seed, self.seed_bits)
+        return int(self.eval_points_batch(seed, [point])[0])
 
     def sample(self, seed: int) -> np.ndarray:
-        return self.sample_batch(np.asarray([seed]))[0]
+        return self.sample_batch(seed)[0]
 
-    def eval_points_batch(self, seeds: np.ndarray,
-                          points: np.ndarray) -> np.ndarray:
+    def eval_points_batch(self, seeds, points) -> np.ndarray:
         """Value at points[i] under seed seeds[i], one output per row;
         avoids materializing all n evaluation points."""
-        seeds = np.asarray(seeds)
-        points = np.asarray(points)
-        if self.seed_bits > 62 or self.q > (1 << 62):
-            out = np.empty(len(seeds), dtype=object)
-            for i in range(len(seeds)):
-                out[i] = self.eval_at(int(seeds[i]), int(points[i]))
-            return out
-        seeds = seeds.astype(np.int64)
-        points = points.astype(np.int64)
-        w = self.coeff_bits
-        f = self.field
-        add = (lambda a, b: a ^ b) if isinstance(f, GF2Field) else \
-              (lambda a, b: (a + b) % f.q)
-        acc = np.zeros(len(seeds), dtype=np.int64)
-        for j in range(self.k - 1, -1, -1):
-            shift = self.seed_bits - (j + 1) * w
-            cj = ((seeds >> shift) & ((1 << w) - 1)) % self.q
-            acc = add(f.mul_vec(acc, points), cj)
-        return acc
+        return self._horner(self._coeff_batch(seeds),
+                            np.asarray(points, dtype=np.int64))
 
-    def sample_batch(self, seeds: np.ndarray) -> np.ndarray:
+    def sample_batch(self, seeds) -> np.ndarray:
         """(len(seeds), n) array of values in [q]."""
-        seeds = np.asarray(seeds)
-        if self.seed_bits > 62 or self.q > (1 << 62):
-            # big fields: per-seed Horner evaluation with python ints
-            out = np.empty((len(seeds), self.n), dtype=object)
-            for i in range(len(seeds)):
-                c = self.coeffs(int(seeds[i]))
-                for x in range(self.n):
-                    acc = 0
-                    for cj in reversed(c):
-                        acc = self.field.add(self.field.mul(acc, x), cj)
-                    out[i, x] = acc
-            return out
-        seeds = seeds.astype(np.int64)
-        w = self.coeff_bits
-        coeff = np.empty((len(seeds), self.k), dtype=np.int64)
-        for j in range(self.k):
-            shift = self.seed_bits - (j + 1) * w
-            coeff[:, j] = ((seeds >> shift) & ((1 << w) - 1)) % self.q
-        points = np.arange(self.n, dtype=np.int64)
-        acc = np.zeros((len(seeds), self.n), dtype=np.int64)
-        f = self.field
-        add = (lambda a, b: a ^ b) if isinstance(f, GF2Field) else \
-              (lambda a, b: (a + b) % f.q)
-        for j in range(self.k - 1, -1, -1):
-            acc = f.mul_vec(acc, points[None, :])
-            acc = add(acc, coeff[:, j][:, None])
-        return acc
+        return self._horner(self._coeff_batch(seeds)[:, None, :],
+                            np.arange(self.n, dtype=np.int64))
 
 
 class KWiseVectors:
@@ -135,10 +104,6 @@ class KWiseVectors:
         return self.inner.sample_batch(seeds) % self.m
 
 
-def kwise_sample(fam: KWiseFamily, seed: int) -> np.ndarray:
-    return fam.sample(seed)
-
-
 class SmallBiasFamily:
     """delta-biased bits by the powering construction over GF(2^t):
     bit i = lsb(x^i * y) for seed (x, y), t = ceil(log2(n/delta)) + 1."""
@@ -156,16 +121,15 @@ class SmallBiasFamily:
         self.bias_bound = (n - 1) / (1 << self.t) if n > 1 else 0.0
 
     def sample(self, seed: int) -> np.ndarray:
-        return self.sample_batch(np.asarray([seed]))[0]
+        check_seed(seed, self.seed_bits)
+        return self.sample_batch(seed)[0]
 
-    def sample_batch(self, seeds: np.ndarray) -> np.ndarray:
+    def sample_batch(self, seeds) -> np.ndarray:
         """(len(seeds), n) array of bits."""
-        seeds = np.asarray(seeds, dtype=np.int64)
-        check_seed(int(seeds.max(initial=0)), self.seed_bits)
-        x = seeds >> self.t
-        y = seeds & ((1 << self.t) - 1)
-        out = np.empty((len(seeds), self.n), dtype=np.int64)
-        power = np.ones(len(seeds), dtype=np.int64)  # x^0
+        x, y = np.ascontiguousarray(
+            bit_fields(as_bits(seeds, self.seed_bits), self.t).T)
+        out = np.empty((len(x), self.n), dtype=np.int64)
+        power = np.ones(len(x), dtype=np.int64)  # x^0
         f = self.field
         for i in range(self.n):
             out[:, i] = f.mul_vec(power, y) & 1
@@ -177,10 +141,6 @@ class SmallBiasFamily:
         bits = self.sample_batch(seeds)
         weights = 1 << np.arange(self.n - 1, -1, -1, dtype=np.int64)
         return bits @ weights
-
-
-def small_bias_sample(fam: SmallBiasFamily, seed: int) -> np.ndarray:
-    return fam.sample(seed)
 
 
 class CombinedHashFamily:
@@ -216,30 +176,26 @@ class CombinedHashFamily:
             self.bias = None
             self.seed_bits = self.kwise.seed_bits
 
-    def table_batch(self, seeds: np.ndarray) -> np.ndarray:
-        """(len(seeds), n) tables of values in [t]."""
-        seeds = np.asarray(seeds)
+    def table_batch(self, seeds) -> np.ndarray:
+        """(len(seeds), n) tables of values in [t]; the k-wise part reads
+        the high seed bits, the biased part the low ones."""
+        seeds = as_bits(seeds, self.seed_bits)
+        kbits = self.kwise.seed_bits
+        base = self.kwise.sample_batch(seeds[:, :kbits]) % self.t
         if self.bias is None:
-            return self.kwise.sample_batch(seeds) % self.t
-        kseed = seeds >> self.bias.seed_bits
-        bseed = seeds & ((1 << self.bias.seed_bits) - 1)
-        base = self.kwise.sample_batch(kseed) % self.t
-        bits = self.bias.sample_batch(bseed).reshape(len(seeds), self.n,
-                                                     self.rbits)
+            return base
+        bits = self.bias.sample_batch(seeds[:, kbits:]).reshape(
+            len(seeds), self.n, self.rbits)
         weights = 1 << np.arange(self.rbits - 1, -1, -1, dtype=np.int64)
         return base ^ (bits @ weights)
 
     def table(self, seed: int) -> np.ndarray:
-        return self.table_batch(np.asarray([seed]))[0]
+        return self.table_batch(seed)[0]
 
     def eval(self, seed: int, i: int) -> int:
         if self.bias is None:
             return self.kwise.eval_at(seed, i) % self.t
         return int(self.table(seed)[i])
-
-
-def hash_sample(fam: CombinedHashFamily, seed: int) -> np.ndarray:
-    return fam.table(seed)
 
 
 @dataclass(frozen=True)

@@ -309,10 +309,6 @@ class FieldElem:
         return FieldElem(self.field.mul(self.value, other.value), self.field)
 
 
-def field_mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
 @lru_cache(maxsize=None)
 def gf2(t: int) -> GF2Field:
     return GF2Field(t)

@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from .core import Generator, register_plan
-from .families import (CombinedHashFamily, KWiseVectors, perm_sample,
-                       perm_seed_bits)
+from .bitseq import as_bits, bit_fields
+from .core import Generator, register_plan, sample_seeds
+from .families import CombinedHashFamily, KWiseVectors, perm_seed_bits
 from .fields import gf2
 from .robp import INWGenerator
 
@@ -44,30 +44,19 @@ class SeedRecycler:
             raise ValueError(f"unknown recycler mode {mode!r}")
 
     def bitstream_batch(self, seeds) -> np.ndarray:
-        """Object array of python ints, total_bits wide each: the INW
-        blocks of a row concatenated MSB first, truncated to total_bits.
-
-        The whole batch passes through one uint8 bit matrix, and each row
-        is read with a single int.from_bytes, so the cost is linear in
-        total_bits."""
-        seeds = np.asarray(seeds)
-        out = np.empty(len(seeds), dtype=object)
+        """(N, total_bits) bit matrix: the INW blocks of a row
+        concatenated MSB first, truncated to total_bits."""
+        bits = as_bits(seeds, self.seed_bits)
         if self.mode == "direct":
-            out[:] = [int(s) for s in seeds]
-            return out
-        blocks = self.inw.expand_batch(seeds)
+            return bits
+        blocks = self.inw.expand_batch(bits)
         N, T = blocks.shape
         D = self.block_bits
         # block_bits <= state_bits <= 16, so a block fits in 2 bytes
         width = 1 if D <= 8 else 2
         raw = blocks.astype(f">u{width}").view(np.uint8).reshape(N, T, width)
-        bits = np.unpackbits(raw, axis=2)[:, :, 8 * width - D:]
-        packed = np.packbits(bits.reshape(N, T * D)[:, :self.total_bits],
-                             axis=1)
-        drop = 8 * packed.shape[1] - self.total_bits
-        out[:] = [int.from_bytes(row.tobytes(), "big") >> drop
-                  for row in packed]
-        return out
+        stream = np.unpackbits(raw, axis=2)[:, :, 8 * width - D:]
+        return stream.reshape(N, T * D)[:, :self.total_bits]
 
     def config(self) -> dict:
         return {"mode": self.mode, "block_bits": self.block_bits,
@@ -119,35 +108,21 @@ class G1Plan(Generator):
         self.seed_bits = self.perm_bits + self.recycler.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        seeds = np.asarray(seeds)
-        N = len(seeds)
-        perm_seed = ((seeds >> self.recycler.seed_bits)
-                     & ((1 << self.perm_bits) - 1))
-        rec_seed = seeds & ((1 << self.recycler.seed_bits) - 1)
-        stream = self.recycler.bitstream_batch(rec_seed)
-        total = self.recycler.total_bits
-
+        bits = as_bits(seeds, self.seed_bits)
+        N = len(bits)
+        # perm seed (a_raw, b) in the high bits, recycler seed below
         t = self.tlog
-        field = gf2(t)
-        a_raw = (np.asarray(perm_seed, dtype=np.int64) >> t)
-        b = np.asarray(perm_seed, dtype=np.int64) & ((1 << t) - 1)
+        a_raw, b = bit_fields(bits[:, :self.perm_bits], t).T
         a = a_raw % ((1 << t) - 1) + 1 if t > 1 else np.ones(N, dtype=np.int64)
+        stream = self.recycler.bitstream_batch(bits[:, self.perm_bits:])
 
+        field = gf2(t)
         out = np.zeros((N, self.n), dtype=np.int64)
         offset = 0
         rows = np.arange(N)
         for j, fam in enumerate(self.bucket_families):
             sbits = self.bucket_seed_bits[j]
-            shift = total - offset - sbits
-            if sbits <= 62:
-                bseed = np.fromiter(
-                    ((int(s) >> shift) & ((1 << sbits) - 1) for s in stream),
-                    dtype=np.int64, count=N)
-            else:
-                bseed = np.empty(N, dtype=object)
-                bseed[:] = [(int(s) >> shift) & ((1 << sbits) - 1)
-                            for s in stream]
-            vals = fam.sample_batch(bseed)  # (N, bucket size)
+            vals = fam.sample_batch(stream[:, offset:offset + sbits])
             # bucket 0 additionally receives the image of domain index 0
             interval = (np.arange(0, 2, dtype=np.int64) if j == 0
                         else np.arange(1 << j, 1 << (j + 1), dtype=np.int64))
@@ -201,8 +176,7 @@ class SpreadingFamily:
         v = np.asarray(v, dtype=float)
         if float(np.sum(v * v)) < self.B:
             raise ValueError("vector too light for the spreading property")
-        seeds = rng.integers(0, 1 << min(self.seed_bits, 62), size=trials,
-                             dtype=np.int64)
+        seeds = sample_seeds(rng, self.seed_bits, trials)
         tables = np.asarray(self.table_batch(seeds), dtype=np.int64)
         thresh = self.B / (2 * self.T)
         bad = 0
@@ -245,27 +219,19 @@ class GLargePlan(Generator):
         self.seed_bits = self.spreading.seed_bits + self.recycler.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        seeds = np.asarray(seeds)
-        N = len(seeds)
-        hseed = (seeds >> self.recycler.seed_bits) \
-            & ((1 << self.spreading.seed_bits) - 1)
-        if self.spreading.seed_bits <= 62:
-            hseed = hseed.astype(np.int64)
-        rec_seed = seeds & ((1 << self.recycler.seed_bits) - 1)
-        tables = np.asarray(self.spreading.table_batch(hseed),
+        bits = as_bits(seeds, self.seed_bits)
+        N = len(bits)
+        # hash seed in the high bits, recycler seed below
+        hbits = self.spreading.seed_bits
+        tables = np.asarray(self.spreading.table_batch(bits[:, :hbits]),
                             dtype=np.int64)  # (N, n)
-        stream = self.recycler.bitstream_batch(rec_seed)
-        g1_bits = self.g1.seed_bits
+        stream = self.recycler.bitstream_batch(bits[:, hbits:])
         T = self.spreading.T
         # one G1 row per (row, bucket) pair that some coordinate uses
         keys, inv = np.unique(np.arange(N)[:, None] * T + tables,
                               return_inverse=True)
         rows, buckets = np.divmod(keys, T)
-        shifts = self.recycler.total_bits - (buckets + 1) * g1_bits
-        mask = (1 << g1_bits) - 1
-        bucket_seeds = np.empty(len(keys), dtype=object)
-        bucket_seeds[:] = [(stream[r] >> int(s)) & mask
-                           for r, s in zip(rows, shifts)]
+        bucket_seeds = stream.reshape(N, T, self.g1.seed_bits)[rows, buckets]
         vals = self.g1.generate_batch(bucket_seeds)
         return vals[inv.reshape(N, self.n), np.arange(self.n)]
 

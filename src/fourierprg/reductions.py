@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .bitseq import as_bits
 from .core import Generator, plan_to_generator, register_plan
 from .families import CombinedHashFamily, KWiseFamily, KWiseVectors
 from .fields import gf2, next_prime, prime_field
@@ -55,27 +56,15 @@ class AlphabetStepPlan(Generator):
         self.local_bits = self.cross_family.seed_bits
         self.seed_bits = self.local_bits + inner.seed_bits
 
-    def sample_matrix(self, seeds) -> np.ndarray:
-        """(N, D, n) matrices over [m]."""
-        seeds = np.asarray(seeds)
-        col_seeds = self.cross_family.sample_batch(seeds)  # (N, n)
-        N = len(seeds)
-        X = np.empty((N, self.D, self.n), dtype=np.int64)
-        for j in range(self.n):
-            X[:, :, j] = self.col_family.sample_batch(col_seeds[:, j]) % self.m
-        return X
-
     def generate_batch(self, seeds) -> np.ndarray:
-        seeds = np.asarray(seeds)
-        local = (seeds >> self.inner.seed_bits) & ((1 << self.local_bits) - 1)
-        if self.local_bits <= 62:
-            local = local.astype(np.int64)
-        inner_seed = seeds & ((1 << self.inner.seed_bits) - 1)
-        col_seeds = self.cross_family.sample_batch(local)  # (N, n)
-        Y = self.inner.generate_batch(inner_seed)  # (N, n) over [D]
+        bits = as_bits(seeds, self.seed_bits)
+        # column seeds from the high (local) bits, inner seed below
+        col_seeds = self.cross_family.sample_batch(
+            bits[:, :self.local_bits])  # (N, n)
+        Y = self.inner.generate_batch(bits[:, self.local_bits:])  # over [D]
         # evaluate each column polynomial only at the selected row, never
         # materializing the D x n lookup matrix
-        out = np.empty((len(col_seeds), self.n), dtype=np.int64)
+        out = np.empty((len(bits), self.n), dtype=np.int64)
         for j in range(self.n):
             vals = self.col_family.eval_points_batch(col_seeds[:, j], Y[:, j])
             out[:, j] = np.asarray(vals % self.m, dtype=np.int64)
@@ -94,10 +83,6 @@ class AlphabetStepPlan(Generator):
         return cls(d["m"], d["n"], d["delta"],
                    plan_to_generator(d["children"][0]), d["C"],
                    d.get("check_applicability", True))
-
-
-def alphabet_step(plan: AlphabetStepPlan, seed: int) -> np.ndarray:
-    return plan.generate_batch(np.asarray([seed], dtype=object))[0]
 
 
 def bias_function(f: FourierShape, x: np.ndarray) -> complex:
@@ -167,17 +152,16 @@ class DimStepPlan(Generator):
         self.seed_bits = self.local_bits + inner.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        seeds = np.asarray(seeds)
-        hseed = (seeds >> self.inner.seed_bits) & ((1 << self.local_bits) - 1)
-        if self.local_bits <= 62:
-            hseed = hseed.astype(np.int64)
-        inner_seed = seeds & ((1 << self.inner.seed_bits) - 1)
-        tables = self.bucket_hash.table_batch(hseed)  # (N, n)
-        blocks = self.inner.generate_batch(inner_seed)  # (N, t) in [2^r0]
+        bits = as_bits(seeds, self.seed_bits)
+        # bucket hash seed in the high (local) bits, inner seed below
+        tables = self.bucket_hash.table_batch(
+            bits[:, :self.local_bits])  # (N, n)
+        blocks = self.inner.generate_batch(
+            bits[:, self.local_bits:])  # (N, t) in [2^r0]
         out = np.zeros((len(tables), self.n), dtype=np.int64)
         for j in range(self.t):
-            vals = self.within.sample_batch(
-                np.asarray(blocks[:, j], dtype=np.int64))
+            # each inner symbol is the r0-bit seed of one bucket's string
+            vals = self.within.sample_batch(blocks[:, j])
             mask = tables == j
             out[mask] = vals[mask]
         return out
@@ -194,10 +178,6 @@ class DimStepPlan(Generator):
     def from_plan(cls, d):
         return cls(d["m"], d["n"], d["delta"],
                    plan_to_generator(d["children"][0]), d["C"])
-
-
-def dim_step(plan: DimStepPlan, seed: int) -> np.ndarray:
-    return plan.generate_batch(np.asarray([seed], dtype=object))[0]
 
 
 def is_good_hash(h: np.ndarray, f: FourierShape, alpha: float, beta: float,

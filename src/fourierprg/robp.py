@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .bitseq import bit_fields, bit_matrix, check_seed
+from .bitseq import as_bits, bit_fields, check_seed
 from .core import Generator, register_plan
 from .fields import gf2
 
@@ -113,7 +113,7 @@ class INWGenerator(Generator):
         """(len(seeds), T) blocks of D bits."""
         # x, then (a, b) per level, as w-bit seed fields MSB first
         w = self.state_bits
-        fields = bit_fields(bit_matrix(seeds, self.seed_bits), w)
+        fields = bit_fields(as_bits(seeds, self.seed_bits), w)
         # level i appends the images under h_i of the 2^i states so far
         states = np.empty((len(fields), self.T), dtype=np.int64)
         states[:, 0] = fields[:, 0]
@@ -130,7 +130,7 @@ class INWGenerator(Generator):
 
     def expand(self, seed: int) -> np.ndarray:
         check_seed(seed, self.seed_bits)
-        return self.expand_batch(np.asarray([seed], dtype=object))[0]
+        return self.expand_batch(seed)[0]
 
     def plan(self) -> dict:
         return {"type": "inw", "D": self.D, "T": self.T,

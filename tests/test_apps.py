@@ -8,7 +8,7 @@ import pytest
 
 from fourierprg.apps import (ChernoffSampler, CombinatorialShape,
                              GeneralizedHalfspace, Halfspace, ModularTest,
-                             chernoff_sample, chernoff_tail_check,
+                             chernoff_tail_check,
                              comb_shape_error, comb_shape_pmf,
                              gen_halfspace_error, halfspace_error,
                              modular_error, modular_pmf, quantize_pmf,
@@ -258,7 +258,7 @@ def test_chernoff_sampler_generator_mismatch():
 
 def test_chernoff_sample_deterministic():
     s = make_sampler(np.array([[0.5, 0.5], [0.3, 0.7]]), 0.25)
-    assert np.array_equal(chernoff_sample(s, 9), chernoff_sample(s, 9))
+    assert np.array_equal(s.sample(9), s.sample(9))
 
 
 def test_chernoff_tail_check_fair_coins():

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourierprg.bitseq import to_ints
 from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
                                 build_generator, symbol_pieces)
-from fourierprg.core import (ConstantStub, UniformStub, plan_seed_bits,
+from fourierprg.core import (PLAN_REGISTRY, ConstantStub, KWiseGenerator,
+                             SmallBiasLift, UniformStub, plan_seed_bits,
                              plan_to_generator, sample_seeds)
+from fourierprg.highvar import G1Plan, GLargePlan
+from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
+                                   dim_step_params)
+from fourierprg.robp import INWGenerator
 from fourierprg.shapes import EnumerateMode, fooling_error, random_shape
 from test_robp import edge_seeds
 
@@ -206,8 +212,8 @@ def test_build_generator_recursive_case():
     assert out.min() >= 0 and out.max() < 2
     # full-width seeds: batch, scalar and plan replay agree
     wide = np.empty(4, dtype=object)
-    wide[:] = [int(s) for s in sample_seeds(np.random.default_rng(5),
-                                            g.seed_bits, 3)] \
+    wide[:] = list(to_ints(sample_seeds(np.random.default_rng(5),
+                                        g.seed_bits, 3))) \
         + [(1 << g.seed_bits) - 1]
     out = g.generate_batch(wide)
     assert out.shape == (4, 128)
@@ -250,3 +256,55 @@ def test_compose_plan_knobs_reach_base_case():
     g = build_generator(2, 4, 0.1, plan)
     assert isinstance(g, INWBase)
     assert g.block_bits == 4
+
+
+def carrier_instances() -> list:
+    """At least one small instance of every registered plan type; several
+    have seeds wider than 62 bits over fields narrow enough for int64."""
+    t, _k, r0 = dim_step_params(2, 4, 0.5, 0.5)
+    return [
+        UniformStub(3, 5),
+        ConstantStub(4, 3, 1),
+        KWiseGenerator(2, 8, 3),
+        KWiseGenerator(3, 16, 8),  # 144-bit seed over an 18-bit prime field
+        SmallBiasLift(8, 0.25),
+        INWGenerator(4, 8, 6),
+        INWGenerator(8, 16, 10),
+        INWBase(2, 16, 0.1),
+        INWBase(5, 12, 0.1),
+        G1Plan(2, 8, p=2, recycle="direct"),
+        G1Plan(3, 16, p=2),
+        GLargePlan(2, 16, 0.2, p=2),
+        AlphabetStepPlan(4, 2, 0.5, UniformStub(2, 2),
+                         check_applicability=False),
+        DimStepPlan(2, 4, 0.5, UniformStub(1 << r0, t), 0.5),
+        XorCompose(KWiseGenerator(2, 8, 3), SmallBiasLift(8, 0.25)),
+        build_generator(1 << 16, 2, 0.1),
+        build_generator(2, 128, 0.2),
+    ]
+
+
+@pytest.mark.parametrize("g", carrier_instances(),
+                         ids=lambda g: f"{g.plan_type}-{g.seed_bits}")
+def test_every_carrier_gives_the_same_rows(g):
+    # random full-width seeds, zero, all ones and the top bit alone
+    r = g.seed_bits
+    edges = np.zeros((3, r), dtype=np.uint8)
+    edges[1] = 1
+    edges[2, :1] = 1
+    bits = np.concatenate([sample_seeds(np.random.default_rng(r), r, 5),
+                           edges])
+    want = g.generate_batch(bits)
+    assert want.shape == (len(bits), g.n)
+    ints = to_ints(bits)
+    carriers = [ints, list(ints)]
+    if max(ints) < 1 << 63:
+        carriers.append(ints.astype(np.int64))
+    for seeds in carriers:
+        assert np.array_equal(g.generate_batch(seeds), want)
+    for seed, row in zip(ints, want):
+        assert np.array_equal(g.generate(int(seed)), row)
+
+
+def test_carrier_instances_cover_every_plan_type():
+    assert {g.plan_type for g in carrier_instances()} == set(PLAN_REGISTRY)

@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fourierprg.bitseq import (bit_fields, bit_matrix, bit_slice, check_seed,
-                               seed_from_hex, seed_to_hex)
+from fourierprg.bitseq import (as_bits, bit_fields, bit_slice, check_seed,
+                               seed_from_hex, seed_to_hex, to_ints)
 from fourierprg.core import (ConstantStub, KWiseGenerator, SmallBiasLift,
                              UniformStub, plan_seed_bits, plan_to_generator,
                              sample_seeds)
@@ -26,15 +28,15 @@ def test_bit_matrix_and_fields_match_bit_slice():
     rng = np.random.default_rng(1)
     for nbits, width in ((12, 4), (54, 6), (62, 31), (64, 16), (120, 8),
                          (176, 16), (100, 7)):
-        seeds = [int(s) for s in sample_seeds(rng, min(nbits, 62), 30)]
+        seeds = list(to_ints(sample_seeds(rng, min(nbits, 62), 30)))
         seeds = [s << (nbits - min(nbits, 62)) | (s & 0xFF) for s in seeds]
         seeds += [0, (1 << nbits) - 1, 1 << (nbits - 1)]
         obj = np.empty(len(seeds), dtype=object)
         obj[:] = seeds
-        bits = bit_matrix(obj, nbits)
+        bits = as_bits(obj, nbits)
         assert bits.shape == (len(seeds), nbits) and bits.dtype == np.uint8
         if nbits <= 62:
-            assert np.array_equal(bit_matrix(obj.astype(np.int64), nbits),
+            assert np.array_equal(as_bits(obj.astype(np.int64), nbits),
                                   bits)
         fields = bit_fields(bits, width)
         k = nbits // width
@@ -50,10 +52,39 @@ def test_bit_matrix_and_fields_match_bit_slice():
 def test_bit_matrix_reads_low_bits_of_wider_seeds():
     seeds = np.array([(5 << 20) | 0xABCDE, 0xFFFFF, (1 << 90) | 7],
                      dtype=object)
-    want = bit_matrix(np.array([0xABCDE, 0xFFFFF, 7], dtype=object), 20)
-    assert np.array_equal(bit_matrix(seeds, 20), want)
-    assert np.array_equal(bit_matrix(seeds[:2].astype(np.int64), 20),
+    want = as_bits(np.array([0xABCDE, 0xFFFFF, 7], dtype=object), 20)
+    assert np.array_equal(as_bits(seeds, 20), want)
+    assert np.array_equal(as_bits(seeds[:2].astype(np.int64), 20),
                           want[:2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 62, 63, 64, 65, 1175]), st.data())
+def test_as_bits_same_matrix_for_every_carrier(nbits, data):
+    top = 1 << (nbits - 1)
+    value = st.one_of(st.sampled_from([0, (1 << nbits) - 1, top, top | 1]),
+                      st.integers(0, (1 << nbits) - 1))
+    values = data.draw(st.lists(value, min_size=1, max_size=4))
+    want = np.array([[int(c) for c in format(v, f"0{nbits}b")]
+                     for v in values], dtype=np.uint8)
+    obj = np.empty(len(values), dtype=object)
+    obj[:] = values
+    carriers = [values, obj, want]
+    if max(values) < 1 << 63:
+        carriers.append(np.array(values, dtype=np.int64))
+    for seeds in carriers:
+        bits = as_bits(seeds, nbits)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, want)
+    for v, row in zip(values, want):
+        assert np.array_equal(as_bits(v, nbits), row[None, :])
+    assert list(to_ints(want)) == values
+
+
+def test_as_bits_rejects_wrong_width_matrix_and_non_ints():
+    with pytest.raises(ValueError):
+        as_bits(np.zeros((2, 5), dtype=np.uint8), 6)
+    with pytest.raises(TypeError):
+        as_bits(np.array([0.0, 2.0 ** 64]), 64)
 
 
 def test_seed_hex_roundtrip():
@@ -145,10 +176,8 @@ def reference_sample_seeds(rng: np.random.Generator, nbits: int,
 def test_sample_seeds_matches_reference(nbits):
     got = sample_seeds(np.random.default_rng(nbits), nbits, 300)
     want = reference_sample_seeds(np.random.default_rng(nbits), nbits, 300)
-    assert got.dtype == want.dtype
-    assert [int(v) for v in got] == [int(v) for v in want]
-    if got.dtype == object:
-        assert all(type(v) is int for v in got)
+    assert got.dtype == np.uint8 and got.shape == (300, nbits)
+    assert [int(v) for v in to_ints(got)] == [int(v) for v in want]
 
 
 def test_sample_seeds_wide_stream_pinned():
@@ -156,7 +185,8 @@ def test_sample_seeds_wide_stream_pinned():
     # loop above
     seeds = sample_seeds(np.random.default_rng(0), 120, 1000)
     digest = hashlib.sha256(
-        b"".join(int(v).to_bytes(15, "big") for v in seeds)).hexdigest()
+        b"".join(int(v).to_bytes(15, "big") for v in to_ints(seeds))
+    ).hexdigest()
     assert digest == ("de422f2b967c4fb33a85b763e08b3d7c"
                       "a742876450efe17dbc6b492b806f3dbb")
 
@@ -164,10 +194,12 @@ def test_sample_seeds_wide_stream_pinned():
 def test_sample_seeds_small_and_big():
     rng = np.random.default_rng(0)
     small = sample_seeds(rng, 10, 100)
-    assert small.dtype == np.int64
+    assert small.dtype == np.uint8 and small.shape == (100, 10)
+    small = to_ints(small)
     assert small.min() >= 0 and small.max() < 1 << 10
     big = sample_seeds(rng, 100, 50)
-    assert big.dtype == object
+    assert big.dtype == np.uint8 and big.shape == (50, 100)
+    big = to_ints(big)
     assert all(0 <= s < 1 << 100 for s in big)
     # high bits must actually vary
     assert len({int(s) >> 64 for s in big}) > 1

@@ -8,10 +8,11 @@ import pytest
 
 from fourierprg.families import (CombinedHashFamily, KWiseFamily,
                                  KWiseVectors, PairwisePermutation,
-                                 SmallBiasFamily, hash_load, hash_sample,
-                                 kwise_sample, perm_sample, perm_seed_bits,
-                                 small_bias_sample)
-from fourierprg.fields import gf2
+                                 SmallBiasFamily, hash_load, perm_sample,
+                                 perm_seed_bits)
+from fourierprg.bitseq import bit_slice
+from fourierprg.fields import PrimeField, gf2, next_prime, prime_field
+from test_robp import edge_seeds
 
 
 def all_seeds(nbits: int) -> np.ndarray:
@@ -69,7 +70,7 @@ def test_kwise_eval_points_batch_matches_sample():
 
 def test_kwise_sample_wrapper_deterministic():
     fam = KWiseFamily(gf2(3), 4, 2)
-    assert np.array_equal(kwise_sample(fam, 37), kwise_sample(fam, 37))
+    assert np.array_equal(fam.sample(37), fam.sample(37))
 
 
 def test_kwise_vectors_nonpow2_deviation_budget():
@@ -87,6 +88,52 @@ def test_kwise_big_field_scalar_path_matches_eval_at():
     for i, s in enumerate(seeds):
         for x in range(4):
             assert out[i, x] == fam.eval_at(int(s), x)
+
+
+def kwise_reference(fam: KWiseFamily, seeds) -> np.ndarray:
+    """KWiseFamily as first written for wide seeds: each coefficient cut
+    from the python-int seed by shift and mask, then a per-seed scalar
+    Horner evaluation at every point."""
+    w = fam.coeff_bits
+    out = np.empty((len(seeds), fam.n), dtype=object)
+    for i, s in enumerate(seeds):
+        c = [bit_slice(int(s), fam.seed_bits, j * w, (j + 1) * w) % fam.q
+             for j in range(fam.k)]
+        for x in range(fam.n):
+            acc = 0
+            for cj in reversed(c):
+                acc = fam.field.add(fam.field.mul(acc, x), cj)
+            out[i, x] = acc
+    return out
+
+
+@pytest.mark.parametrize("field,n,k", [
+    (gf2(3), 8, 3), (gf2(8), 16, 4), (gf2(11), 20, 5),
+    (gf2(7), 128, 9),        # 63-bit seed: the dim-step bucket strings
+    (gf2(20), 6, 4), (gf2(40), 4, 2),
+    (prime_field(149), 128, 9),  # 72-bit seed: the dim-step bucket hash
+    (prime_field(next_prime(1965 ** 2)), 128, 16),  # the 352-bit spreading
+    (prime_field(next_prime(3037000499)), 6, 2),     # products need 64 bits
+    (gf2(63), 4, 2), (gf2(70), 4, 2),                # q > 2^62
+    (prime_field(next_prime(1 << 64)), 4, 3),
+])
+def test_kwise_matches_wide_seed_reference(field, n, k):
+    fam = KWiseFamily(field, n, k)
+    rng = np.random.default_rng(n * k)
+    seeds = edge_seeds(fam.seed_bits, 6, rng)
+    want = kwise_reference(fam, seeds)
+    got = fam.sample_batch(seeds)
+    assert got.shape == want.shape
+    assert [[int(v) for v in row] for row in got] == want.tolist()
+    points = rng.integers(0, n, len(seeds))
+    at = fam.eval_points_batch(seeds, points)
+    assert [int(v) for v in at] == \
+        [want[i, x] for i, x in enumerate(points)]
+    assert fam.eval_at(int(seeds[0]), int(points[0])) == want[0, points[0]]
+    # wide seeds over fields with int64 products stay on int64 arithmetic
+    if field.q <= 1 << 16 or (isinstance(field, PrimeField)
+                              and field.q <= 1 << 62):
+        assert got.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +171,7 @@ def test_small_bias_n16_bound():
 
 def test_small_bias_deterministic():
     fam = SmallBiasFamily(10, 0.25)
-    assert np.array_equal(small_bias_sample(fam, 999),
-                          small_bias_sample(fam, 999))
+    assert np.array_equal(fam.sample(999), fam.sample(999))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +209,7 @@ def test_hash_biased_mode_within_delta():
 
 def test_hash_eval_matches_table():
     fam = CombinedHashFamily(6, 4, 2, 0.0)
-    table = hash_sample(fam, 45)
+    table = fam.table(45)
     for i in range(6):
         assert fam.eval(45, i) == table[i]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fourierprg.fields import (MR_EXACT_BELOW, FieldElem, PrimeField, clmod,
-                               clmul, field_mul, gf2, irreducible_modulus,
+                               clmul, gf2, irreducible_modulus,
                                is_prime, next_prime, prime_field)
 
 
@@ -30,20 +30,20 @@ def poly_divides(d: int, f: int) -> bool:
 
 def test_field_mul_identity_gf8():
     f = gf2(3)
-    assert field_mul(f.elem(0b001), f.elem(0b101)).value == 0b101
+    assert (f.elem(0b001) * f.elem(0b101)).value == 0b101
 
 
 def test_field_mul_x_squared_gf8():
     # modulus x^3 + x + 1
     f = gf2(3)
     assert f.modulus == 0b1011
-    assert field_mul(f.elem(0b010), f.elem(0b010)).value == 0b100
+    assert (f.elem(0b010) * f.elem(0b010)).value == 0b100
 
 
 def test_field_mul_matches_schoolbook_gf8():
     f = gf2(3)
     expected = schoolbook_gf2_mul(0b110, 0b101, f.modulus)
-    assert field_mul(f.elem(0b110), f.elem(0b101)).value == expected
+    assert (f.elem(0b110) * f.elem(0b101)).value == expected
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from fourierprg.bitseq import as_bits, to_ints
 from fourierprg.compose import build_generator
 from fourierprg.core import plan_to_generator, sample_seeds
-from fourierprg.families import PairwisePermutation
+from fourierprg.families import PairwisePermutation, perm_sample
 from fourierprg.highvar import (G1Plan, GLargePlan, SeedRecycler,
                                 SpreadingFamily, bucket_split, dyadic_buckets)
 from fourierprg.shapes import (EnumerateMode, SampleMode, fooling_error,
@@ -40,7 +41,8 @@ def test_recycler_direct_passthrough():
     r = SeedRecycler(10, mode="direct")
     assert r.seed_bits == 10
     out = r.bitstream_batch(np.array([517], dtype=np.int64))
-    assert out[0] == 517
+    assert out.dtype == np.uint8 and out.shape == (1, 10)
+    assert to_ints(out)[0] == 517
 
 
 def test_recycler_inw_deterministic_and_in_range():
@@ -48,6 +50,8 @@ def test_recycler_inw_deterministic_and_in_range():
     seeds = np.arange(50, dtype=np.int64)
     out1 = r.bitstream_batch(seeds)
     out2 = r.bitstream_batch(seeds)
+    assert out1.dtype == np.uint8 and out1.shape == (50, 400)
+    out1, out2 = to_ints(out1), to_ints(out2)
     assert all(a == b for a, b in zip(out1, out2))
     assert all(0 <= int(v) < 1 << 400 for v in out1)
     assert r.seed_bits < 400  # recycling must actually save seed
@@ -118,14 +122,35 @@ def test_spreading_spot_check_within_budget():
     assert frac <= 2 * s.delta
 
 
+def test_spreading_spot_check_draws_full_width_seeds():
+    # the n = 128 tree's hash: 16 coefficients of 22 bits
+    s = SpreadingFamily(128, 0.1 / 12)
+    assert s.seed_bits == 352
+    drawn = []
+    table_batch = s.table_batch
+
+    def record(seeds):
+        drawn.extend(to_ints(as_bits(seeds, s.seed_bits)))
+        return table_batch(seeds)
+
+    s.table_batch = record
+    s.spot_check(np.full(128, math.sqrt(s.B / 128) + 0.01),
+                 np.random.default_rng(0), trials=64)
+    assert len(drawn) == 64
+    # bits above position 62 are set, so every coefficient is random,
+    # the constant term (the top 22 bits) included
+    assert any(v >> 62 for v in drawn)
+    assert len({v >> (352 - 22) for v in drawn}) > 1
+
+
 def test_glarge_plan_roundtrip_and_scalar():
     g = GLargePlan(2, 16, 0.2, p=2)
     g2 = plan_to_generator(g.plan())
     seeds = sample_seeds(np.random.default_rng(3), g.seed_bits, 10)
     assert np.array_equal(g.generate_batch(seeds), g2.generate_batch(seeds))
-    s = int(seeds[0])
+    s = int(to_ints(seeds)[0])
     assert np.array_equal(g.generate(s), g.generate_batch([s])[0])
-    # a small value of a wide seed still goes through the python-int path
+    # a small value of a wide seed, given as a python int
     small = np.empty(1, dtype=object)
     small[0] = 5
     assert np.array_equal(g.generate(5), g.generate_batch(small)[0])
@@ -157,6 +182,43 @@ def _bitstream_reference(r: SeedRecycler, seeds) -> list[int]:
     return out
 
 
+def _g1_reference(g: G1Plan, seeds) -> np.ndarray:
+    """G1 as first written: perm and recycler seeds, then each bucket's
+    seed, cut from python ints by shift and mask."""
+    rec_bits = g.recycler.seed_bits
+    out = np.zeros((len(seeds), g.n), dtype=np.int64)
+    rec = np.empty(len(seeds), dtype=object)
+    rec[:] = [int(s) & ((1 << rec_bits) - 1) for s in seeds]
+    stream = list(rec) if g.recycler.mode == "direct" \
+        else _bitstream_reference(g.recycler, rec)
+    total = g.recycler.total_bits
+    for i, s in enumerate(seeds):
+        perm = perm_sample(g.tlog, (int(s) >> rec_bits)
+                           & ((1 << g.perm_bits) - 1))
+        offset = 0
+        for j, fam in enumerate(g.bucket_families):
+            sbits = g.bucket_seed_bits[j]
+            bseed = (stream[i] >> (total - offset - sbits)) \
+                & ((1 << sbits) - 1)
+            vals = fam.sample(bseed)
+            interval = [0, 1] if j == 0 else range(1 << j, 1 << (j + 1))
+            for x, v in zip(interval, vals):
+                c = perm.apply(x)
+                if c < g.n:
+                    out[i, c] = v
+            offset += sbits
+    return out
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((2, 8), {"p": 2, "recycle": "direct"}), ((2, 16), {"p": 2}),
+    ((3, 32), {}), ((5, 12), {"p": 3})])
+def test_g1_matches_reference(args, kwargs):
+    g = G1Plan(*args, **kwargs)
+    seeds = _full_width_seeds(g.seed_bits, g.n + g.p)
+    assert np.array_equal(g.generate_batch(seeds), _g1_reference(g, seeds))
+
+
 def _glarge_reference(g: GLargePlan, seeds) -> np.ndarray:
     seeds = np.asarray(seeds)
     N = len(seeds)
@@ -185,7 +247,7 @@ def _glarge_reference(g: GLargePlan, seeds) -> np.ndarray:
 def _full_width_seeds(nbits: int, rng_seed: int) -> np.ndarray:
     """Random seeds, the same seeds with the top bit set, and all-ones."""
     rng = np.random.default_rng(rng_seed)
-    rand = [int(s) for s in sample_seeds(rng, nbits, 6)]
+    rand = list(to_ints(sample_seeds(rng, nbits, 6)))
     top = [s | (1 << (nbits - 1)) for s in rand[:3]]
     out = np.empty(len(rand) + len(top) + 1, dtype=object)
     out[:] = rand + top + [(1 << nbits) - 1]
@@ -199,7 +261,8 @@ def test_recycler_matches_blockwise_reference(total_bits, block_bits):
     r = SeedRecycler(total_bits, mode="inw", block_bits=block_bits)
     seeds = _full_width_seeds(r.seed_bits, total_bits + block_bits)
     out = r.bitstream_batch(seeds)
-    assert out.dtype == object
+    assert out.dtype == np.uint8 and out.shape == (len(seeds), total_bits)
+    out = to_ints(out)
     assert list(out) == _bitstream_reference(r, seeds)
     assert all(v >> total_bits == 0 for v in out)
 
@@ -214,7 +277,8 @@ def test_glarge_matches_per_bucket_reference(args, kwargs):
     assert np.array_equal(out, _glarge_reference(g, seeds))
     for r in (g.recycler, g.g1.recycler):
         rs = _full_width_seeds(r.seed_bits, r.total_bits)
-        assert list(r.bitstream_batch(rs)) == _bitstream_reference(r, rs)
+        assert list(to_ints(r.bitstream_batch(rs))) == \
+            _bitstream_reference(r, rs)
 
 
 def test_recursive_build_output_pinned():
@@ -223,8 +287,8 @@ def test_recursive_build_output_pinned():
     g = build_generator(2, 128, 0.1)
     assert g.seed_bits == 1175
     seeds = np.empty(4, dtype=object)
-    seeds[:] = [int(s) for s in sample_seeds(np.random.default_rng(20260),
-                                             g.seed_bits, 3)] \
+    seeds[:] = list(to_ints(sample_seeds(np.random.default_rng(20260),
+                                         g.seed_bits, 3))) \
         + [(1 << g.seed_bits) - 1]
     out = np.ascontiguousarray(g.generate_batch(seeds), dtype="<i8")
     assert hashlib.sha256(out.tobytes()).hexdigest() == \

@@ -9,9 +9,8 @@ import pytest
 from fourierprg.core import (UniformStub, plan_to_generator, sample_seeds)
 from fourierprg.families import CombinedHashFamily
 from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
-                                   alphabet_reduce, alphabet_step,
-                                   bias_function, dim_step, dim_step_params,
-                                   is_good_hash)
+                                   alphabet_reduce, bias_function,
+                                   dim_step_params, is_good_hash)
 from fourierprg.shapes import FourierShape, constant_shape, random_shape, tvar
 
 
@@ -47,7 +46,7 @@ def test_alphabet_step_scalar_and_roundtrip():
     assert g2.seed_bits == g.seed_bits
     seeds = np.arange(min(256, 1 << g.seed_bits), dtype=np.int64)
     assert np.array_equal(g.generate_batch(seeds), g2.generate_batch(seeds))
-    assert np.array_equal(alphabet_step(g, 5), g.generate_batch([5])[0])
+    assert np.array_equal(g.generate(5), g.generate_batch([5])[0])
 
 
 def test_bias_function_matches_direct_product():
@@ -151,7 +150,7 @@ def test_dim_step_scalar_and_roundtrip():
     g2 = plan_to_generator(g.plan())
     seeds = np.arange(min(512, 1 << g.seed_bits), dtype=np.int64)
     assert np.array_equal(g.generate_batch(seeds), g2.generate_batch(seeds))
-    assert np.array_equal(dim_step(g, 3), g.generate_batch([3])[0])
+    assert np.array_equal(g.generate(3), g.generate_batch([3])[0])
 
 
 # ---------------------------------------------------------------------------

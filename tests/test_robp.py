@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fourierprg.bitseq import to_ints
 from fourierprg.core import sample_seeds
 from fourierprg.robp import (INWGenerator, ROBP, default_precision_bits,
                              inw_for_robp, parity_robp, shape_to_robp)
@@ -111,7 +112,7 @@ def reference_expand_batch(g: INWGenerator, seeds) -> np.ndarray:
 def edge_seeds(nbits: int, count: int, rng) -> np.ndarray:
     """Full-width random seeds plus zero, all ones and top-bit-set seeds,
     as an object array of python ints."""
-    seeds = [int(s) for s in sample_seeds(rng, nbits, count)]
+    seeds = list(to_ints(sample_seeds(rng, nbits, count)))
     top = 1 << (nbits - 1)
     seeds += [0, (1 << nbits) - 1, top, top | 1, top | int(seeds[0])]
     out = np.empty(len(seeds), dtype=object)
