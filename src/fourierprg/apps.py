@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Generator, sample_seeds
+# sample_seeds stays importable here: perfbench/spans.py patches it by
+# module name
+from .core import Generator, sample_seeds  # noqa: F401
 from .metrics import IntPMF, WindowCapError, linear_pmf
-from .shapes import EnumerateMode, SampleMode
+from .shapes import EnumerateMode, SampleMode, expectation
 
 _DEFAULT_WINDOW_CAP = 10 ** 6
 
@@ -186,8 +188,7 @@ class CombinatorialShape:
         return self.h[sums]
 
 
-def rectangle_shape(sets: list[set], n_total: int | None = None,
-                    m: int = 2) -> CombinatorialShape:
+def rectangle_shape(sets: list[set], m: int = 2) -> CombinatorialShape:
     """Combinatorial rectangle: indicator that every x_j lies in A_j."""
     n = len(sets)
     g = np.zeros((n, m), dtype=np.int64)
@@ -203,17 +204,6 @@ def rectangle_shape(sets: list[set], n_total: int | None = None,
 # generator-side pmfs
 
 
-def _all_patterns(m: int, n: int) -> np.ndarray:
-    """(m^n, n) matrix of all patterns, base-m code order (coordinate 0
-    most significant), matching Generator.output_pmf indexing."""
-    idx = np.arange(m ** n, dtype=np.int64)
-    out = np.empty((m ** n, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        out[:, j] = idx % m
-        idx //= m
-    return out
-
-
 @dataclass(frozen=True)
 class ErrorResult:
     err: float
@@ -225,35 +215,22 @@ class ErrorResult:
 
 
 def _indicator_error(g: Generator, eval_batch, uniform_prob: float,
-                     mode, pattern_cap: int = 1 << 22,
-                     enumerate_cap: int = 26) -> ErrorResult:
+                     mode, pattern_cap: int, enumerate_cap: int
+                     ) -> ErrorResult:
     """|Pr_seed[test] - Pr_uniform[test]| with the generator side exact
     (enumerate) or estimated (sample)."""
-    if isinstance(mode, EnumerateMode):
-        pmf = g.output_pmf(pattern_cap, enumerate_cap)
-        vals = eval_batch(_all_patterns(g.m, g.n))
-        p_gen = float(pmf @ vals)
-        return ErrorResult(abs(p_gen - uniform_prob), 0.0,
-                           1 << g.seed_bits, "enumerate",
-                           uniform_prob, p_gen)
-    if isinstance(mode, SampleMode):
-        rng = np.random.default_rng(mode.rng_seed)
-        hits = 0
-        done = 0
-        while done < mode.n_samples:
-            batch = min(1 << 15, mode.n_samples - done)
-            seeds = sample_seeds(rng, g.seed_bits, batch)
-            hits += int(eval_batch(g.generate_batch(seeds)).sum())
-            done += batch
-        p_gen = hits / done
-        stderr = math.sqrt(max(p_gen * (1 - p_gen), 0.0) / done)
-        return ErrorResult(abs(p_gen - uniform_prob), stderr, done,
-                           "sample", uniform_prob, p_gen)
-    raise TypeError(f"unknown mode {mode!r}")
+    est = expectation(g, eval_batch, mode, enumerate_cap, pattern_cap)
+    p_gen = float(est.mean)
+    std_err = (math.sqrt(max(p_gen * (1 - p_gen), 0.0) / est.count)
+               if isinstance(mode, SampleMode) else 0.0)
+    return ErrorResult(abs(p_gen - uniform_prob), std_err, est.count,
+                       mode.name, uniform_prob, p_gen)
 
 
 def halfspace_error(g: Generator, h: Halfspace, mode,
-                    window_cap: int = _DEFAULT_WINDOW_CAP) -> ErrorResult:
+                    window_cap: int = _DEFAULT_WINDOW_CAP,
+                    pattern_cap: int = 1 << 22,
+                    enumerate_cap: int = 26) -> ErrorResult:
     """Fooling error of g against one halfspace over {0,1}^n."""
     if g.m != 2:
         raise ValueError("halfspaces are defined over {0,1}^n")
@@ -261,12 +238,14 @@ def halfspace_error(g: Generator, h: Halfspace, mode,
         raise ValueError("generator and halfspace disagree on n")
     pmf = linear_pmf(h.w, 2, window_cap)
     p_unif = sum(pmf.prob(j) for j in range(h.theta, pmf.hi + 1))
-    return _indicator_error(g, h.eval_batch, p_unif, mode)
+    return _indicator_error(g, h.eval_batch, p_unif, mode, pattern_cap,
+                            enumerate_cap)
 
 
 def gen_halfspace_error(g: Generator, gh: GeneralizedHalfspace, mode,
                         window_cap: int = _DEFAULT_WINDOW_CAP,
-                        scale_bits: int = 12) -> ErrorResult:
+                        scale_bits: int = 12, pattern_cap: int = 1 << 22,
+                        enumerate_cap: int = 26) -> ErrorResult:
     """Fooling error against a generalized halfspace over [m]^n, via its
     integer canonical form."""
     if (g.m, g.n) != (gh.m, gh.n):
@@ -282,9 +261,8 @@ def gen_halfspace_error(g: Generator, gh: GeneralizedHalfspace, mode,
     pmf = linear_pmf(np.ones(gh.n, dtype=np.int64), bases, window_cap)
     p_unif = float(sum(pmf.prob(j)
                        for j in range(max(ih.theta, pmf.lo), pmf.hi + 1)))
-    if ih.theta > pmf.hi:
-        p_unif = 0.0
-    return _indicator_error(g, ih.eval_batch, p_unif, mode)
+    return _indicator_error(g, ih.eval_batch, p_unif, mode, pattern_cap,
+                            enumerate_cap)
 
 
 def modular_pmf(t: ModularTest, m: int = 2,
@@ -316,28 +294,14 @@ def modular_error(g: Generator, t: ModularTest, mode=EnumerateMode(),
     if g.n != t.n:
         raise ValueError("generator and test disagree on n")
     unif = modular_pmf(t, g.m, window_cap)
-    if isinstance(mode, EnumerateMode):
-        pmf = g.output_pmf(pattern_cap, enumerate_cap)
-        residues = (_all_patterns(g.m, g.n) @ t.a) % t.M
-        gen = np.bincount(residues, weights=pmf, minlength=t.M)
-        return ModularResult(float(0.5 * np.abs(gen - unif).sum()), 0.0,
-                             1 << g.seed_bits, "enumerate", gen, unif)
-    if isinstance(mode, SampleMode):
-        rng = np.random.default_rng(mode.rng_seed)
-        counts = np.zeros(t.M, dtype=np.int64)
-        done = 0
-        while done < mode.n_samples:
-            batch = min(1 << 15, mode.n_samples - done)
-            seeds = sample_seeds(rng, g.seed_bits, batch)
-            r = (g.generate_batch(seeds) @ t.a) % t.M
-            counts += np.bincount(r, minlength=t.M)
-            done += batch
-        gen = counts / done
-        # confidence radius on the TV estimate: sum of per-cell errors
-        stderr = math.sqrt(t.M / (4 * done))
-        return ModularResult(float(0.5 * np.abs(gen - unif).sum()), stderr,
-                             done, "sample", gen, unif)
-    raise TypeError(f"unknown mode {mode!r}")
+    est = expectation(
+        g, lambda xs: ((xs @ t.a) % t.M)[:, None] == np.arange(t.M), mode,
+        enumerate_cap, pattern_cap)
+    # confidence radius on the TV estimate: sum of per-cell errors
+    std_err = (math.sqrt(t.M / (4 * est.count))
+               if isinstance(mode, SampleMode) else 0.0)
+    return ModularResult(float(0.5 * np.abs(est.mean - unif).sum()),
+                         std_err, est.count, mode.name, est.mean, unif)
 
 
 def comb_shape_pmf(c: CombinatorialShape) -> IntPMF:
@@ -346,14 +310,16 @@ def comb_shape_pmf(c: CombinatorialShape) -> IntPMF:
     return linear_pmf(np.ones(c.n, dtype=np.int64), bases)
 
 
-def comb_shape_error(g: Generator, c: CombinatorialShape, mode
-                     ) -> ErrorResult:
+def comb_shape_error(g: Generator, c: CombinatorialShape, mode,
+                     pattern_cap: int = 1 << 22,
+                     enumerate_cap: int = 26) -> ErrorResult:
     """Fooling error |E[h(sum g_j)] under g - same under uniform|."""
     if (g.m, g.n) != (c.m, c.n):
         raise ValueError("generator and shape disagree on (m, n)")
     pmf = comb_shape_pmf(c)
     p_unif = float(sum(pmf.prob(s) * int(c.h[s]) for s in range(c.n + 1)))
-    return _indicator_error(g, c.eval_batch, p_unif, mode)
+    return _indicator_error(g, c.eval_batch, p_unif, mode, pattern_cap,
+                            enumerate_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +367,11 @@ class ChernoffSampler:
         self.weights = np.stack([quantize_pmf(p, self.r_x) for p in pmfs])
         # h_i(z) = smallest symbol whose cumulative weight exceeds z
         self.cuts = np.cumsum(self.weights, axis=1)
+        # row i's cuts shifted by i * 2^r_x make one sorted table, so one
+        # searchsorted maps every coordinate; row i starts at index i * m
+        self._offsets = np.arange(self.n, dtype=np.int64) << self.r_x
+        self._flat_cuts = (self.cuts + self._offsets[:, None]).ravel()
+        self._starts = np.arange(self.n, dtype=np.int64) * self.m
 
     @property
     def seed_bits(self) -> int:
@@ -412,10 +383,8 @@ class ChernoffSampler:
     def map_batch(self, z: np.ndarray) -> np.ndarray:
         """Inverse-CDF tables applied coordinatewise to (N, n) indices."""
         z = np.asarray(z, dtype=np.int64)
-        out = np.empty_like(z)
-        for i in range(self.n):
-            out[:, i] = np.searchsorted(self.cuts[i], z[:, i], side="right")
-        return out
+        return np.searchsorted(self._flat_cuts, z + self._offsets,
+                               side="right") - self._starts
 
     def sample(self, seed: int) -> np.ndarray:
         return self.map_batch(self.generator.generate(seed)[None, :])[0]
@@ -441,18 +410,13 @@ def chernoff_tail_check(s: ChernoffSampler, g_tables: np.ndarray, t: float,
     if g_tables.shape != (s.n, s.m) or np.any(np.abs(g_tables) > 1 + 1e-12):
         raise ValueError("need n tables [m] -> [-1, 1]")
     mean = float((g_tables * s.quantized_pmfs()).sum())
-    rng = np.random.default_rng(rng_seed)
-    hits = 0
-    done = 0
     cols = np.arange(s.n)
-    while done < trials:
-        batch = min(1 << 15, trials - done)
-        seeds = sample_seeds(rng, s.seed_bits, batch)
-        y = s.sample_batch(seeds)
-        sums = g_tables[cols[None, :], y].sum(axis=1)
-        hits += int(np.sum(np.abs(sums - mean) >= t))
-        done += batch
-    emp = hits / done
+    est = expectation(
+        s.generator,
+        lambda z: np.abs(g_tables[cols, s.map_batch(z)].sum(axis=1) - mean)
+        >= t, SampleMode(trials, rng_seed))
+    emp = float(est.mean)
     bound = 2 * math.exp(-t * t / (2 * s.n)) + s.eps
-    stderr = math.sqrt(max(emp * (1 - emp), 1.0 / done) / done)
-    return TailCheck(emp, bound, stderr, done, emp <= bound + 3 * stderr)
+    std_err = math.sqrt(max(emp * (1 - emp), 1.0 / est.count) / est.count)
+    return TailCheck(emp, bound, std_err, est.count,
+                     emp <= bound + 3 * std_err)

@@ -25,9 +25,6 @@ from .compose import ComposePlan, build_generator
 from .core import Generator, UniformStub, sample_seeds
 from .shapes import EnumerateMode, SampleMode, fooling_error, random_shape
 
-FAMILIES = ("shapes", "halfspaces", "modular", "comb-shapes", "chernoff")
-
-
 @dataclass(frozen=True)
 class VerifyCampaign:
     """Fully reproducible description of one verification run."""
@@ -97,63 +94,75 @@ def _eval_mode(campaign: VerifyCampaign, index: int):
     return SampleMode(campaign.n_samples, campaign.rng_seed * 100_003 + index)
 
 
-def _instance_record(campaign: VerifyCampaign, index: int, err: float,
-                     std_err: float, seeds: int, mode: str) -> dict:
-    return {"type": "instance", "index": index, "family": campaign.family,
-            "m": campaign.m, "n": campaign.n, "eps_target": campaign.eps,
-            "err_measured": err, "std_err": std_err,
-            "seeds_evaluated": seeds, "mode": mode}
+# One draw-and-measure function per campaign family: each draws its
+# instance from rng and returns (err, std_err, seeds_evaluated, mode).
+# They look the measuring functions up as module globals at call time, so
+# a caller that replaces those attributes (perfbench/spans.py) sees them.
+
+
+def _caps(c: VerifyCampaign) -> dict:
+    return {"pattern_cap": c.pattern_cap, "enumerate_cap": c.enum_cap}
+
+
+def _fields(r) -> tuple:
+    return r.err, r.std_err, r.seeds_evaluated, r.mode
+
+
+def _shapes(c: VerifyCampaign, g, rng, index: int) -> tuple:
+    f = random_shape(rng, c.n, c.m)
+    err, std = fooling_error(f, g, _eval_mode(c, index), **_caps(c))
+    seeds = 1 << g.seed_bits if c.mode == "enumerate" else c.n_samples
+    return err, std, seeds, c.mode
+
+
+def _halfspaces(c: VerifyCampaign, g, rng, index: int) -> tuple:
+    w = rng.integers(-c.n, c.n + 1, size=c.n)
+    bound = int(np.abs(w).sum())
+    theta = int(rng.integers(-bound, bound + 1)) if bound else 0
+    return _fields(halfspace_error(g, Halfspace(w, theta),
+                                   _eval_mode(c, index), **_caps(c)))
+
+
+def _modular(c: VerifyCampaign, g, rng, index: int) -> tuple:
+    M = c.modulus
+    a = rng.integers(0, M, size=c.n)
+    size = int(rng.integers(1, M))
+    S = frozenset(int(s) for s in rng.choice(M, size=size, replace=False))
+    return _fields(modular_error(g, ModularTest(a, M, S),
+                                 _eval_mode(c, index), **_caps(c)))
+
+
+def _comb_shapes(c: VerifyCampaign, g, rng, index: int) -> tuple:
+    shape = CombinatorialShape(rng.integers(0, 2, size=(c.n, c.m)),
+                               rng.integers(0, 2, size=c.n + 1))
+    return _fields(comb_shape_error(g, shape, _eval_mode(c, index),
+                                    **_caps(c)))
+
+
+def _chernoff(c: VerifyCampaign, g, rng, index: int) -> tuple:
+    # g here is the index generator over [2^r_x]^n; always sampled
+    pmfs = rng.random((c.n, c.m)) + 0.1
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    tables = rng.random((c.n, c.m)) * 2 - 1
+    sampler = ChernoffSampler(pmfs, c.eps, g)
+    tc = chernoff_tail_check(sampler, tables, 2.0 * math.sqrt(c.n),
+                             c.n_samples,
+                             rng_seed=c.rng_seed * 100_003 + index)
+    return max(0.0, tc.empirical - tc.bound), tc.std_err, tc.trials, "sample"
+
+
+MEASURE = {"shapes": _shapes, "halfspaces": _halfspaces,
+           "modular": _modular, "comb-shapes": _comb_shapes,
+           "chernoff": _chernoff}
+FAMILIES = tuple(MEASURE)
 
 
 def _run_one(campaign: VerifyCampaign, g, rng, index: int) -> dict:
-    mode = _eval_mode(campaign, index)
-    fam = campaign.family
-    m, n = campaign.m, campaign.n
-    if fam == "shapes":
-        f = random_shape(rng, n, m)
-        err, std = fooling_error(f, g, mode,
-                                 enumerate_cap=campaign.enum_cap,
-                                 pattern_cap=campaign.pattern_cap)
-        seeds = (1 << g.seed_bits if campaign.mode == "enumerate"
-                 else campaign.n_samples)
-        return _instance_record(campaign, index, err, std, seeds,
-                                campaign.mode)
-    if fam == "halfspaces":
-        w = rng.integers(-n, n + 1, size=n)
-        bound = int(np.abs(w).sum())
-        theta = int(rng.integers(-bound, bound + 1)) if bound else 0
-        r = halfspace_error(g, Halfspace(w, theta), mode)
-        return _instance_record(campaign, index, r.err, r.std_err,
-                                r.seeds_evaluated, r.mode)
-    if fam == "modular":
-        M = campaign.modulus
-        a = rng.integers(0, M, size=n)
-        size = int(rng.integers(1, M))
-        S = frozenset(int(s) for s in rng.choice(M, size=size, replace=False))
-        r = modular_error(g, ModularTest(a, M, S), mode,
-                          pattern_cap=campaign.pattern_cap,
-                          enumerate_cap=campaign.enum_cap)
-        return _instance_record(campaign, index, r.err, r.std_err,
-                                r.seeds_evaluated, r.mode)
-    if fam == "comb-shapes":
-        c = CombinatorialShape(rng.integers(0, 2, size=(n, m)),
-                               rng.integers(0, 2, size=n + 1))
-        r = comb_shape_error(g, c, mode)
-        return _instance_record(campaign, index, r.err, r.std_err,
-                                r.seeds_evaluated, r.mode)
-    if fam == "chernoff":
-        # g here is the index generator over [2^r_x]^n
-        pmfs = rng.random((n, m)) + 0.1
-        pmfs /= pmfs.sum(axis=1, keepdims=True)
-        tables = rng.random((n, m)) * 2 - 1
-        sampler = ChernoffSampler(pmfs, campaign.eps, g)
-        t = 2.0 * math.sqrt(n)
-        tc = chernoff_tail_check(sampler, tables, t, campaign.n_samples,
-                                 rng_seed=campaign.rng_seed * 100_003 + index)
-        over = max(0.0, tc.empirical - tc.bound)
-        return _instance_record(campaign, index, over, tc.std_err,
-                                tc.trials, "sample")
-    raise AssertionError(fam)
+    err, std, seeds, mode = MEASURE[campaign.family](campaign, g, rng, index)
+    return {"type": "instance", "index": index, "family": campaign.family,
+            "m": campaign.m, "n": campaign.n, "eps_target": campaign.eps,
+            "err_measured": err, "std_err": std,
+            "seeds_evaluated": seeds, "mode": mode}
 
 
 def run_campaign(campaign: VerifyCampaign) -> FoolingReport:

@@ -57,6 +57,18 @@ class Generator:
 
     # -- enumeration support ------------------------------------------
 
+    def enumerate_outputs(self, seed_cap: int = 26, chunk: int = 1 << 18):
+        """Outputs of all 2^seed_bits seeds in seed order, lazily in
+        chunks of `chunk` rows; refused at once above seed_cap."""
+        if self.seed_bits > seed_cap:
+            raise ValueError(
+                f"seed length {self.seed_bits} exceeds enumeration cap "
+                f"{seed_cap}; use sampling instead")
+        total = 1 << self.seed_bits
+        return (self.generate_batch(
+                    np.arange(lo, min(lo + chunk, total), dtype=np.int64))
+                for lo in range(0, total, chunk))
+
     def output_pmf(self, pattern_cap: int = 1 << 22,
                    seed_cap: int = 26) -> np.ndarray:
         """Exact pmf over all m^n output patterns under a uniform seed,
@@ -69,20 +81,12 @@ class Generator:
         cached = getattr(self, "_pmf_cache", None)
         if cached is not None:
             return cached
-        if self.seed_bits > seed_cap:
-            raise ValueError(
-                f"seed length {self.seed_bits} exceeds enumeration cap "
-                f"{seed_cap}; use sampling instead")
         counts = np.zeros(npat, dtype=np.int64)
-        total = 1 << self.seed_bits
-        chunk = 1 << 18
         weights = self.m ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        for lo in range(0, total, chunk):
-            seeds = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            out = self.generate_batch(seeds)
+        for out in self.enumerate_outputs(seed_cap):
             codes = np.asarray(out, dtype=np.int64) @ weights
             counts += np.bincount(codes, minlength=npat)
-        pmf = counts / total
+        pmf = counts / (1 << self.seed_bits)
         self._pmf_cache = pmf
         return pmf
 

@@ -105,12 +105,6 @@ def random_shape(rng: np.random.Generator, n: int, m: int) -> FourierShape:
     return FourierShape(r * np.exp(1j * phi))
 
 
-def random_phase_shape(rng: np.random.Generator, n: int, m: int) -> FourierShape:
-    """Unit-modulus entries: per-coordinate variance close to 1."""
-    phi = rng.random((n, m)) * 2 * math.pi
-    return FourierShape(np.exp(1j * phi))
-
-
 def scale_toward_mean(f: FourierShape, s: float) -> FourierShape:
     """f_j <- mu_j + s*(f_j - mu_j); variances scale by s^2 and the table
     stays in the unit disk for 0 <= s <= 1."""
@@ -129,13 +123,58 @@ def values_on_all_patterns(f: FourierShape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnumerateMode:
-    pass
+    name = "enumerate"
 
 
 @dataclass(frozen=True)
 class SampleMode:
     n_samples: int
     rng_seed: int = 0
+    name = "sample"
+
+
+@dataclass(frozen=True)
+class Estimate:
+    mean: np.ndarray      # E[stat] per statistic column
+    sq_mean: np.ndarray   # E[|stat|^2] per column; 0.0 when exact
+    count: int            # seeds enumerated or drawn
+
+
+def expectation(g: Generator, stat, mode, enumerate_cap: int = 26,
+                pattern_cap: int = 1 << 22) -> Estimate:
+    """E[stat(G(seed))] under a uniform seed, where stat maps an (N, n)
+    output batch to (N,) or (N, k) values.
+
+    Enumerate mode is exact: the output pmf against stat on every pattern
+    when m^n <= pattern_cap, otherwise a pass over all 2^r seeds, refused
+    above enumerate_cap. Sample mode draws mode.n_samples seeds in
+    batches of 2^15 rows."""
+    if isinstance(mode, EnumerateMode):
+        total = 1 << g.seed_bits
+        if g.m ** g.n <= pattern_cap:
+            pmf = g.output_pmf(pattern_cap, enumerate_cap)
+            vals = stat(np.indices((g.m,) * g.n).reshape(g.n, -1).T)
+            return Estimate(pmf @ vals, 0.0, total)
+        # this branch serves m^n > pattern_cap, so n is large: 2^16 rows
+        # bound the (N, n) outputs and statistic inputs of one chunk
+        acc = 0
+        for out in g.enumerate_outputs(enumerate_cap, chunk=1 << 16):
+            acc = acc + stat(out).sum(axis=0)
+            del out  # free this chunk before the next one is built
+        return Estimate(acc / total, 0.0, total)
+    if isinstance(mode, SampleMode):
+        rng = np.random.default_rng(mode.rng_seed)
+        acc = acc2 = 0
+        done = 0
+        while done < mode.n_samples:
+            batch = min(1 << 15, mode.n_samples - done)
+            vals = stat(g.generate_batch(
+                sample_seeds(rng, g.seed_bits, batch)))
+            acc = acc + vals.sum(axis=0)
+            acc2 = acc2 + (np.abs(vals) ** 2).sum(axis=0)
+            done += batch
+        return Estimate(acc / done, acc2 / done, done)
+    raise TypeError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -152,41 +191,13 @@ def empirical_expectation(f: FourierShape, g: Generator, mode,
     enumerate mode, Monte-Carlo with a standard error in sample mode."""
     if g.m != f.m or g.n != f.n:
         raise ValueError("generator and shape disagree on (m, n)")
-    if isinstance(mode, EnumerateMode):
-        npat = f.m ** f.n
-        if npat <= pattern_cap:
-            pmf = g.output_pmf(pattern_cap, enumerate_cap)
-            est = complex(pmf @ values_on_all_patterns(f))
-            total = 1 << g.seed_bits
-            return EmpiricalResult(est, 0.0, total)
-        if g.seed_bits > enumerate_cap:
-            raise ValueError(
-                f"seed length {g.seed_bits} exceeds enumeration cap "
-                f"{enumerate_cap}")
-        total = 1 << g.seed_bits
-        acc = 0j
-        chunk = 1 << 16
-        for lo in range(0, total, chunk):
-            seeds = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            acc += eval_shape_batch(f, g.generate_batch(seeds)).sum()
-        return EmpiricalResult(acc / total, 0.0, total)
+    est = expectation(g, lambda xs: eval_shape_batch(f, xs), mode,
+                      enumerate_cap, pattern_cap)
+    std_err = 0.0
     if isinstance(mode, SampleMode):
-        rng = np.random.default_rng(mode.rng_seed)
-        acc = 0j
-        acc2 = 0.0
-        done = 0
-        while done < mode.n_samples:
-            batch = min(1 << 15, mode.n_samples - done)
-            seeds = sample_seeds(rng, g.seed_bits, batch)
-            vals = eval_shape_batch(f, g.generate_batch(seeds))
-            acc += vals.sum()
-            acc2 += float(np.sum(np.abs(vals) ** 2))
-            done += batch
-        mean = acc / done
-        var = max(acc2 / done - abs(mean) ** 2, 0.0)
-        stderr = math.sqrt(var / done)
-        return EmpiricalResult(complex(mean), stderr, done)
-    raise TypeError(f"unknown mode {mode!r}")
+        var = max(est.sq_mean - abs(est.mean) ** 2, 0.0)
+        std_err = math.sqrt(var / est.count)
+    return EmpiricalResult(complex(est.mean), std_err, est.count)
 
 
 def fooling_error(f: FourierShape, g: Generator, mode, **kw) -> tuple[float, float]:

@@ -251,6 +251,41 @@ def test_chernoff_sampler_marginals_exact():
         assert np.allclose(counts, qp[i], atol=1e-12)
 
 
+def map_batch_reference(s, z):
+    """Per-column inverse-CDF lookup, one searchsorted per coordinate."""
+    z = np.asarray(z, dtype=np.int64)
+    out = np.empty_like(z)
+    for i in range(s.n):
+        out[:, i] = np.searchsorted(s.cuts[i], z[:, i], side="right")
+    return out
+
+
+def test_chernoff_map_batch_matches_per_column_reference():
+    # zero-weight symbols give duplicate cuts, also at both ends of a row
+    # (a row's first cut 0 meets the previous row's last cut 2^r_x)
+    pmfs = np.array([[0.0, 0.5, 0.0, 0.5, 0.0],
+                     [0.0, 0.0, 0.3, 0.7, 0.0],
+                     [1.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.2, 0.2, 0.2, 0.2, 0.2],
+                     [0.0, 0.0, 0.0, 0.0, 1.0]])
+    s = make_sampler(pmfs, 0.25)
+    assert np.any(np.diff(s.cuts, axis=1) == 0)
+    top = (1 << s.r_x) - 1
+    # z = 0, z = 2^r_x - 1, and z equal to every cut below 2^r_x
+    cut_vals = np.unique(np.clip(s.cuts, 0, top))
+    special = np.concatenate([[0, top], cut_vals, np.maximum(cut_vals - 1, 0)])
+    rng = np.random.default_rng(21)
+    z = np.concatenate([
+        np.repeat(special[:, None], s.n, axis=1),
+        np.stack([rng.permutation(special) for _ in range(s.n)], axis=1),
+        rng.integers(0, top + 1, size=(500, s.n))])
+    got = s.map_batch(z)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, map_batch_reference(s, z))
+    # no symbol of zero weight is ever produced
+    assert np.all(s.weights[np.arange(s.n), got] > 0)
+
+
 def test_chernoff_sampler_generator_mismatch():
     with pytest.raises(ValueError):
         ChernoffSampler(np.array([[0.5, 0.5]]), 0.25, UniformStub(2, 1))

@@ -83,6 +83,27 @@ def test_run_campaign_records_refusals():
     assert report.summary["pass"] is False
 
 
+@pytest.mark.parametrize("fam", ["shapes", "halfspaces", "modular",
+                                 "comb-shapes"])
+def test_run_campaign_honours_caps(fam):
+    # 2^10 patterns exceed pattern_cap, and the seed exceeds enum_cap
+    refused = run_campaign(VerifyCampaign(fam, 2, 10, 0.1, 2, enum_cap=4,
+                                          pattern_cap=4))
+    assert refused.summary["refused"] == 2
+    assert refused.summary["pass"] is False
+    # above pattern_cap but within enum_cap: exact by seed enumeration,
+    # in agreement with the pmf path
+    by_seeds = run_campaign(VerifyCampaign(fam, 2, 10, 0.1, 2,
+                                           pattern_cap=4))
+    by_pmf = run_campaign(VerifyCampaign(fam, 2, 10, 0.1, 2))
+    assert by_seeds.summary["refused"] == 0
+    for a, b in zip(by_seeds.instances, by_pmf.instances):
+        assert a["mode"] == b["mode"] == "enumerate"
+        assert a["seeds_evaluated"] == b["seeds_evaluated"]
+        assert a["err_measured"] == pytest.approx(b["err_measured"],
+                                                  abs=1e-12)
+
+
 def test_verify_all_refused_exit_code(capsys):
     # a 49-bit seed against the 26-bit enumeration cap: every instance
     # refuses, and a campaign that measured nothing fails
