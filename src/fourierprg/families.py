@@ -106,7 +106,12 @@ class KWiseVectors:
 
 class SmallBiasFamily:
     """delta-biased bits by the powering construction over GF(2^t):
-    bit i = lsb(x^i * y) for seed (x, y), t = ceil(log2(n/delta)) + 1."""
+    bit i = lsb(x^i * y) for seed (x, y), t = ceil(log2(n/delta)) + 1.
+
+    For t <= 16 every bit comes from one exponent through the field's
+    log/exp tables: x^i * y = exp((i log x + log y) mod (2^t - 1)). Rows
+    with y = 0 are all zeros, and rows with x = 0 are (lsb y, 0, ..., 0)
+    since x^0 = 1. Wider fields multiply x^i up one power at a time."""
 
     def __init__(self, n: int, delta: float):
         if not 0 < delta <= 1:
@@ -129,12 +134,26 @@ class SmallBiasFamily:
         x, y = np.ascontiguousarray(
             bit_fields(as_bits(seeds, self.seed_bits), self.t).T)
         out = np.empty((len(x), self.n), dtype=np.int64)
-        power = np.ones(len(x), dtype=np.int64)  # x^0
         f = self.field
-        for i in range(self.n):
-            out[:, i] = f.mul_vec(power, y) & 1
-            if i + 1 < self.n:
-                power = f.mul_vec(power, x)
+        if self.t > 16:  # no log tables: x^i by repeated multiplication
+            power = np.ones(len(x), dtype=np.int64)  # x^0
+            for i in range(self.n):
+                out[:, i] = f.mul_vec(power, y) & 1
+                if i + 1 < self.n:
+                    power = f.mul_vec(power, x)
+            return out
+        log, exp = f._tables()
+        log, lsb = log.astype(np.int32), exp[:f.q - 1] & 1
+        # n <= 2^(t-1), so i * log x + log y < 2^(2t-1) fits int32
+        cols = np.arange(self.n, dtype=np.int32)
+        for lo in range(0, len(x), 1 << 13):  # int32 blocks bound the RSS
+            hi = lo + (1 << 13)
+            e = np.multiply.outer(log[x[lo:hi]], cols)
+            e += log[y[lo:hi], None]
+            e %= f.q - 1  # in range, so "clip" skips take's bounds copy
+            np.take(lsb, e, out=out[lo:hi], mode="clip")
+        out[y == 0] = 0
+        out[x == 0, 1:] = 0  # x^0 = 1: column 0 already reads lsb(y)
         return out
 
     def sample_packed(self, seeds: np.ndarray) -> np.ndarray:

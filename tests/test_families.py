@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fourierprg.core import plan_to_generator
 from fourierprg.families import (CombinedHashFamily, KWiseFamily,
                                  KWiseVectors, PairwisePermutation,
                                  SmallBiasFamily, hash_load, perm_sample,
                                  perm_seed_bits)
-from fourierprg.bitseq import bit_slice
+from fourierprg.bitseq import as_bits, bit_fields, bit_slice
 from fourierprg.fields import PrimeField, gf2, next_prime, prime_field
 from test_robp import edge_seeds
 
@@ -172,6 +175,86 @@ def test_small_bias_n16_bound():
 def test_small_bias_deterministic():
     fam = SmallBiasFamily(10, 0.25)
     assert np.array_equal(fam.sample(999), fam.sample(999))
+
+
+def small_bias_reference(fam: SmallBiasFamily, seeds) -> np.ndarray:
+    """SmallBiasFamily as first written: x^i built up by one field
+    multiply per column, bit i = lsb(x^i * y)."""
+    x, y = bit_fields(as_bits(seeds, fam.seed_bits), fam.t).T
+    out = np.empty((len(x), fam.n), dtype=np.int64)
+    power = np.ones(len(x), dtype=np.int64)
+    for i in range(fam.n):
+        out[:, i] = fam.field.mul_vec(power, y) & 1
+        power = fam.field.mul_vec(power, x)
+    return out
+
+
+def small_bias_edge_seeds(fam: SmallBiasFamily, count: int, rng):
+    """Full-width random seeds plus x = 0, y = 0, both zero, all ones,
+    and the seed whose x and y both have the largest log (2^t - 2)."""
+    t = fam.t
+    x, y = rng.integers(1, 1 << t, 2)
+    top = fam.field.pow(fam.field._find_generator(), (1 << t) - 2)
+    extra = [int(y), int(x) << t, 0, (1 << 2 * t) - 1, top << t | top]
+    seeds = np.empty(count + len(extra), dtype=object)
+    seeds[:] = list(edge_seeds(2 * t, count, rng)[:count]) + extra
+    return seeds
+
+
+@pytest.mark.parametrize("n,delta,t", [
+    (1, 1.0, 2), (2, 1.0, 2), (3, 0.5, 4), (4, 1.0, 3), (16, 1.0, 5),
+    (5, 0.4, 5), (128, 1.0, 8), (40, 0.5, 8),
+])
+def test_small_bias_matches_reference_on_all_seeds(n, delta, t):
+    fam = SmallBiasFamily(n, delta)
+    assert fam.t == t
+    seeds = all_seeds(fam.seed_bits)
+    assert np.array_equal(fam.sample_batch(seeds),
+                          small_bias_reference(fam, seeds))
+
+
+def test_small_bias_enum_exact_plan_matches_reference():
+    # every seed of the 22-bit plan that exact enumeration walks
+    g = plan_to_generator({"type": "small-bias-lift", "n": 16,
+                           "delta": 1 / 64})
+    assert (g.family.t, g.seed_bits) == (11, 22)
+    for lo in range(0, 1 << 22, 1 << 18):
+        seeds = np.arange(lo, lo + (1 << 18), dtype=np.int64)
+        assert np.array_equal(g.generate_batch(seeds),
+                              small_bias_reference(g.family, seeds))
+
+
+@pytest.mark.parametrize("n,delta,t", [
+    (16, 2.0 ** -11, 16),    # largest log/exp table
+    (1 << 15, 1.0, 16),      # exponents up to n (2^t - 2) = 2^31 - 2^16
+    (64, 1e-3, 17),          # no tables: the multiply loop
+])
+def test_small_bias_matches_reference_on_wide_and_edge_seeds(n, delta, t):
+    fam = SmallBiasFamily(n, delta)
+    assert fam.t == t
+    seeds = small_bias_edge_seeds(fam, 4 if n > 1000 else 40,
+                                  np.random.default_rng(n))
+    got = fam.sample_batch(seeds)
+    assert np.array_equal(got, small_bias_reference(fam, seeds))
+    assert got.dtype == np.int64
+    assert not got[-3].any()                       # x = y = 0
+    assert not got[-4].any()                       # y = 0
+    assert not got[-5, 1:].any()                   # x = 0
+    for i in (0, len(seeds) - 1):
+        assert np.array_equal(fam.sample(int(seeds[i])), got[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2000), st.data())
+def test_small_bias_matches_reference_property(n, data):
+    delta = data.draw(st.floats(min_value=n / 2000, max_value=1.0))
+    fam = SmallBiasFamily(n, delta)
+    assert fam.t <= 12
+    seeds = small_bias_edge_seeds(
+        fam, 6, np.random.default_rng(data.draw(st.integers(0, 1 << 32))))
+    got = fam.sample_batch(seeds)
+    assert np.array_equal(got, small_bias_reference(fam, seeds))
+    assert np.array_equal(fam.sample(int(seeds[0])), got[0])
 
 
 # ---------------------------------------------------------------------------
