@@ -108,7 +108,8 @@ class INWBase(Generator):
         self.seed_bits = self.inw.seed_bits
         if T == 2 and w == D and m & (m - 1) == 0:
             self.exactly_uniform = True
-        self._dtype = np.uint32 if self.bits_per_symbol <= 32 else np.uint64
+        self._dtype = next(d for d in (np.uint16, np.uint32, np.uint64)
+                           if self.bits_per_symbol <= np.iinfo(d).bits)
         self._pieces = symbol_pieces(n, self.bits_per_symbol, D, self._dtype)
 
     def generate_batch(self, seeds) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 GF(2^t) elements are ints whose bits are polynomial coefficients, reduced
 by a fixed irreducible modulus per degree so outputs are bit-exact across
-runs. Vectorized multiply uses a full product table for t <= 8 and
-log/exp tables for t <= 16.
+runs. For t <= 16 the vectorized multiply needs no zero masks: with
+log(0) = 2(q - 1) and exp padded with zeros, exp[log a + log b] is the
+product even when a or b is 0, and for t <= 8 a flat uint8 q x q product
+table built from these is one lookup. Products of uint8/uint16 operands
+stay uint8/uint16; any other operand gives int64.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ class GF2Field(Field):
         self.modulus = irreducible_modulus(t)
         self._log = None
         self._exp = None
-        self._prod = None
+        self._sentinel = None
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -187,8 +190,23 @@ class GF2Field(Field):
                 return g
         raise RuntimeError("no generator found")  # pragma: no cover
 
+    def _sentinel_tables(self):
+        # log, exp and (t <= 8) the product table indexed by (a << t) | b;
+        # a zero factor sends log a + log b into exp's zero padding
+        if self._sentinel is None:
+            log, exp = self._tables()
+            slog = log.astype(np.int32)
+            slog[0] = 2 * (self.q - 1)
+            sexp = np.zeros(4 * self.q - 3, dtype=np.uint16)
+            sexp[:2 * self.q - 2] = exp
+            prod = (sexp[slog[:, None] + slog].astype(np.uint8).reshape(-1)
+                    if self.t <= 8 else None)
+            self._sentinel = slog, sexp, prod
+        return self._sentinel
+
     def mul_vec(self, a, b):
-        """Elementwise product of int arrays (values in [0, q))."""
+        """Elementwise product of int arrays (values in [0, q)): uint8 or
+        uint16 if both operands are, wide enough for q - 1, else int64."""
         if self.t > 16:
             aa, bb = np.broadcast_arrays(np.asarray(a, dtype=object),
                                          np.asarray(b, dtype=object))
@@ -197,41 +215,21 @@ class GF2Field(Field):
             for i, (x, y) in enumerate(zip(aa.reshape(-1), bb.reshape(-1))):
                 flat[i] = self.mul(int(x), int(y))
             return out
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a, b = np.asarray(a), np.asarray(b)
+        dtype = np.promote_types(np.result_type(a, b),
+                                 np.min_scalar_type(self.q - 1))
+        if a.dtype.kind != "u" or b.dtype.kind != "u" or dtype.itemsize > 2:
+            dtype = np.dtype(np.int64)
+        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+        log, exp, prod = self._sentinel_tables()
         if self.t <= 8:
-            return np.take(self._products(), (a << self.t) | b)
-        return self._mul_logexp(a, b)
-
-    def _mul_logexp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        log, exp = self._tables()
-        nz = (a != 0) & (b != 0)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        la = log[a * nz]
-        lb = log[b * nz]
-        np.copyto(out, exp[la + lb], where=nz)
-        return out
-
-    def _products(self) -> np.ndarray:
-        # flat q x q product table, indexed by (a << t) | b; 512 KB at t = 8
-        if self._prod is None:
-            elems = np.arange(self.q, dtype=np.int64)
-            self._prod = self._mul_logexp(elems[:, None],
-                                          elems[None, :]).reshape(-1)
-        return self._prod
+            idx = (a.astype(np.uint16, copy=False) << self.t) | b
+            return np.take(prod, idx).astype(dtype, copy=False)
+        return np.take(exp, log[a] + log[b]).astype(dtype, copy=False)
 
     def mul_scalar_vec(self, a: int, b):
-        """a * b_i for a fixed nonzero scalar a."""
-        if self.t > 16:
-            return self.mul_vec(a, b)
-        if a == 0:
-            return np.zeros_like(np.asarray(b, dtype=np.int64))
-        log, exp = self._tables()
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(b.shape, dtype=np.int64)
-        nz = b != 0
-        np.copyto(out, exp[log[a] + log[b * nz]], where=nz)
-        return out
+        """a * b_i for a fixed scalar a."""
+        return self.mul_vec(a, b)
 
     def __repr__(self):
         return f"GF2Field(t={self.t})"

@@ -86,6 +86,11 @@ class INWGenerator(Generator):
     y -> a*y + b over GF(2^state_bits) (a pairwise independent hash).
     Level i+1 emits (expand(x), expand(hi(x))); each block is the D
     most significant bits of its state.
+
+    expand_batch keeps the (N, T) states in block order: with s = T >>
+    (l + 1), level l maps the states so far, at the multiples of 2s, to
+    the odd multiples of s. States, and the blocks expand_batch returns,
+    are uint8 for state_bits <= 8, uint16 to 16 and int64 beyond.
     """
 
     def __init__(self, D: int, T: int, state_bits: int):
@@ -99,34 +104,30 @@ class INWGenerator(Generator):
         self.state_bits = state_bits
         self.field = gf2(state_bits)
         self.seed_bits = state_bits + self.levels * 2 * state_bits
-        # expand_batch stores states level by level; block t is the state
-        # whose index is t with its `levels` bits reversed
-        t = np.arange(T, dtype=np.int64)
-        self._order = np.zeros(T, dtype=np.int64)
-        for i in range(self.levels):
-            self._order |= ((t >> i) & 1) << (self.levels - 1 - i)
+        self._dtype = (np.uint8 if state_bits <= 8 else
+                       np.uint16 if state_bits <= 16 else np.int64)
         # generator view: alphabet [2^D], dimension T
         self.m = 1 << D
         self.n = T
 
     def expand_batch(self, seeds) -> np.ndarray:
-        """(len(seeds), T) blocks of D bits."""
+        """(len(seeds), T) blocks of D bits, in the state dtype."""
         # x, then (a, b) per level, as w-bit seed fields MSB first
         w = self.state_bits
         fields = bit_fields(as_bits(seeds, self.seed_bits), w)
-        # level i appends the images under h_i of the 2^i states so far
-        states = np.empty((len(fields), self.T), dtype=np.int64)
+        fields = fields.astype(self._dtype, copy=False)
+        states = np.empty((len(fields), self.T), dtype=self._dtype)
         states[:, 0] = fields[:, 0]
         for lvl in range(self.levels):
-            k = 1 << lvl
+            s = self.T >> (lvl + 1)
             a = fields[:, 1 + 2 * lvl:2 + 2 * lvl]
             b = fields[:, 2 + 2 * lvl:3 + 2 * lvl]
-            states[:, k:2 * k] = self.field.mul_vec(a, states[:, :k]) ^ b
-        blocks = np.take(states, self._order, axis=1)
-        blocks >>= w - self.D
-        return blocks
+            states[:, s::2 * s] = self.field.mul_vec(a, states[:, ::2 * s]) ^ b
+        states >>= w - self.D
+        return states
 
-    generate_batch = expand_batch
+    def generate_batch(self, seeds) -> np.ndarray:
+        return self.expand_batch(seeds).astype(np.int64)
 
     def expand(self, seed: int) -> np.ndarray:
         check_seed(seed, self.seed_bits)

@@ -103,6 +103,19 @@ def test_inw_base_matches_reference(m, n, block_bits):
         assert np.array_equal(g.generate(int(seed)), row)
 
 
+@pytest.mark.parametrize("m,n,eps", [(4096, 64, 0.05), (2, 64, 0.1)])
+def test_benchmark_base_nodes_run_on_uint8_states(m, n, eps):
+    # the generators of the wide-chernoff and base-sample benchmark
+    # workloads: one inw-base node whose INW states fit uint8
+    g = build_generator(m, n, eps)
+    assert isinstance(g, INWBase)
+    seeds = edge_seeds(g.seed_bits, 300, np.random.default_rng(m + n))
+    assert g.inw.expand_batch(seeds).dtype == np.uint8
+    got = g.generate_batch(seeds)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_inw_base(g, seeds))
+
+
 def test_inw_base_case_shapes():
     # the cases above really cover the schedule shapes they claim
     spans = {}

@@ -116,6 +116,57 @@ def test_mul_vec_product_table_exhaustive(t):
     assert out.tolist() == want
 
 
+U8, U16, I64 = np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.int64)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("da,db,want_dtype", [
+    (U8, U8, U8), (U16, U16, U16), (U8, U16, U16), (I64, I64, I64),
+    (U8, I64, I64), (I64, U16, I64),
+])
+def test_mul_vec_table_dtypes_exhaustive(t, da, db, want_dtype):
+    # every pair of a t <= 8 field, both broadcast forms, and the dtype
+    # rule: two narrow operands keep their common dtype, else int64
+    f = gf2(t)
+    want = np.array([[f.mul(a, b) for b in range(f.q)] for a in range(f.q)])
+    elems = np.arange(f.q)
+    out = f.mul_vec(elems.astype(da)[:, None], elems.astype(db)[None, :])
+    assert out.dtype == want_dtype and np.array_equal(out, want)
+    flat = f.mul_vec(np.repeat(elems, f.q).astype(da),
+                     np.tile(elems, f.q).astype(db))
+    assert flat.dtype == want_dtype
+    assert np.array_equal(flat, want.reshape(-1))
+
+
+@pytest.mark.parametrize("t", [9, 10, 12, 16])
+def test_mul_vec_sentinel_tables(t):
+    # random pairs plus every element times 0 and times 1, in both
+    # operand orders, against the scalar product
+    f = gf2(t)
+    rng = np.random.default_rng(t)
+    a = rng.integers(0, f.q, 3000)
+    b = rng.integers(0, f.q, 3000)
+    want = [f.mul(int(x), int(y)) for x, y in zip(a, b)]
+    for dtype in (U16, I64):
+        out = f.mul_vec(a.astype(dtype), b.astype(dtype))
+        assert out.dtype == dtype and out.tolist() == want
+    # uint8 operands of a t > 8 field widen to hold the product
+    a8, b8 = (a & 255).astype(U8), (b & 255).astype(U8)
+    out = f.mul_vec(a8, b8)
+    assert out.dtype == U16
+    assert out.tolist() == [f.mul(int(x), int(y)) for x, y in zip(a8, b8)]
+    elems = np.arange(f.q)
+    for c in (0, 1):
+        want = [f.mul(c, x) for x in range(f.q)]
+        for dtype in (U16, I64):
+            col = np.full(f.q, c, dtype=dtype)
+            for out in (f.mul_vec(col, elems.astype(dtype)),
+                        f.mul_vec(elems.astype(dtype), col)):
+                assert out.dtype == dtype and out.tolist() == want
+        out = f.mul_scalar_vec(c, elems)
+        assert out.dtype == I64 and out.tolist() == want
+
+
 def test_mul_vec_big_field_fallback():
     f = gf2(78)
     rng = np.random.default_rng(0)

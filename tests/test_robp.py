@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierprg.bitseq import to_ints
 from fourierprg.core import sample_seeds
@@ -130,13 +132,28 @@ def test_inw_expand_matches_reference(D, T, w):
     seeds = edge_seeds(g.seed_bits, 60, rng)
     want = reference_expand_batch(g, seeds)
     got = g.expand_batch(seeds)
-    assert got.dtype == np.int64
+    assert got.dtype == (np.uint8 if w <= 8 else
+                         np.uint16 if w <= 16 else np.int64)
+    gen = g.generate_batch(seeds)
+    assert gen.dtype == np.int64 and np.array_equal(gen, got)
     assert np.array_equal(got, want)
     # the int64 carrier gives the same blocks as python ints
     if g.seed_bits <= 62:
         assert np.array_equal(g.expand_batch(seeds.astype(np.int64)), want)
     for seed, row in zip(seeds[-5:], want[-5:]):
         assert np.array_equal(g.expand(int(seed)), row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.integers(1, 16), data=st.data(), log_T=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_inw_expand_narrow_states_property(w, data, log_T, seed):
+    D = data.draw(st.integers(1, w))
+    g = INWGenerator(D, 1 << log_T, w)
+    seeds = edge_seeds(g.seed_bits, 12, np.random.default_rng(seed))
+    got = g.expand_batch(seeds)
+    assert got.dtype == (np.uint8 if w <= 8 else np.uint16)
+    assert np.array_equal(got, reference_expand_batch(g, seeds))
 
 
 def test_inw_expand_reads_low_seed_bits_only():
