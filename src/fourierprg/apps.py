@@ -350,6 +350,11 @@ class ChernoffSampler:
     generator supplies the n table indices. With exactly uniform
     generator marginals each output marginal equals its quantized pmf
     exactly.
+
+    `table` holds every h_i outright: an (n, 2^r_x) array of
+    n * 2^r_x entries in the narrowest unsigned dtype that holds m - 1
+    (256 KB for n = 64, r_x = 12, m = 2), so mapping a batch is one
+    gather.
     """
 
     def __init__(self, pmfs: np.ndarray, eps: float, generator: Generator):
@@ -367,11 +372,20 @@ class ChernoffSampler:
         self.weights = np.stack([quantize_pmf(p, self.r_x) for p in pmfs])
         # h_i(z) = smallest symbol whose cumulative weight exceeds z
         self.cuts = np.cumsum(self.weights, axis=1)
-        # row i's cuts shifted by i * 2^r_x make one sorted table, so one
-        # searchsorted maps every coordinate; row i starts at index i * m
+        self.table = self._rows(
+            np.arange(self.m, dtype=np.min_scalar_type(self.m - 1)))
         self._offsets = np.arange(self.n, dtype=np.int64) << self.r_x
-        self._flat_cuts = (self.cuts + self._offsets[:, None]).ravel()
-        self._starts = np.arange(self.n, dtype=np.int64) * self.m
+
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        """(n, 2^r_x) table whose row i repeats values[i, j] (or values[j])
+        weights[i, j] times, i.e. values[i, h_i(z)] at column z."""
+        values = np.broadcast_to(values, (self.n, self.m))
+        return np.repeat(values.ravel(), self.weights.ravel()).reshape(
+            self.n, 1 << self.r_x)
+
+    def _lookup(self, table: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """table[i, z[:, i]] for every coordinate i, as one flat gather."""
+        return np.take(table, z + self._offsets)
 
     @property
     def seed_bits(self) -> int:
@@ -383,8 +397,7 @@ class ChernoffSampler:
     def map_batch(self, z: np.ndarray) -> np.ndarray:
         """Inverse-CDF tables applied coordinatewise to (N, n) indices."""
         z = np.asarray(z, dtype=np.int64)
-        return np.searchsorted(self._flat_cuts, z + self._offsets,
-                               side="right") - self._starts
+        return self._lookup(self.table, z).astype(np.int64)
 
     def sample(self, seed: int) -> np.ndarray:
         return self.map_batch(self.generator.generate(seed)[None, :])[0]
@@ -410,11 +423,12 @@ def chernoff_tail_check(s: ChernoffSampler, g_tables: np.ndarray, t: float,
     if g_tables.shape != (s.n, s.m) or np.any(np.abs(g_tables) > 1 + 1e-12):
         raise ValueError("need n tables [m] -> [-1, 1]")
     mean = float((g_tables * s.quantized_pmfs()).sum())
-    cols = np.arange(s.n)
+    # values[i, z] = g_i(h_i(z)): the statistic skips the symbols
+    values = s._rows(g_tables)
     est = expectation(
         s.generator,
-        lambda z: np.abs(g_tables[cols, s.map_batch(z)].sum(axis=1) - mean)
-        >= t, SampleMode(trials, rng_seed))
+        lambda z: np.abs(s._lookup(values, z).sum(axis=1) - mean) >= t,
+        SampleMode(trials, rng_seed))
     emp = float(est.mean)
     bound = 2 * math.exp(-t * t / (2 * s.n)) + s.eps
     std_err = math.sqrt(max(emp * (1 - emp), 1.0 / est.count) / est.count)

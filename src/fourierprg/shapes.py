@@ -83,8 +83,11 @@ def eval_shape(f: FourierShape, x) -> complex:
 
 def eval_shape_batch(f: FourierShape, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
-    vals = f.table[np.arange(f.n)[None, :], xs]
-    return np.prod(vals, axis=1)
+    # column by column: np.prod(axis=1) rounds C- and F-ordered xs apart
+    out = f.table[0, xs[:, 0]]
+    for j in range(1, f.n):
+        out *= f.table[j, xs[:, j]]
+    return out
 
 
 def linear_shape(w, alpha: float, m: int) -> FourierShape:

@@ -1,10 +1,13 @@
 """Application reductions against exact brute-force oracles."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierprg.apps import (ChernoffSampler, CombinatorialShape,
                              GeneralizedHalfspace, Halfspace, ModularTest,
@@ -17,6 +20,7 @@ from fourierprg.compose import build_generator
 from fourierprg.core import KWiseGenerator, UniformStub
 from fourierprg.metrics import WindowCapError
 from fourierprg.shapes import EnumerateMode, SampleMode
+from test_estimator import chernoff_tail_check_reference
 
 
 def brute_prob(n, m, predicate):
@@ -311,3 +315,75 @@ def test_chernoff_tail_check_validation():
     s = make_sampler(np.array([[0.5, 0.5]]), 0.25)
     with pytest.raises(ValueError):
         chernoff_tail_check(s, np.array([[0.0, 2.0]]), 1.0, 100)
+
+
+@st.composite
+def sparse_pmfs(draw):
+    """(n, m) pmfs, n <= 12 and m <= 6, with zero entries, also at both
+    ends of a row."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        w = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+        if draw(st.booleans()):
+            w[0] = w[-1] = 0
+        if sum(w) == 0:
+            w[draw(st.integers(0, m - 1))] = 1
+        rows.append(w)
+    pmfs = np.array(rows, dtype=float)
+    return pmfs / pmfs.sum(axis=1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=None)
+def composed_index_generator(r_x, n, eps):
+    return build_generator(1 << r_x, n, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pmfs=sparse_pmfs(), eps=st.sampled_from([0.5, 0.25, 0.1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_chernoff_table_matches_search_property(pmfs, eps, seed):
+    s = make_sampler(pmfs, eps)
+    rng = np.random.default_rng(seed)
+    top = (1 << s.r_x) - 1
+    assert s.table.shape == (s.n, top + 1) and s.table.dtype == np.uint8
+    # row i of the table is h_i: symbol j appears weights[i, j] times
+    for i in range(s.n):
+        assert np.array_equal(np.bincount(s.table[i], minlength=s.m),
+                              s.weights[i])
+    # z = 0, z = 2^r_x - 1, every cut and every cut - 1, then random z
+    cuts = s.cuts.ravel()
+    special = np.unique(np.clip(np.concatenate([[0, top], cuts, cuts - 1]),
+                                0, top))
+    z = np.concatenate([np.repeat(special[:, None], s.n, axis=1),
+                        rng.integers(0, top + 1, size=(200, s.n))])
+    got = s.map_batch(z)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, map_batch_reference(s, z))
+    # the fused tail statistic against map_batch then a 2-D gather, on a
+    # composed index generator drawing full-width random seeds
+    s = ChernoffSampler(pmfs, eps, composed_index_generator(s.r_x, s.n, eps))
+    tables = rng.random((s.n, s.m)) * 2 - 1
+    for t in (0.5, math.sqrt(s.n)):
+        rng_seed = int(rng.integers(1 << 31))
+        assert (chernoff_tail_check(s, tables, t, 3000, rng_seed)
+                == chernoff_tail_check_reference(s, tables, t, 3000,
+                                                 rng_seed))
+
+
+def test_chernoff_tail_check_fails_one_wise_indices():
+    # negative control: a 1-wise family gives every coordinate the same
+    # index, so n fair +-1 coins all agree and |sum| = n >= t every time;
+    # pairwise and composed index generators over the same alphabet pass
+    n, eps, t = 64, 0.05, 16.0
+    pmfs = np.full((n, 2), 0.5)
+    tables = np.tile([-1.0, 1.0], (n, 1))
+    res = chernoff_tail_check(
+        ChernoffSampler(pmfs, eps, KWiseGenerator(4096, n, 1)), tables, t,
+        200_000)
+    assert res.empirical == 1.0 and res.bound == pytest.approx(0.32, abs=0.01)
+    assert not res.passed
+    for g in (KWiseGenerator(4096, n, 2), build_generator(4096, n, eps)):
+        res = chernoff_tail_check(ChernoffSampler(pmfs, eps, g), tables, t,
+                                  200_000)
+        assert res.passed, res

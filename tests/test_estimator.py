@@ -308,6 +308,23 @@ def test_batch_on_all_patterns_equals_kron_values(m, n):
                               values_on_all_patterns(f))
 
 
+@pytest.mark.parametrize("m, n", [(2, 8), (2, 16), (3, 7), (2, 64)])
+def test_eval_shape_batch_ignores_memory_order(m, n):
+    # the pmf branch passes F-ordered patterns, sample mode C-ordered
+    # outputs; np.prod(axis=1) rounds the two layouts about 1e-15 apart,
+    # which would move the pinned golden errors
+    rng = np.random.default_rng(100 * m + n)
+    if m ** n <= 1 << 16:
+        xs = np.indices((m,) * n).reshape(n, -1).T
+    else:
+        xs = np.asfortranarray(rng.integers(0, m, size=(4096, n)))
+    assert xs.flags.f_contiguous and not xs.flags.c_contiguous
+    for f in (random_shape(rng, n, m),
+              linear_shape(rng.integers(-40, 40, n), rng.random(), m)):
+        assert (eval_shape_batch(f, xs).tobytes()
+                == eval_shape_batch(f, np.ascontiguousarray(xs)).tobytes())
+
+
 def test_expectation_refusals_and_unknown_mode():
     g = KWiseGenerator(2, 8, 2)
     with pytest.raises(ValueError, match="enumeration cap"):
