@@ -28,6 +28,12 @@ _DEFAULT_WINDOW_CAP = 10 ** 6
 # test families
 
 
+def _table_sums(g: np.ndarray, xs) -> np.ndarray:
+    """sum_j g[j, x_j] for every row x of xs."""
+    xs = np.asarray(xs, dtype=np.int64)
+    return g[np.arange(g.shape[0]), xs].sum(axis=1)
+
+
 @dataclass(frozen=True)
 class Halfspace:
     """1 iff <w, x> - theta >= 0, integer weights and threshold."""
@@ -45,8 +51,7 @@ class Halfspace:
         return len(self.w)
 
     def eval(self, x) -> int:
-        return int(np.dot(self.w, np.asarray(x, dtype=np.int64))
-                   >= self.theta)
+        return int(self.eval_batch([x])[0])
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         return (np.asarray(xs, dtype=np.int64) @ self.w
@@ -84,13 +89,10 @@ class GeneralizedHalfspace:
         return self.g.shape[1]
 
     def eval(self, x) -> int:
-        x = np.asarray(x, dtype=np.int64)
-        return int(self.g[np.arange(self.n), x].sum() >= self.theta)
+        return int(self.eval_batch([x])[0])
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        sums = self.g[np.arange(self.n)[None, :], xs].sum(axis=1)
-        return (sums >= self.theta).astype(np.int64)
+        return (_table_sums(self.g, xs) >= self.theta).astype(np.int64)
 
     def canonicalize(self, scale_bits: int = 20) -> "IntegerHalfspace":
         """Equivalent instance with integer tables and threshold.
@@ -113,10 +115,7 @@ class IntegerHalfspace:
     theta: int
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        n = self.g.shape[0]
-        sums = self.g[np.arange(n)[None, :], xs].sum(axis=1)
-        return (sums >= self.theta).astype(np.int64)
+        return (_table_sums(self.g, xs) >= self.theta).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -179,13 +178,10 @@ class CombinatorialShape:
         return self.g.shape[1]
 
     def eval(self, x) -> int:
-        x = np.asarray(x, dtype=np.int64)
-        return int(self.h[self.g[np.arange(self.n), x].sum()])
+        return int(self.eval_batch([x])[0])
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        sums = self.g[np.arange(self.n)[None, :], xs].sum(axis=1)
-        return self.h[sums]
+        return self.h[_table_sums(self.g, xs)]
 
 
 def rectangle_shape(sets: list[set], m: int = 2) -> CombinatorialShape:

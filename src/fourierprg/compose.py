@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import as_bits
-from .core import Generator, plan_to_generator, register_plan
+from .core import Generator, register_plan
 from .highvar import GLargePlan
 from .reductions import (AlphabetStepPlan, DimStepPlan, alphabet_reduce,
                          dim_step_params)
@@ -62,6 +62,7 @@ def symbol_pieces(n: int, b: int, D: int, dtype=np.uint32):
 
 
 @register_plan("inw-base")
+@dataclass(eq=False)
 class INWBase(Generator):
     """Shape-oblivious base case: INW output bits sliced into symbols.
 
@@ -76,20 +77,21 @@ class INWBase(Generator):
     batch costs one gather-shift-mask-shift pass per piece position.
     """
 
-    def __init__(self, m: int, n: int, delta: float,
-                 block_bits: int = 6, state_extra: int = 2,
-                 delta_map: float = 1e-3):
-        self.m = m
-        self.n = n
-        self.delta = delta
-        self.block_bits = block_bits
-        self.state_extra = state_extra
-        self.delta_map = delta_map
+    m: int
+    n: int
+    delta: float
+    block_bits: int = 6
+    state_extra: int = 2
+    delta_map: float = 1e-3
+    plan_info = ("inw",)
+
+    def __post_init__(self):
+        m, n = self.m, self.n
         base = max(1, (m - 1).bit_length())
         if m & (m - 1) == 0:
             self.bits_per_symbol = base
         else:
-            budget = max(2, math.ceil(math.log2(4 * n * m / delta_map)))
+            budget = max(2, math.ceil(math.log2(4 * n * m / self.delta_map)))
             self.bits_per_symbol = budget
         self.total_bits = n * self.bits_per_symbol
         if math.ceil(self.total_bits / 2) <= 14:
@@ -100,10 +102,10 @@ class INWBase(Generator):
             D = max(1, math.ceil(self.total_bits / 2))
             w = D
         else:
-            nblocks = max(2, math.ceil(self.total_bits / block_bits))
+            nblocks = max(2, math.ceil(self.total_bits / self.block_bits))
             T = 1 << (nblocks - 1).bit_length()
             D = math.ceil(self.total_bits / T)
-            w = min(16, D + max(1, state_extra))
+            w = min(16, D + max(1, self.state_extra))
         self.inw = INWGenerator(D, T, w)
         self.seed_bits = self.inw.seed_bits
         if T == 2 and w == D and m & (m - 1) == 0:
@@ -129,34 +131,24 @@ class INWBase(Generator):
             out %= self._dtype(self.m)
         return out.astype(np.int64)
 
-    def plan(self) -> dict:
-        return {"type": "inw-base", "m": self.m, "n": self.n,
-                "delta": self.delta, "block_bits": self.block_bits,
-                "state_extra": self.state_extra,
-                "delta_map": self.delta_map,
-                "inw": {"D": self.inw.D, "T": self.inw.T,
-                        "state_bits": self.inw.state_bits},
-                "local_seed_bits": self.seed_bits,
-                "seed_bits": self.seed_bits}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["m"], d["n"], d["delta"], d["block_bits"],
-                   d["state_extra"], d["delta_map"])
 
 
 @register_plan("xor-compose")
+@dataclass(eq=False)
 class XorCompose(Generator):
     """Coordinatewise (a + b) mod m of two children on disjoint seed
     slices; the left child owns the high bits."""
 
-    def __init__(self, left: Generator, right: Generator):
+    left: Generator
+    right: Generator
+    plan_info = ("m", "n")
+
+    def __post_init__(self):
+        left, right = self.left, self.right
         if (left.m, left.n) != (right.m, right.n):
             raise ValueError("children disagree on (m, n)")
         self.m = left.m
         self.n = left.n
-        self.left = left
-        self.right = right
         self.seed_bits = left.seed_bits + right.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
@@ -164,16 +156,6 @@ class XorCompose(Generator):
         lbits = self.left.seed_bits
         return (self.left.generate_batch(bits[:, :lbits])
                 + self.right.generate_batch(bits[:, lbits:])) % self.m
-
-    def plan(self) -> dict:
-        return {"type": "xor-compose", "m": self.m, "n": self.n,
-                "local_seed_bits": 0, "seed_bits": self.seed_bits,
-                "children": [self.left.plan(), self.right.plan()]}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(plan_to_generator(d["children"][0]),
-                   plan_to_generator(d["children"][1]))
 
 
 def _delta_schedule(n: int, eps: float) -> float:

@@ -7,7 +7,7 @@ reproducible from (plan JSON, seed hex).
 
 from __future__ import annotations
 
-import math
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -26,8 +26,16 @@ def register_plan(name: str):
 
 
 class Generator:
-    """Base class. Subclasses set m, n, seed_bits and implement
-    generate_batch; plans round-trip through plan()/from_plan().
+    """Base class. A plan node is a registered @dataclass(eq=False)
+    subclass whose fields are its plan parameters, in constructor order;
+    a field annotated `Generator` is a child. __post_init__ sets m, n,
+    seed_bits and whatever generate_batch needs.
+
+    plan() writes the type, every non-child field, each attribute named in
+    the class tuple plan_info (as its config() dict when it has one),
+    local_seed_bits (seed_bits minus the children's), seed_bits and, when
+    there are any, the children's plans in field order. from_plan() reads
+    the fields back and rebuilds the children through plan_to_generator.
 
     generate_batch takes any seed batch `bitseq.as_bits` accepts, turns it
     into an (N, seed_bits) bit matrix with one as_bits call and returns an
@@ -37,6 +45,7 @@ class Generator:
     n: int
     seed_bits: int
     plan_type: str
+    plan_info: tuple = ()
     # exactly uniform output for every marginal; lets the enumeration
     # harness short-circuit
     exactly_uniform = False
@@ -49,11 +58,35 @@ class Generator:
         raise NotImplementedError
 
     def plan(self) -> dict:
-        raise NotImplementedError
+        d = {"type": self.plan_type}
+        kids = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if _is_child(f):
+                kids.append(v)
+            else:
+                d[f.name] = v
+        for name in self.plan_info:
+            v = getattr(self, name)
+            d[name] = v.config() if hasattr(v, "config") else v
+        d["local_seed_bits"] = self.seed_bits - sum(k.seed_bits for k in kids)
+        d["seed_bits"] = self.seed_bits
+        if kids:
+            d["children"] = [k.plan() for k in kids]
+        return d
 
     @classmethod
     def from_plan(cls, d: dict) -> "Generator":
-        raise NotImplementedError
+        kids = iter(d.get("children", []))
+        args = {}
+        for f in fields(cls):
+            child = _is_child(f)
+            v = next(kids, MISSING) if child else d.get(f.name, MISSING)
+            if v is MISSING:
+                raise ValueError(
+                    f"{cls.plan_type} plan lacks field {f.name!r}")
+            args[f.name] = plan_to_generator(v) if child else v
+        return cls(**args)
 
     # -- enumeration support ------------------------------------------
 
@@ -91,6 +124,10 @@ class Generator:
         return pmf
 
 
+def _is_child(f) -> bool:
+    return f.type in ("Generator", Generator)
+
+
 def plan_to_generator(d: dict) -> Generator:
     cls = PLAN_REGISTRY.get(d.get("type"))
     if cls is None:
@@ -108,16 +145,17 @@ def plan_seed_bits(d: dict) -> int:
 
 
 @register_plan("uniform-stub")
+@dataclass(eq=False)
 class UniformStub(Generator):
     """Seed reinterpreted in base m. Exactly uniform in enumerate mode
     (the harness draws on the uniform pmf directly)."""
 
+    m: int
+    n: int
     exactly_uniform = True
 
-    def __init__(self, m: int, n: int):
-        self.m = m
-        self.n = n
-        self.seed_bits = n * max(1, (m - 1).bit_length())
+    def __post_init__(self):
+        self.seed_bits = self.n * max(1, (self.m - 1).bit_length())
 
     def generate_batch(self, seeds) -> np.ndarray:
         rem = to_ints(as_bits(seeds, self.seed_bits)) % (self.m ** self.n)
@@ -127,84 +165,57 @@ class UniformStub(Generator):
             rem //= self.m
         return out
 
-    def plan(self) -> dict:
-        return {"type": "uniform-stub", "m": self.m, "n": self.n,
-                "local_seed_bits": self.seed_bits, "seed_bits": self.seed_bits}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["m"], d["n"])
-
 
 @register_plan("constant-stub")
+@dataclass(eq=False)
 class ConstantStub(Generator):
     """Fixed output; zero seed bits. Test scaffolding."""
 
-    def __init__(self, m: int, n: int, value: int = 0):
-        if not 0 <= value < m:
+    m: int
+    n: int
+    value: int = 0
+    seed_bits = 0
+
+    def __post_init__(self):
+        if not 0 <= self.value < self.m:
             raise ValueError("value out of range")
-        self.m = m
-        self.n = n
-        self.value = value
-        self.seed_bits = 0
 
     def generate_batch(self, seeds) -> np.ndarray:
         bits = as_bits(seeds, self.seed_bits)
         return np.full((len(bits), self.n), self.value, dtype=np.int64)
 
-    def plan(self) -> dict:
-        return {"type": "constant-stub", "m": self.m, "n": self.n,
-                "value": self.value, "local_seed_bits": 0, "seed_bits": 0}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["m"], d["n"], d["value"])
-
 
 @register_plan("kwise")
+@dataclass(eq=False)
 class KWiseGenerator(Generator):
-    def __init__(self, m: int, n: int, k: int, delta_map: float = 1e-3):
-        self.m = m
-        self.n = n
-        self.k = k
-        self.delta_map = delta_map
-        self.family = KWiseVectors(n, m, k, delta_map)
+    m: int
+    n: int
+    k: int
+    delta_map: float = 1e-3
+
+    def __post_init__(self):
+        self.family = KWiseVectors(self.n, self.m, self.k, self.delta_map)
         self.seed_bits = self.family.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
         return self.family.sample_batch(as_bits(seeds, self.seed_bits))
-
-    def plan(self) -> dict:
-        return {"type": "kwise", "m": self.m, "n": self.n, "k": self.k,
-                "delta_map": self.delta_map,
-                "local_seed_bits": self.seed_bits, "seed_bits": self.seed_bits}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["m"], d["n"], d["k"], d["delta_map"])
 
 
 @register_plan("small-bias-lift")
+@dataclass(eq=False)
 class SmallBiasLift(Generator):
     """delta-biased bit vectors viewed as a generator over {0,1}^n."""
 
-    def __init__(self, n: int, delta: float):
-        self.m = 2
-        self.n = n
-        self.delta = delta
-        self.family = SmallBiasFamily(n, delta)
+    n: int
+    delta: float
+    m = 2
+
+    def __post_init__(self):
+        self.family = SmallBiasFamily(self.n, self.delta)
         self.seed_bits = self.family.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
         return self.family.sample_batch(as_bits(seeds, self.seed_bits))
-
-    def plan(self) -> dict:
-        return {"type": "small-bias-lift", "n": self.n, "delta": self.delta,
-                "local_seed_bits": self.seed_bits, "seed_bits": self.seed_bits}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["n"], d["delta"])
 
 
 def sample_seeds(rng: np.random.Generator, nbits: int, count: int):

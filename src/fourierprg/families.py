@@ -236,7 +236,7 @@ class PairwisePermutation:
         return self.field.mul(self.a, x) ^ self.b
 
     def apply_vec(self, xs: np.ndarray) -> np.ndarray:
-        return self.field.mul_scalar_vec(self.a, xs) ^ self.b
+        return self.field.mul_vec(self.a, xs) ^ self.b
 
     def table(self) -> np.ndarray:
         return self.apply_vec(np.arange(1 << self.t, dtype=np.int64))

@@ -227,10 +227,6 @@ class GF2Field(Field):
             return np.take(prod, idx).astype(dtype, copy=False)
         return np.take(exp, log[a] + log[b]).astype(dtype, copy=False)
 
-    def mul_scalar_vec(self, a: int, b):
-        """a * b_i for a fixed scalar a."""
-        return self.mul_vec(a, b)
-
     def __repr__(self):
         return f"GF2Field(t={self.t})"
 
@@ -265,11 +261,6 @@ class PrimeField(Field):
                     * np.asarray(b, dtype=object)) % self.p
             return prod.astype(np.int64) if self.p <= 1 << 63 else prod
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
-
-    def mul_scalar_vec(self, a: int, b):
-        if self._exact:
-            return self.mul_vec(a, b)
-        return (a * np.asarray(b, dtype=np.int64)) % self.p
 
     def __repr__(self):
         return f"PrimeField(p={self.p})"

@@ -11,6 +11,7 @@ independent-looking G1 output.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,24 +88,26 @@ def bucket_split(perm, n: int) -> list[np.ndarray]:
 
 
 @register_plan("g1")
+@dataclass(eq=False)
 class G1Plan(Generator):
     """Constant-error generator for shapes with total variance >= 1."""
 
-    def __init__(self, m: int, n: int, p: int = 8, recycle: str = "inw",
-                 delta_map: float = 1e-3):
-        self.m = m
-        self.n = n
-        self.p = p
-        self.recycle = recycle
-        self.delta_map = delta_map
-        self.n_padded = 1 << max(1, (n - 1).bit_length())
+    m: int
+    n: int
+    p: int = 8
+    recycle: str = "inw"
+    delta_map: float = 1e-3
+    plan_info = ("recycler",)
+
+    def __post_init__(self):
+        self.n_padded = 1 << max(1, (self.n - 1).bit_length())
         self.tlog = self.n_padded.bit_length() - 1
         self.perm_bits = perm_seed_bits(self.tlog)
         sizes = [2] + [1 << j for j in range(1, self.tlog)]
-        self.bucket_families = [KWiseVectors(sz, m, p, delta_map)
-                                for sz in sizes]
+        self.bucket_families = [
+            KWiseVectors(sz, self.m, self.p, self.delta_map) for sz in sizes]
         self.bucket_seed_bits = [fam.seed_bits for fam in self.bucket_families]
-        self.recycler = SeedRecycler(sum(self.bucket_seed_bits), recycle)
+        self.recycler = SeedRecycler(sum(self.bucket_seed_bits), self.recycle)
         self.seed_bits = self.perm_bits + self.recycler.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
@@ -132,17 +135,6 @@ class G1Plan(Generator):
                 = vals[valid]
             offset += sbits
         return out
-
-    def plan(self) -> dict:
-        return {"type": "g1", "m": self.m, "n": self.n, "p": self.p,
-                "recycle": self.recycle, "delta_map": self.delta_map,
-                "recycler": self.recycler.config(),
-                "local_seed_bits": self.seed_bits,
-                "seed_bits": self.seed_bits}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["m"], d["n"], d["p"], d["recycle"], d["delta_map"])
 
 
 class SpreadingFamily:
@@ -193,6 +185,7 @@ class SpreadingFamily:
 
 
 @register_plan("glarge")
+@dataclass(eq=False)
 class GLargePlan(Generator):
     """Amplified generator: spreading hash plus per-bucket G1 outputs,
     bucket seeds recycled.
@@ -202,20 +195,20 @@ class GLargePlan(Generator):
     coordinate hashes to, evaluates G1 once on the stack, and gathers
     each coordinate from its own pair's G1 row."""
 
-    def __init__(self, m: int, n: int, delta: float, p: int = 8,
-                 recycle: str = "inw", c_T: float = 0.125,
-                 delta_map: float = 1e-3):
-        self.m = m
-        self.n = n
-        self.delta = delta
-        self.p = p
-        self.recycle = recycle
-        self.c_T = c_T
-        self.delta_map = delta_map
-        self.spreading = SpreadingFamily(n, delta, c_T)
-        self.g1 = G1Plan(m, n, p, recycle, delta_map)
+    m: int
+    n: int
+    delta: float
+    p: int = 8
+    recycle: str = "inw"
+    c_T: float = 0.125
+    delta_map: float = 1e-3
+    plan_info = ("spreading", "recycler")
+
+    def __post_init__(self):
+        self.spreading = SpreadingFamily(self.n, self.delta, self.c_T)
+        self.g1 = G1Plan(self.m, self.n, self.p, self.recycle, self.delta_map)
         self.recycler = SeedRecycler(self.spreading.T * self.g1.seed_bits,
-                                     recycle)
+                                     self.recycle)
         self.seed_bits = self.spreading.seed_bits + self.recycler.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
@@ -234,17 +227,3 @@ class GLargePlan(Generator):
         bucket_seeds = stream.reshape(N, T, self.g1.seed_bits)[rows, buckets]
         vals = self.g1.generate_batch(bucket_seeds)
         return vals[inv.reshape(N, self.n), np.arange(self.n)]
-
-    def plan(self) -> dict:
-        return {"type": "glarge", "m": self.m, "n": self.n,
-                "delta": self.delta, "p": self.p, "recycle": self.recycle,
-                "c_T": self.c_T, "delta_map": self.delta_map,
-                "spreading": self.spreading.config(),
-                "recycler": self.recycler.config(),
-                "local_seed_bits": self.seed_bits,
-                "seed_bits": self.seed_bits}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["m"], d["n"], d["delta"], d["p"], d["recycle"],
-                   d["c_T"], d["delta_map"])

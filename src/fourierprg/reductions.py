@@ -12,11 +12,12 @@ inner generator over the blown-up alphabet [2^r0].
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bitseq import as_bits
-from .core import Generator, plan_to_generator, register_plan
+from .core import Generator, register_plan
 from .families import CombinedHashFamily, KWiseFamily, KWiseVectors
 from .fields import gf2, next_prime, prime_field
 from .shapes import FourierShape, shape_stats
@@ -31,23 +32,27 @@ def _column_field(m: int):
 
 
 @register_plan("alphabet-step")
+@dataclass(eq=False)
 class AlphabetStepPlan(Generator):
     """One m -> floor(sqrt(m)) reduction step around an inner generator."""
 
-    def __init__(self, m: int, n: int, delta: float, inner: Generator,
-                 C: float = 4.0, check_applicability: bool = True):
-        if check_applicability and m <= n ** 4:
+    m: int
+    n: int
+    delta: float
+    inner: Generator
+    C: float = 4.0
+    check_applicability: bool = True
+    plan_info = ("D", "k")
+
+    def __post_init__(self):
+        m, n, inner = self.m, self.n, self.inner
+        if self.check_applicability and m <= n ** 4:
             raise ValueError("step not applicable: m <= n^4")
-        self.check_applicability = check_applicability
-        self.m = m
-        self.n = n
-        self.delta = delta
-        self.C = C
         self.D = math.isqrt(m)
         if inner.m != self.D or inner.n != n:
             raise ValueError(f"inner generator must produce [{self.D}]^{n}")
-        self.inner = inner
-        self.k = max(1, math.ceil(C * math.log2(1 / delta) / math.log2(m)))
+        self.k = max(1, math.ceil(
+            self.C * math.log2(1 / self.delta) / math.log2(m)))
         self.col_field = _column_field(m)
         self.col_family = KWiseFamily(self.col_field, max(self.D, 1), 2)
         self.col_seed_bits = self.col_family.seed_bits
@@ -69,20 +74,6 @@ class AlphabetStepPlan(Generator):
             vals = self.col_family.eval_points_batch(col_seeds[:, j], Y[:, j])
             out[:, j] = np.asarray(vals % self.m, dtype=np.int64)
         return out
-
-    def plan(self) -> dict:
-        return {"type": "alphabet-step", "m": self.m, "n": self.n,
-                "delta": self.delta, "C": self.C, "D": self.D, "k": self.k,
-                "check_applicability": self.check_applicability,
-                "local_seed_bits": self.local_bits,
-                "seed_bits": self.seed_bits,
-                "children": [self.inner.plan()]}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["m"], d["n"], d["delta"],
-                   plan_to_generator(d["children"][0]), d["C"],
-                   d.get("check_applicability", True))
 
 
 def bias_function(f: FourierShape, x: np.ndarray) -> complex:
@@ -124,30 +115,29 @@ def dim_step_params(m: int, n: int, delta: float, C: float = 4.0):
 
 
 @register_plan("dim-step")
+@dataclass(eq=False)
 class DimStepPlan(Generator):
     """n -> t = ceil(sqrt(n)) dimension reduction around an inner
     generator over [2^r0]^t."""
 
-    def __init__(self, m: int, n: int, delta: float, inner: Generator,
-                 C: float = 4.0):
+    m: int
+    n: int
+    delta: float
+    inner: Generator
+    C: float = 4.0
+    plan_info = ("t", "k", "r0", "m_inner")
+
+    def __post_init__(self):
+        m, n, inner = self.m, self.n, self.inner
         if m > n ** 4:
             raise ValueError("dimension step requires m <= n^4")
-        self.m = m
-        self.n = n
-        self.delta = delta
-        self.C = C
-        self.t = math.isqrt(n) if math.isqrt(n) ** 2 == n \
-            else math.isqrt(n) + 1
-        self.k = max(1, math.ceil(
-            C * math.log2(max(n, 2) / delta) / math.log2(max(n, 2))))
+        self.t, self.k, self.r0 = dim_step_params(m, n, self.delta, self.C)
         self.bucket_hash = CombinedHashFamily(n, self.t, self.k, 0.0)
         self.within = KWiseVectors(n, m, self.k)
-        self.r0 = self.within.seed_bits
         self.m_inner = 1 << self.r0
         if inner.m != self.m_inner or inner.n != self.t:
             raise ValueError(
                 f"inner generator must produce [{self.m_inner}]^{self.t}")
-        self.inner = inner
         self.local_bits = self.bucket_hash.seed_bits
         self.seed_bits = self.local_bits + inner.seed_bits
 
@@ -165,19 +155,6 @@ class DimStepPlan(Generator):
             mask = tables == j
             out[mask] = vals[mask]
         return out
-
-    def plan(self) -> dict:
-        return {"type": "dim-step", "m": self.m, "n": self.n,
-                "delta": self.delta, "C": self.C, "t": self.t, "k": self.k,
-                "r0": self.r0, "m_inner": self.m_inner,
-                "local_seed_bits": self.local_bits,
-                "seed_bits": self.seed_bits,
-                "children": [self.inner.plan()]}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["m"], d["n"], d["delta"],
-                   plan_to_generator(d["children"][0]), d["C"])
 
 
 def is_good_hash(h: np.ndarray, f: FourierShape, alpha: float, beta: float,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +79,7 @@ def parity_robp(nbits: int) -> ROBP:
 
 
 @register_plan("inw")
+@dataclass(eq=False)
 class INWGenerator(Generator):
     """Recycling generator: T blocks of D bits from a seed of
     state_bits + levels * 2*state_bits bits.
@@ -93,15 +95,17 @@ class INWGenerator(Generator):
     are uint8 for state_bits <= 8, uint16 to 16 and int64 beyond.
     """
 
-    def __init__(self, D: int, T: int, state_bits: int):
+    D: int
+    T: int
+    state_bits: int
+
+    def __post_init__(self):
+        D, T, state_bits = self.D, self.T, self.state_bits
         if T < 1 or T & (T - 1):
             raise ValueError("T must be a power of two")
         if state_bits < D:
             raise ValueError("state must hold at least one block")
-        self.D = D
-        self.T = T
         self.levels = T.bit_length() - 1
-        self.state_bits = state_bits
         self.field = gf2(state_bits)
         self.seed_bits = state_bits + self.levels * 2 * state_bits
         self._dtype = (np.uint8 if state_bits <= 8 else
@@ -133,15 +137,8 @@ class INWGenerator(Generator):
         check_seed(seed, self.seed_bits)
         return self.expand_batch(seed)[0]
 
-    def plan(self) -> dict:
-        return {"type": "inw", "D": self.D, "T": self.T,
-                "state_bits": self.state_bits,
-                "local_seed_bits": self.seed_bits,
-                "seed_bits": self.seed_bits}
-
-    @classmethod
-    def from_plan(cls, d):
-        return cls(d["D"], d["T"], d["state_bits"])
+    def config(self) -> dict:
+        return {"D": self.D, "T": self.T, "state_bits": self.state_bits}
 
 
 def inw_for_robp(S: int, D: int, T: int, delta: float,

@@ -78,15 +78,19 @@ def eval_shape(f: FourierShape, x) -> complex:
         raise ValueError(f"input must have length {f.n}")
     if np.any(x < 0) or np.any(x >= f.m):
         raise ValueError("symbol out of range")
-    return complex(np.prod(f.table[np.arange(f.n), x]))
+    return complex(eval_shape_batch(f, x[None])[0])
 
 
 def eval_shape_batch(f: FourierShape, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
-    # column by column: np.prod(axis=1) rounds C- and F-ordered xs apart
+    # column by column: np.prod(axis=1) rounds C- and F-ordered xs apart.
+    # No product overwrites an operand: numpy rounds an in-place complex
+    # product of one element differently from a longer one
     out = f.table[0, xs[:, 0]]
+    buf = np.empty_like(out)
     for j in range(1, f.n):
-        out *= f.table[j, xs[:, j]]
+        np.multiply(out, f.table[j, xs[:, j]], out=buf)
+        out, buf = buf, out
     return out
 
 

@@ -163,7 +163,7 @@ def test_mul_vec_sentinel_tables(t):
             for out in (f.mul_vec(col, elems.astype(dtype)),
                         f.mul_vec(elems.astype(dtype), col)):
                 assert out.dtype == dtype and out.tolist() == want
-        out = f.mul_scalar_vec(c, elems)
+        out = f.mul_vec(c, elems)
         assert out.dtype == I64 and out.tolist() == want
 
 
@@ -255,5 +255,5 @@ def test_prime_field_vec_products_exact_for_wide_p(p):
     b = [p - 1, p - 3, p - 1, p - 1]
     want = [x * y % p for x, y in zip(a, b)]
     assert [int(v) for v in f.mul_vec(a, b)] == want
-    assert [int(v) for v in f.mul_scalar_vec(p - 1, b)] == \
+    assert [int(v) for v in f.mul_vec(p - 1, b)] == \
         [(p - 1) * y % p for y in b]

@@ -222,3 +222,10 @@ def test_eval_shape_batch_matches_scalar():
     vals = eval_shape_batch(f, xs)
     for i in range(20):
         assert vals[i] == pytest.approx(eval_shape(f, xs[i]), abs=1e-12)
+
+
+def test_eval_shape_bit_identical_to_batch():
+    f = random_shape(np.random.default_rng(0), 8, 2)
+    xs = np.indices((2,) * 8).reshape(8, -1).T
+    batch = eval_shape_batch(f, xs)
+    assert [eval_shape(f, x) for x in xs] == batch.tolist()
