@@ -35,7 +35,8 @@ class Generator:
     the class tuple plan_info (as its config() dict when it has one),
     local_seed_bits (seed_bits minus the children's), seed_bits and, when
     there are any, the children's plans in field order. from_plan() reads
-    the fields back and rebuilds the children through plan_to_generator.
+    the fields back, rebuilds the children through plan_to_generator and
+    refuses a plan with a key or a value the rebuilt node's plan() lacks.
 
     generate_batch takes any seed batch `bitseq.as_bits` accepts, turns it
     into an (N, seed_bits) bit matrix with one as_bits call and returns an
@@ -86,7 +87,24 @@ class Generator:
                 raise ValueError(
                     f"{cls.plan_type} plan lacks field {f.name!r}")
             args[f.name] = plan_to_generator(v) if child else v
-        return cls(**args)
+        if next(kids, None) is not None:
+            raise ValueError(
+                f"{cls.plan_type} plan has more children than child fields")
+        g = cls(**args)
+        # every other key the plan carries must be one the rebuilt node
+        # writes, with the same value; derived keys may be left out
+        want = g.plan()
+        for key, v in d.items():
+            if key == "children":
+                continue  # each child was checked when it was rebuilt
+            if key not in want:
+                raise ValueError(
+                    f"{cls.plan_type} plan has unknown field {key!r}")
+            if v != want[key]:
+                raise ValueError(
+                    f"{cls.plan_type} plan field {key!r} is {v!r}, "
+                    f"but the rebuilt node has {want[key]!r}")
+        return g
 
     # -- enumeration support ------------------------------------------
 
@@ -147,15 +165,16 @@ def plan_seed_bits(d: dict) -> int:
 @register_plan("uniform-stub")
 @dataclass(eq=False)
 class UniformStub(Generator):
-    """Seed reinterpreted in base m. Exactly uniform in enumerate mode
-    (the harness draws on the uniform pmf directly)."""
+    """Seed reinterpreted in base m. Exactly uniform when m is a power of
+    two; otherwise the n*ceil(log2 m) seed bits read mod m^n favour the
+    low codes."""
 
     m: int
     n: int
-    exactly_uniform = True
 
     def __post_init__(self):
         self.seed_bits = self.n * max(1, (self.m - 1).bit_length())
+        self.exactly_uniform = self.m & (self.m - 1) == 0
 
     def generate_batch(self, seeds) -> np.ndarray:
         rem = to_ints(as_bits(seeds, self.seed_bits)) % (self.m ** self.n)

@@ -12,6 +12,11 @@ import numpy as np
 from .core import Generator, sample_seeds
 
 _DISK_TOL = 1e-12
+# eval_shape_batch runs on row blocks of about 1 MB of int64 input (2048
+# rows at n = 64), so each column gather reads from cache; a block keeps
+# at least 1024 rows, below which numpy's per-call cost outweighs the gain
+_BLOCK_BYTES = 1 << 20
+_BLOCK_MIN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -85,12 +90,20 @@ def eval_shape_batch(f: FourierShape, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     # column by column: np.prod(axis=1) rounds C- and F-ordered xs apart.
     # No product overwrites an operand: numpy rounds an in-place complex
-    # product of one element differently from a longer one
-    out = f.table[0, xs[:, 0]]
-    buf = np.empty_like(out)
-    for j in range(1, f.n):
-        np.multiply(out, f.table[j, xs[:, j]], out=buf)
-        out, buf = buf, out
+    # product of one element differently from a longer one. An out-of-place
+    # product rounds the same at every length and offset, so running the
+    # chain block by block leaves every bit as it was
+    out = np.empty(len(xs), dtype=complex)
+    step = max(_BLOCK_MIN_ROWS, _BLOCK_BYTES // (8 * f.n))
+    buf = np.empty(min(step, len(xs)), dtype=complex)
+    for lo in range(0, len(xs), step):
+        blk = xs[lo:lo + step]
+        # row j then its symbols: a 1-D gather, faster than table[j, col]
+        prod, spare = f.table[0][blk[:, 0]], buf[:len(blk)]
+        for j in range(1, f.n):
+            np.multiply(prod, f.table[j][blk[:, j]], out=spare)
+            prod, spare = spare, prod
+        out[lo:lo + len(blk)] = prod
     return out
 
 
@@ -160,8 +173,22 @@ def expectation(g: Generator, stat, mode, enumerate_cap: int = 26,
         total = 1 << g.seed_bits
         if g.m ** g.n <= pattern_cap:
             pmf = g.output_pmf(pattern_cap, enumerate_cap)
-            vals = stat(np.indices((g.m,) * g.n).reshape(g.n, -1).T)
-            return Estimate(pmf @ vals, 0.0, total)
+            # stat on chunks of m^k patterns, k the largest with m^k <=
+            # 2^16 (at least 1, at most n): the codes that share their
+            # n - k leading digits, each laid out as
+            # np.indices((m,) * n).reshape(n, -1).T lays out all of them
+            # (F-ordered base-m digits, coordinate 0 most significant)
+            k = 1
+            while k < g.n and g.m ** (k + 1) <= 1 << 16:
+                k += 1
+            size = g.m ** k
+            parts = []
+            for c, top in enumerate(np.ndindex((g.m,) * (g.n - k))):
+                digits = np.indices((1,) * (g.n - k) + (g.m,) * k)
+                digits = digits.reshape(g.n, size)
+                digits[:g.n - k] = np.array(top)[:, None]
+                parts.append(pmf[c * size:(c + 1) * size] @ stat(digits.T))
+            return Estimate(sum(parts[1:], parts[0]), 0.0, total)
         # this branch serves m^n > pattern_cap, so n is large: 2^16 rows
         # bound the (N, n) outputs and statistic inputs of one chunk
         acc = 0

@@ -30,6 +30,12 @@ def brute_prob(n, m, predicate):
     return hits / m ** n
 
 
+def brute_seed_prob(g, predicate):
+    """Pr over all 2^seed_bits seeds that predicate(g(seed)) holds."""
+    total = 1 << g.seed_bits
+    return sum(predicate(g.generate(s)) for s in range(total)) / total
+
+
 # ---------------------------------------------------------------------------
 # test families
 
@@ -141,18 +147,24 @@ def test_halfspace_error_sample_mode_consistent():
 
 
 def test_gen_halfspace_error_uniform_stub():
+    # UniformStub(3, 4) reads 8 seed bits mod 81, so it is not uniform:
+    # both sides of the error must match brute force over [3]^4 and over
+    # the 256 seeds
     g = UniformStub(3, 4)
     rng = np.random.default_rng(1)
     tables = rng.random((4, 3)) - 0.5
     gh = GeneralizedHalfspace(tables, 0.1)
     res = gen_halfspace_error(g, gh, EnumerateMode())
-    assert res.err <= 1e-12
-    # the oracle's uniform probability must match brute force on the
-    # canonicalized instance
     ih = gh.canonicalize(12)
-    direct = brute_prob(4, 3, lambda x: int(
-        sum(ih.g[j, x[j]] for j in range(4)) >= ih.theta))
+
+    def pred(x):
+        return int(sum(ih.g[j, x[j]] for j in range(4)) >= ih.theta)
+
+    direct = brute_prob(4, 3, pred)
     assert res.uniform_prob == pytest.approx(direct, abs=1e-12)
+    gen = brute_seed_prob(g, pred)
+    assert res.generator_prob == pytest.approx(gen, abs=1e-12)
+    assert res.err == pytest.approx(abs(gen - direct), abs=1e-12)
 
 
 def test_gen_halfspace_window_cap():
@@ -201,8 +213,12 @@ def test_comb_shape_pmf_and_error():
         direct = brute_prob(4, 3, lambda x: int(
             sum(tables[j, x[j]] for j in range(4)) == s))
         assert pmf.prob(s) == pytest.approx(direct, abs=1e-12)
+    # UniformStub(3, 4) is not uniform (8 seed bits read mod 81)
     res = comb_shape_error(g, c, EnumerateMode())
-    assert res.err <= 1e-12
+    gen = brute_seed_prob(g, lambda x: int(
+        h[sum(tables[j, x[j]] for j in range(4))]))
+    assert res.err == pytest.approx(abs(gen - res.uniform_prob), abs=1e-12)
+    assert res.generator_prob == pytest.approx(gen, abs=1e-12)
 
 
 def test_comb_shape_error_composed_generator():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fourierprg import shapes
 from fourierprg.apps import (ChernoffSampler, CombinatorialShape,
                              ErrorResult, GeneralizedHalfspace, Halfspace,
                              ModularResult, ModularTest, TailCheck,
@@ -27,9 +28,9 @@ from fourierprg.core import (KWiseGenerator, SmallBiasLift, UniformStub,
                              sample_seeds)
 from fourierprg.metrics import IntPMF, linear_pmf
 from fourierprg.shapes import (EmpiricalResult, EnumerateMode, SampleMode,
-                               empirical_expectation, eval_shape_batch,
-                               expectation, linear_shape, random_shape,
-                               values_on_all_patterns)
+                               empirical_expectation, eval_shape,
+                               eval_shape_batch, expectation, linear_shape,
+                               random_shape, values_on_all_patterns)
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -266,6 +267,39 @@ def test_shapes_seed_loop_across_chunks_matches_reference():
     assert rows == [1 << 16] * 4
 
 
+@pytest.mark.parametrize("g, size, count", [
+    (KWiseGenerator(2, 18, 2), 1 << 16, 4),
+    (KWiseGenerator(3, 11, 2, 0.3), 3 ** 10, 3),  # 18 seed bits
+], ids=["m2", "m3"])
+def test_pmf_branch_across_chunks_matches_reference(g, size, count):
+    # the pmf branch hands stat chunks of m^k <= 2^16 patterns laid out as
+    # np.indices lays out all of them and sums pmf[chunk] @ stat(chunk),
+    # so its largest statistic input is at most 2^16 rows at any n
+    f, _h, gh, _c, t = _instances(g.n, g.m, 34)
+    mode = EnumerateMode()
+    assert abs(empirical_expectation(f, g, mode).estimate
+               - empirical_expectation_reference(f, g, mode).estimate) \
+        <= 1e-12
+    ih, p_unif = gen_halfspace_uniform(gh)
+    assert abs(gen_halfspace_error(g, gh, mode).generator_prob
+               - indicator_error_reference(g, ih.eval_batch, p_unif,
+                                           mode).generator_prob) <= 1e-12
+    assert np.allclose(modular_error(g, t, mode).gen_pmf,
+                       modular_error_reference(g, t, mode).gen_pmf,
+                       rtol=0, atol=1e-12)
+    chunks = []
+
+    def keep(xs):
+        chunks.append(xs)
+        return np.ones(len(xs))
+
+    assert expectation(g, keep, mode).mean == pytest.approx(1, abs=1e-12)
+    assert [len(x) for x in chunks] == [size] * count
+    assert all(x.flags.f_contiguous for x in chunks)
+    assert np.array_equal(np.vstack(chunks),
+                          all_patterns_reference(g.m, g.n))
+
+
 @pytest.mark.parametrize("make", [
     lambda: UniformStub(64, 8),
     lambda: KWiseGenerator(64, 8, 2),
@@ -323,6 +357,47 @@ def test_eval_shape_batch_ignores_memory_order(m, n):
               linear_shape(rng.integers(-40, 40, n), rng.random(), m)):
         assert (eval_shape_batch(f, xs).tobytes()
                 == eval_shape_batch(f, np.ascontiguousarray(xs)).tobytes())
+
+
+def eval_shape_batch_reference(f, xs):
+    """The column chain over the whole batch at once, as eval_shape_batch
+    ran it before it walked row blocks."""
+    xs = np.asarray(xs, dtype=np.int64)
+    out = f.table[0, xs[:, 0]]
+    buf = np.empty_like(out)
+    for j in range(1, f.n):
+        np.multiply(out, f.table[j, xs[:, j]], out=buf)
+        out, buf = buf, out
+    return out
+
+
+def _block_rows(n):
+    return max(shapes._BLOCK_MIN_ROWS, shapes._BLOCK_BYTES // (8 * n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 70), m=st.integers(2, 5),
+       rows=st.sampled_from(["1", "B-1", "B", "B+1", "3B+7", "random"]),
+       layout=st.sampled_from(["C", "F", "list"]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_row_blocked_eval_bit_identical_to_reference(n, m, rows, layout,
+                                                     seed, data):
+    # block edges fall inside, at and just past the batch; the products of
+    # every row must come out bit for bit as the unblocked chain's
+    B = _block_rows(n)
+    N = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "3B+7": 3 * B + 7,
+         "random": data.draw(st.integers(0, 3 * B + 7), label="N")}[rows]
+    rng = np.random.default_rng(seed)
+    f = random_shape(rng, n, m)
+    xs = rng.integers(0, m, size=(N, n))
+    want = eval_shape_batch_reference(f, xs)
+    arg = {"C": xs, "F": np.asfortranarray(xs), "list": xs.tolist()}[layout]
+    got = eval_shape_batch(f, arg)
+    assert got.shape == (N,) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    for i in {0, N // 2, N - 1} & set(range(N)):
+        assert (np.array([eval_shape(f, xs[i])]).tobytes()
+                == want[i:i + 1].tobytes())
 
 
 def test_expectation_refusals_and_unknown_mode():

@@ -125,3 +125,53 @@ def test_plan_missing_child_refused():
     plan["children"].pop()
     with pytest.raises(ValueError, match="'right'"):
         plan_to_generator(plan)
+
+
+@pytest.mark.parametrize("name, path, key, value", [
+    ("kwise", [], "seed_bits", 999),
+    ("kwise", [], "local_seed_bits", 5),
+    ("kwise", [], "bogus", 1),
+    ("xor-compose", [1], "seed_bits", 1),
+    ("xor-compose", [0], "bogus", 0),
+    ("inw-base", [], "inw", {"D": 1, "T": 2, "state_bits": 1}),
+    ("glarge", [], "spreading", {}),
+    ("dim-step", [], "t", 0),
+    ("dim-step", [0], "local_seed_bits", 0),
+])
+def test_plan_that_lies_refused(name, path, key, value):
+    # a stale derived value or an unknown key, at the root or in a child
+    plan = EXAMPLES[name][0]().plan()
+    node = plan
+    for i in path:
+        node = node["children"][i]
+    node[key] = value
+    with pytest.raises(ValueError, match=repr(key)):
+        plan_to_generator(plan)
+
+
+def test_plan_extra_child_refused():
+    plan = EXAMPLES["xor-compose"][0]().plan()
+    plan["children"].append(plan["children"][0])
+    with pytest.raises(ValueError, match="children"):
+        plan_to_generator(plan)
+
+
+def _strip_derived(plan: dict) -> dict:
+    """The plan with only its type, fields and children."""
+    derived = {"seed_bits", "local_seed_bits",
+               *PLAN_REGISTRY[plan["type"]].plan_info}
+    out = {k: v for k, v in plan.items() if k not in derived}
+    if "children" in plan:
+        out["children"] = [_strip_derived(c) for c in plan["children"]]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_plan_derived_keys_optional(name):
+    # stripped, the small-bias-lift example is the plan perfbench's
+    # enum-exact workload writes by hand
+    g = EXAMPLES[name][0]()
+    replay = plan_to_generator(_strip_derived(g.plan()))
+    assert json.dumps(replay.plan(), sort_keys=True) == json.dumps(
+        g.plan(), sort_keys=True)
+

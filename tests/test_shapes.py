@@ -169,6 +169,19 @@ def test_empirical_refusal_over_cap():
                               pattern_cap=4)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
+def test_uniform_stub_pmf_and_seed_branches_agree(m):
+    # the pmf branch trusts exactly_uniform; the seed branch
+    # (pattern_cap=1) enumerates all seeds, so the two agree only if the
+    # stub claims uniformity exactly when m is a power of two
+    g = UniformStub(m, 4)
+    assert g.exactly_uniform == (m & (m - 1) == 0)
+    f = random_shape(np.random.default_rng(m), 4, m)
+    pmf = empirical_expectation(f, g, EnumerateMode())
+    seeds = empirical_expectation(f, g, EnumerateMode(), pattern_cap=1)
+    assert abs(pmf.estimate - seeds.estimate) <= 1e-12
+
+
 def test_sample_mode_close_to_enumerate():
     g = KWiseGenerator(2, 8, 2)
     rng = np.random.default_rng(9)
