@@ -15,7 +15,7 @@ from .compose import ComposePlan, build_generator
 from .core import (Generator, UniformStub, plan_seed_bits, plan_to_generator,
                    sample_seeds)
 from .families import (CombinedHashFamily, KWiseFamily, KWiseVectors,
-                       PairwisePermutation, SmallBiasFamily)
+                       SmallBiasFamily)
 from .metrics import (DistanceTriple, IntPMF, d_ft, d_k, d_tv,
                       fourier_lemma_check, linear_pmf)
 from .robp import INWGenerator, ROBP, inw_for_robp, shape_to_robp
@@ -27,7 +27,7 @@ __all__ = [
     "ComposePlan", "DistanceTriple", "EnumerateMode", "FourierShape",
     "GeneralizedHalfspace", "Generator", "Halfspace", "INWGenerator",
     "IntPMF", "KWiseFamily", "KWiseVectors", "ModularTest",
-    "PairwisePermutation", "ROBP", "SampleMode", "SmallBiasFamily",
+    "ROBP", "SampleMode", "SmallBiasFamily",
     "UniformStub", "build_generator", "chernoff_tail_check",
     "comb_shape_error", "d_ft", "d_k", "d_tv",
     "fooling_error", "fourier_lemma_check", "gen_halfspace_error",

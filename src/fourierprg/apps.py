@@ -9,7 +9,6 @@ metrics; generator-side probabilities come from full seed enumeration
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -50,20 +49,9 @@ class Halfspace:
     def n(self) -> int:
         return len(self.w)
 
-    def eval(self, x) -> int:
-        return int(self.eval_batch([x])[0])
-
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         return (np.asarray(xs, dtype=np.int64) @ self.w
                 >= self.theta).astype(np.int64)
-
-    def to_json(self) -> str:
-        return json.dumps({"w": self.w.tolist(), "theta": self.theta})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Halfspace":
-        d = json.loads(text)
-        return cls(np.asarray(d["w"]), d["theta"])
 
 
 @dataclass(frozen=True)
@@ -87,9 +75,6 @@ class GeneralizedHalfspace:
     @property
     def m(self) -> int:
         return self.g.shape[1]
-
-    def eval(self, x) -> int:
-        return int(self.eval_batch([x])[0])
 
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         return (_table_sums(self.g, xs) >= self.theta).astype(np.int64)
@@ -142,15 +127,6 @@ class ModularTest:
         return int((np.dot(self.a, np.asarray(x, dtype=np.int64)) % self.M)
                    in self.S)
 
-    def to_json(self) -> str:
-        return json.dumps({"a": self.a.tolist(), "M": self.M,
-                           "S": sorted(self.S)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModularTest":
-        d = json.loads(text)
-        return cls(np.asarray(d["a"]), d["M"], frozenset(d["S"]))
-
 
 @dataclass(frozen=True)
 class CombinatorialShape:
@@ -177,23 +153,8 @@ class CombinatorialShape:
     def m(self) -> int:
         return self.g.shape[1]
 
-    def eval(self, x) -> int:
-        return int(self.eval_batch([x])[0])
-
     def eval_batch(self, xs: np.ndarray) -> np.ndarray:
         return self.h[_table_sums(self.g, xs)]
-
-
-def rectangle_shape(sets: list[set], m: int = 2) -> CombinatorialShape:
-    """Combinatorial rectangle: indicator that every x_j lies in A_j."""
-    n = len(sets)
-    g = np.zeros((n, m), dtype=np.int64)
-    for j, A in enumerate(sets):
-        for a in A:
-            g[j, a] = 1
-    h = np.zeros(n + 1, dtype=np.int64)
-    h[n] = 1
-    return CombinatorialShape(g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +355,6 @@ class ChernoffSampler:
         """Inverse-CDF tables applied coordinatewise to (N, n) indices."""
         z = np.asarray(z, dtype=np.int64)
         return self._lookup(self.table, z).astype(np.int64)
-
-    def sample(self, seed: int) -> np.ndarray:
-        return self.map_batch(self.generator.generate(seed)[None, :])[0]
 
     def sample_batch(self, seeds) -> np.ndarray:
         return self.map_batch(self.generator.generate_batch(seeds))

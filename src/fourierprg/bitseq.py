@@ -1,8 +1,9 @@
 """Seed handling.
 
 A seed is an r-bit string. Bit 0 is the most significant: the int value
-of a seed of length r is its r-bit big-endian reading, and its serialized
-form pads the last byte with zeros on the right.
+of a seed of length r is its r-bit big-endian reading. Its text form, the
+one `gen --seed` reads, is that int in plain big-endian hex, so seed 5 of
+a 12-bit generator is "5" (or "005").
 
 Inside the package a batch of N seeds is always an (N, r) uint8 matrix of
 0/1 entries in that order, a bit matrix. `as_bits` is the one entry
@@ -16,34 +17,6 @@ back as python ints for the few callers that need big-int arithmetic.
 from __future__ import annotations
 
 import numpy as np
-
-
-def bit_slice(seed: int, nbits: int, start: int, stop: int) -> int:
-    """Bits [start, stop) of an nbits-long seed, as an int."""
-    if not (0 <= start <= stop <= nbits):
-        raise ValueError(f"slice [{start},{stop}) out of range for {nbits} bits")
-    return (seed >> (nbits - stop)) & ((1 << (stop - start)) - 1)
-
-
-def seed_to_bytes(seed: int, nbits: int) -> bytes:
-    nbytes = (nbits + 7) // 8
-    # pad on the right: bit 0 is the MSB of byte 0
-    return (seed << (nbytes * 8 - nbits)).to_bytes(nbytes, "big")
-
-
-def seed_from_bytes(data: bytes, nbits: int) -> int:
-    nbytes = (nbits + 7) // 8
-    if len(data) != nbytes:
-        raise ValueError(f"expected {nbytes} bytes for {nbits} bits, got {len(data)}")
-    return int.from_bytes(data, "big") >> (nbytes * 8 - nbits)
-
-
-def seed_to_hex(seed: int, nbits: int) -> str:
-    return seed_to_bytes(seed, nbits).hex()
-
-
-def seed_from_hex(text: str, nbits: int) -> int:
-    return seed_from_bytes(bytes.fromhex(text), nbits)
 
 
 def check_seed(seed: int, nbits: int) -> None:

@@ -50,6 +50,7 @@ class VerifyCampaign:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.generator not in ("composed", "uniform-stub"):
             raise ValueError(f"unknown generator {self.generator!r}")
+        compose_plan_from_knobs(self.knobs)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -73,15 +74,27 @@ class FoolingReport:
 
 
 def compose_plan_from_knobs(knobs: dict) -> ComposePlan:
-    fields = {f.name: f.type for f in dataclasses.fields(ComposePlan)}
-    bad = set(knobs) - set(fields)
+    """The ComposePlan the knobs set, and the one place knobs are checked:
+    an int knob takes an int, a float knob an int or a float (kept as
+    given), and anything else is refused with a ValueError."""
+    kinds = {f.name: (int,) if f.type in ("int", int) else (int, float)
+             for f in dataclasses.fields(ComposePlan)}
+    bad = set(knobs) - set(kinds)
     if bad:
         raise ValueError(f"unknown knobs: {sorted(bad)}")
+    for key, val in knobs.items():
+        if isinstance(val, bool) or not isinstance(val, kinds[key]):
+            want = " or ".join(t.__name__ for t in kinds[key])
+            raise ValueError(f"knob {key} takes {want}, not {val!r}")
     return ComposePlan(**knobs)
 
 
 def _build(campaign: VerifyCampaign, m: int, n: int) -> Generator:
     if campaign.generator == "uniform-stub":
+        if m & (m - 1):
+            # m^n codes read from n*ceil(log2 m) bits favour the low ones
+            raise ValueError(f"uniform-stub is uniform only for power-of-"
+                             f"two alphabets, not m = {m}")
         return UniformStub(m, n)
     return build_generator(m, n, campaign.eps,
                            compose_plan_from_knobs(campaign.knobs))
@@ -211,16 +224,18 @@ def run_campaign(campaign: VerifyCampaign) -> FoolingReport:
 
 
 def _parse_knobs(pairs) -> dict:
+    """KEY=VALUE pairs to a dict of numbers; compose_plan_from_knobs
+    checks the keys and the types."""
     knobs = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ValueError(f"knob must be KEY=VALUE, got {pair!r}")
         key, val = pair.split("=", 1)
-        fields = {f.name: f.type for f in dataclasses.fields(ComposePlan)}
-        if key not in fields:
-            raise ValueError(f"unknown knob {key!r}")
-        knobs[key] = float(val) if "." in val or "e" in val.lower() \
-            else int(val)
+        try:
+            knobs[key] = float(val) if "." in val or "e" in val.lower() \
+                else int(val)
+        except ValueError:
+            raise ValueError(f"knob {key}: {val!r} is not a number") from None
     return knobs
 
 
@@ -337,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", help="seed as lowercase big-endian hex")
+    p.add_argument("--seed", help="seed as a big-endian hex integer "
+                   "(5 or 005 is seed 5)")
     p.add_argument("--samples", type=int)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--plan-out")

@@ -12,8 +12,7 @@ import numpy as np
 from .bitseq import as_bits
 from .core import Generator, register_plan
 from .highvar import GLargePlan
-from .reductions import (AlphabetStepPlan, DimStepPlan, alphabet_reduce,
-                         dim_step_params)
+from .reductions import DimStepPlan, alphabet_reduce, dim_step_params
 from .robp import INWGenerator
 
 
@@ -132,7 +131,6 @@ class INWBase(Generator):
         return out.astype(np.int64)
 
 
-
 @register_plan("xor-compose")
 @dataclass(eq=False)
 class XorCompose(Generator):
@@ -178,15 +176,11 @@ def build_generator(m: int, n: int, eps: float,
     return _build_level(m, n, delta, plan, plan.max_levels)
 
 
-def _base_case(m: int, n: int, delta: float, plan: ComposePlan) -> Generator:
-    return INWBase(m, n, delta, plan.inw_block_bits, plan.inw_state_extra,
-                   plan.delta_map)
-
-
 def _build_level(m: int, n: int, delta: float, plan: ComposePlan,
                  levels_left: int) -> Generator:
     if n <= plan.n0 or levels_left == 0:
-        return _base_case(m, n, delta, plan)
+        return INWBase(m, n, delta, plan.inw_block_bits,
+                       plan.inw_state_extra, plan.delta_map)
     if m > n ** 4:
         return alphabet_reduce(
             m, n, delta,

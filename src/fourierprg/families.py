@@ -8,12 +8,11 @@ MSB-first in declaration order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bitseq import as_bits, bit_fields, check_seed, to_ints
-from .fields import Field, GF2Field, gf2, next_prime, prime_field
+from .bitseq import as_bits, bit_fields, to_ints
+from .fields import Field, gf2, next_prime, prime_field
 
 
 def _coeff_bits(q: int) -> int:
@@ -58,13 +57,6 @@ class KWiseFamily:
             acc = f.add(f.mul_vec(acc, points), coeffs[..., j])
         return acc
 
-    def eval_at(self, seed: int, point: int) -> int:
-        check_seed(seed, self.seed_bits)
-        return int(self.eval_points_batch(seed, [point])[0])
-
-    def sample(self, seed: int) -> np.ndarray:
-        return self.sample_batch(seed)[0]
-
     def eval_points_batch(self, seeds, points) -> np.ndarray:
         """Value at points[i] under seed seeds[i], one output per row;
         avoids materializing all n evaluation points."""
@@ -97,9 +89,6 @@ class KWiseVectors:
         self.inner = KWiseFamily(f, n, k)
         self.seed_bits = self.inner.seed_bits
 
-    def sample(self, seed: int) -> np.ndarray:
-        return self.inner.sample(seed) % self.m
-
     def sample_batch(self, seeds: np.ndarray) -> np.ndarray:
         return self.inner.sample_batch(seeds) % self.m
 
@@ -124,10 +113,6 @@ class SmallBiasFamily:
         # worst-case parity bias: a nonzero polynomial of degree < n has
         # at most n-1 roots among the 2^t choices of x
         self.bias_bound = (n - 1) / (1 << self.t) if n > 1 else 0.0
-
-    def sample(self, seed: int) -> np.ndarray:
-        check_seed(seed, self.seed_bits)
-        return self.sample_batch(seed)[0]
 
     def sample_batch(self, seeds) -> np.ndarray:
         """(len(seeds), n) array of bits."""
@@ -155,11 +140,6 @@ class SmallBiasFamily:
         out[y == 0] = 0
         out[x == 0, 1:] = 0  # x^0 = 1: column 0 already reads lsb(y)
         return out
-
-    def sample_packed(self, seeds: np.ndarray) -> np.ndarray:
-        bits = self.sample_batch(seeds)
-        weights = 1 << np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        return bits @ weights
 
 
 class CombinedHashFamily:
@@ -207,59 +187,3 @@ class CombinedHashFamily:
             len(seeds), self.n, self.rbits)
         weights = 1 << np.arange(self.rbits - 1, -1, -1, dtype=np.int64)
         return base ^ (bits @ weights)
-
-    def table(self, seed: int) -> np.ndarray:
-        return self.table_batch(seed)[0]
-
-    def eval(self, seed: int, i: int) -> int:
-        if self.bias is None:
-            return self.kwise.eval_at(seed, i) % self.t
-        return int(self.table(seed)[i])
-
-
-@dataclass(frozen=True)
-class PairwisePermutation:
-    """x -> a*x + b over GF(2^t), a != 0: a pairwise independent
-    permutation of [2^t]."""
-
-    t: int
-    a: int
-    b: int
-    field: GF2Field = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not 1 <= self.a < (1 << self.t):
-            raise ValueError("a must be a nonzero field element")
-        object.__setattr__(self, "field", gf2(self.t))
-
-    def apply(self, x: int) -> int:
-        return self.field.mul(self.a, x) ^ self.b
-
-    def apply_vec(self, xs: np.ndarray) -> np.ndarray:
-        return self.field.mul_vec(self.a, xs) ^ self.b
-
-    def table(self) -> np.ndarray:
-        return self.apply_vec(np.arange(1 << self.t, dtype=np.int64))
-
-
-def perm_seed_bits(t: int) -> int:
-    return 2 * t
-
-
-def perm_sample(t: int, seed: int) -> PairwisePermutation:
-    """Rejection-free decoding: a from [2^t - 1] then +1 offset."""
-    check_seed(seed, 2 * t)
-    a_raw = seed >> t
-    b = seed & ((1 << t) - 1)
-    a = a_raw % ((1 << t) - 1) + 1 if t > 1 else 1
-    return PairwisePermutation(t, a, b)
-
-
-def hash_load(v: np.ndarray, h: np.ndarray, t: int) -> float:
-    """sum_j (sum_{i: h(i)=j} v_i^2)^2 over buckets j in [t]."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != np.asarray(h).shape:
-        raise ValueError("v and h must have matching length")
-    bucket = np.bincount(np.asarray(h, dtype=np.int64), weights=v * v,
-                         minlength=t)
-    return float(np.sum(bucket * bucket))

@@ -11,7 +11,6 @@ stay uint8/uint16; any other operand gives int64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -130,9 +129,6 @@ class Field:
             a = self.mul(a, a)
             e >>= 1
         return r
-
-    def elem(self, value: int) -> "FieldElem":
-        return FieldElem(value, self)
 
 
 class GF2Field(Field):
@@ -270,32 +266,6 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("gfp", self.p))
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    value: int
-    field: Field
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"value {self.value} not in [0, {self.field.q})")
-
-    def _check(self, other: "FieldElem"):
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field.mul(self.value, other.value), self.field)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,9 @@
 """Generators for high-total-variance shapes.
 
 G1: constant fooling error via dyadic bucketing by a pairwise-independent
-permutation, a p-wise independent string per bucket, and (optionally)
-seed recycling through the INW generator.
+permutation x -> a*x + b over GF(2^t), computed inline, a p-wise
+independent string per bucket, and (optionally) seed recycling through
+the INW generator.
 
 GLarge: error amplification by a spreading hash whose buckets each get an
 independent-looking G1 output.
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import as_bits, bit_fields
-from .core import Generator, register_plan, sample_seeds
-from .families import CombinedHashFamily, KWiseVectors, perm_seed_bits
+from .core import Generator, register_plan
+from .families import CombinedHashFamily, KWiseVectors
 from .fields import gf2
 from .robp import INWGenerator
 
@@ -65,28 +66,6 @@ class SeedRecycler:
                 "seed_bits": self.seed_bits}
 
 
-def dyadic_buckets(t: int) -> list[range]:
-    """Domain-index intervals: {1}, {2,3}, ..., {2^(t-1)..2^t - 1}; the
-    j-th has size 2^j. Domain index 0 joins bucket 0 by convention."""
-    return [range(1 << j, 1 << (j + 1)) for j in range(t)]
-
-
-def bucket_split(perm, n: int) -> list[np.ndarray]:
-    """Coordinate buckets B_j = pi-image of the j-th dyadic interval,
-    with pi(0) assigned to bucket 0."""
-    if n < 2 or n & (n - 1):
-        raise ValueError("n must be a power of two >= 2")
-    t = n.bit_length() - 1
-    buckets = []
-    for j, interval in enumerate(dyadic_buckets(t)):
-        coords = perm.apply_vec(np.arange(interval.start, interval.stop,
-                                          dtype=np.int64))
-        if j == 0:
-            coords = np.concatenate([[perm.apply(0)], coords])
-        buckets.append(coords)
-    return buckets
-
-
 @register_plan("g1")
 @dataclass(eq=False)
 class G1Plan(Generator):
@@ -102,7 +81,7 @@ class G1Plan(Generator):
     def __post_init__(self):
         self.n_padded = 1 << max(1, (self.n - 1).bit_length())
         self.tlog = self.n_padded.bit_length() - 1
-        self.perm_bits = perm_seed_bits(self.tlog)
+        self.perm_bits = 2 * self.tlog
         sizes = [2] + [1 << j for j in range(1, self.tlog)]
         self.bucket_families = [
             KWiseVectors(sz, self.m, self.p, self.delta_map) for sz in sizes]
@@ -143,7 +122,8 @@ class SpreadingFamily:
 
     T = max(16, ceil(c_T * log2(1/delta)^5)), threshold B = 2T,
     ell = ceil(2 * log2(1/delta)); the constants are knobs validated
-    empirically (spot_check), not derived values.
+    empirically (the spreading spot check in the tests), not derived
+    values.
     """
 
     def __init__(self, n: int, delta: float, c_T: float = 0.125,
@@ -160,24 +140,6 @@ class SpreadingFamily:
 
     def table_batch(self, seeds) -> np.ndarray:
         return self.family.table_batch(seeds)
-
-    def spot_check(self, v: np.ndarray, rng: np.random.Generator,
-                   trials: int = 2000) -> float:
-        """Fraction of sampled hash seeds with fewer than ell heavy
-        buckets, for a vector with squared norm >= B."""
-        v = np.asarray(v, dtype=float)
-        if float(np.sum(v * v)) < self.B:
-            raise ValueError("vector too light for the spreading property")
-        seeds = sample_seeds(rng, self.seed_bits, trials)
-        tables = np.asarray(self.table_batch(seeds), dtype=np.int64)
-        thresh = self.B / (2 * self.T)
-        bad = 0
-        v2 = v * v
-        for h in tables:
-            mass = np.bincount(h, weights=v2, minlength=self.T)
-            if int(np.sum(mass >= thresh)) < self.ell:
-                bad += 1
-        return bad / trials
 
     def config(self) -> dict:
         return {"n": self.n, "delta": self.delta, "T": self.T, "B": self.B,

@@ -9,7 +9,6 @@ Kolmogorov (exact CDF sweep).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -56,18 +55,6 @@ class IntPMF:
         out = np.zeros(hi - lo + 1)
         out[self.lo - lo:self.lo - lo + len(self.probs)] = self.probs
         return out
-
-    def to_json(self) -> str:
-        return json.dumps({"lo": self.lo, "probs": self.probs.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntPMF":
-        d = json.loads(text)
-        return cls(int(d["lo"]), np.asarray(d["probs"], dtype=float))
-
-    @classmethod
-    def point_mass(cls, j: int) -> "IntPMF":
-        return cls(j, np.array([1.0]))
 
     @classmethod
     def uniform(cls, lo: int, hi: int) -> "IntPMF":

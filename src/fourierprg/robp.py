@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import as_bits, bit_fields, check_seed
+from .bitseq import as_bits, bit_fields
 from .core import Generator, register_plan
 from .fields import gf2
 
@@ -54,28 +54,6 @@ class ROBP:
         for t in range(self.T):
             state = self.transitions[t, state, blocks[:, t]]
         return self.labels[state]
-
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width, "D": self.D, "T": self.T,
-            "start": self.start,
-            "transitions": self.transitions.tolist(),
-            "labels": [[z.real, z.imag] for z in self.labels],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ROBP":
-        labels = np.array([complex(re, im) for re, im in d["labels"]])
-        return cls(d["width"], d["D"], d["T"], d["transitions"], labels,
-                   d["start"])
-
-
-def parity_robp(nbits: int) -> ROBP:
-    """Reads nbits 1-bit blocks; label (-1)^parity."""
-    trans = np.zeros((nbits, 2, 2), dtype=np.int64)
-    trans[:, 0] = [0, 1]
-    trans[:, 1] = [1, 0]
-    return ROBP(2, 1, nbits, trans, np.array([1.0, -1.0]))
 
 
 @register_plan("inw")
@@ -132,10 +110,6 @@ class INWGenerator(Generator):
 
     def generate_batch(self, seeds) -> np.ndarray:
         return self.expand_batch(seeds).astype(np.int64)
-
-    def expand(self, seed: int) -> np.ndarray:
-        check_seed(seed, self.seed_bits)
-        return self.expand_batch(seed)[0]
 
     def config(self) -> dict:
         return {"D": self.D, "T": self.T, "state_bits": self.state_bits}

@@ -3,7 +3,6 @@ mapping [m] into the complex unit disk, stored as explicit n x m tables."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,21 +37,6 @@ class FourierShape:
     @property
     def m(self) -> int:
         return self.table.shape[1]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "m": self.m, "n": self.n,
-            "table": [[[z.real, z.imag] for z in row] for row in self.table],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "FourierShape":
-        d = json.loads(text)
-        t = np.array([[complex(re, im) for re, im in row]
-                      for row in d["table"]])
-        if t.shape != (d["n"], d["m"]):
-            raise ValueError("table shape disagrees with declared (n, m)")
-        return cls(t)
 
 
 @dataclass(frozen=True)
@@ -112,10 +96,6 @@ def linear_shape(w, alpha: float, m: int) -> FourierShape:
     w = np.asarray(w, dtype=float)
     x = np.arange(m)
     return FourierShape(np.exp(2j * math.pi * alpha * w[:, None] * x[None, :]))
-
-
-def constant_shape(n: int, m: int, value: complex = 1.0) -> FourierShape:
-    return FourierShape(np.full((n, m), value, dtype=complex))
 
 
 def random_shape(rng: np.random.Generator, n: int, m: int) -> FourierShape:

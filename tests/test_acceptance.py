@@ -47,7 +47,8 @@ def test_01_kwise_marginals_exactly_uniform():
 
 def test_02_small_bias_exact_bound():
     fam = SmallBiasFamily(16, 1 / 8)
-    packed = fam.sample_packed(np.arange(1 << fam.seed_bits, dtype=np.int64))
+    bits = fam.sample_batch(np.arange(1 << fam.seed_bits, dtype=np.int64))
+    packed = bits @ (1 << np.arange(fam.n - 1, -1, -1, dtype=np.int64))
     counts = np.bincount(packed, minlength=1 << 16).astype(float)
     counts /= counts.sum()
     h = counts.copy()

@@ -7,7 +7,7 @@ import pytest
 
 from fourierprg.cli import (FAMILIES, VerifyCampaign, compose_plan_from_knobs,
                             main, run_campaign)
-from fourierprg.compose import ComposePlan
+from fourierprg.compose import ComposePlan, build_generator
 
 
 def run_main(capsys, *argv):
@@ -38,8 +38,19 @@ def test_campaign_validation():
 def test_compose_plan_from_knobs():
     assert compose_plan_from_knobs({}) == ComposePlan()
     assert compose_plan_from_knobs({"n0": 32}).n0 == 32
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown knob"):
         compose_plan_from_knobs({"bogus": 1})
+    # a float knob takes an int or a float and keeps it as given, so the
+    # report header echoes it as given
+    assert type(compose_plan_from_knobs({"c_T": 1}).c_T) is int
+    assert compose_plan_from_knobs({"c_T": 0.5}).c_T == 0.5
+    # an int knob takes only an int
+    for val in (8.0, "8", True, None, [8]):
+        with pytest.raises(ValueError, match="bucket_p"):
+            compose_plan_from_knobs({"bucket_p": val})
+    for val in ("0.5", False):
+        with pytest.raises(ValueError, match="c_T"):
+            compose_plan_from_knobs({"c_T": val})
 
 
 def test_run_campaign_shapes_enumerate():
@@ -230,3 +241,58 @@ def test_config_file_supplies_knobs(tmp_path, capsys):
 def test_families_constant():
     assert FAMILIES == ("shapes", "halfspaces", "modular", "comb-shapes",
                         "chernoff")
+
+
+def test_float_for_int_knob_is_a_usage_error(capsys):
+    code, _, err = run_main(capsys, "verify", "--family", "shapes",
+                            "--m", "2", "--n", "128", "--eps", "0.1",
+                            "--count", "1", "--mode", "sample",
+                            "--samples", "64", "--knob", "bucket_p=8.0")
+    assert code == 2 and "bucket_p" in err
+    code, _, err = run_main(capsys, "gen", "--m", "2", "--n", "128",
+                            "--eps", "0.1", "--knob", "inw_state_extra=2.0")
+    assert code == 2 and "inw_state_extra" in err
+
+
+def test_config_file_knob_types_checked(tmp_path, capsys):
+    cfg = tmp_path / "knobs.cfg"
+    cfg.write_text("bucket_p = 8.0\n")
+    code, _, err = run_main(capsys, "verify", "--family", "shapes",
+                            "--m", "2", "--n", "8", "--eps", "0.1",
+                            "--count", "1", "--config", str(cfg))
+    assert code == 2 and "bucket_p" in err
+
+
+@pytest.mark.parametrize("knobs,name", [
+    ({"bucket_p": 8.0}, "bucket_p"), ({"n0": "32"}, "n0"),
+    ({"c_T": None}, "c_T"), ({"bogus": 1}, "unknown knob")])
+def test_campaign_file_knob_types_checked(tmp_path, capsys, knobs, name):
+    text = json.loads(VerifyCampaign("shapes", 2, 8, 0.1, 1).to_json())
+    text["knobs"] = knobs
+    for generator in ("composed", "uniform-stub"):
+        text["generator"] = generator
+        camp = tmp_path / "campaign.json"
+        camp.write_text(json.dumps(text))
+        code, _, err = run_main(capsys, "verify", "--campaign", str(camp))
+        assert code == 2 and name in err
+
+
+def test_uniform_stub_refuses_non_power_of_two_alphabet(capsys):
+    # m^n codes read from n*ceil(log2 m) seed bits are not uniform, so the
+    # stub would report its own bias rather than a measurement
+    code, out, err = run_main(capsys, "verify", "--family", "modular",
+                              "--m", "3", "--n", "6", "--eps", "0.001",
+                              "--count", "3", "--generator", "uniform-stub")
+    assert code == 2 and out == ""
+    assert "power-of-two" in err and "m = 3" in err
+
+
+def test_gen_seed_is_a_plain_hex_integer(capsys):
+    g = build_generator(2, 8, 0.1)
+    assert g.seed_bits == 12
+    for text, seed in (("5", 5), ("005", 5), ("a1", 0xA1), ("fff", 0xFFF)):
+        code, out, _ = run_main(capsys, "gen", "--m", "2", "--n", "8",
+                                "--eps", "0.1", "--seed", text)
+        assert code == 0
+        assert out.split("\n")[1] == " ".join(str(v) for v in
+                                               g.generate(seed))

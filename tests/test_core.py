@@ -8,20 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierprg.bitseq import (as_bits, bit_fields, bit_slice, check_seed,
-                               seed_from_hex, seed_to_hex, to_ints)
+from fourierprg.bitseq import as_bits, bit_fields, check_seed, to_ints
 from fourierprg.core import (ConstantStub, KWiseGenerator, SmallBiasLift,
                              UniformStub, plan_seed_bits, plan_to_generator,
                              sample_seeds)
 
 
+def bit_slice(seed, nbits, start, stop):
+    """Bits [start, stop) of an nbits-long seed, bit 0 the MSB."""
+    return (seed >> (nbits - stop)) & ((1 << (stop - start)) - 1)
+
+
 def test_bit_slice_msb_first():
-    # 0b1011 0100 as an 8-bit seed
-    seed = 0b10110100
-    assert bit_slice(seed, 8, 0, 4) == 0b1011
-    assert bit_slice(seed, 8, 4, 8) == 0b0100
+    # 0b1011 0100 as an 8-bit seed: bit_fields reads its slices MSB first
+    bits = as_bits(0b10110100, 8)
+    assert np.array_equal(bit_fields(bits, 4), [[0b1011, 0b0100]])
+    assert np.array_equal(bit_fields(bits, 3), [[0b101, 0b101]])
     with pytest.raises(ValueError):
-        bit_slice(seed, 8, 4, 9)
+        bit_fields(bits, 64)
 
 
 def test_bit_matrix_and_fields_match_bit_slice():
@@ -85,14 +89,6 @@ def test_as_bits_rejects_wrong_width_matrix_and_non_ints():
         as_bits(np.zeros((2, 5), dtype=np.uint8), 6)
     with pytest.raises(TypeError):
         as_bits(np.array([0.0, 2.0 ** 64]), 64)
-
-
-def test_seed_hex_roundtrip():
-    for nbits in (4, 8, 12, 26, 77):
-        seed = (1 << nbits) - 3
-        text = seed_to_hex(seed, nbits)
-        assert text == text.lower()
-        assert seed_from_hex(text, nbits) == seed
 
 
 def test_check_seed():

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from fourierprg.core import plan_to_generator
 from fourierprg.families import (CombinedHashFamily, KWiseFamily,
-                                 KWiseVectors, PairwisePermutation,
-                                 SmallBiasFamily, hash_load, perm_sample,
-                                 perm_seed_bits)
-from fourierprg.bitseq import as_bits, bit_fields, bit_slice
+                                 KWiseVectors, SmallBiasFamily)
+from fourierprg.bitseq import as_bits, bit_fields
 from fourierprg.fields import PrimeField, gf2, next_prime, prime_field
 from test_robp import edge_seeds
 
@@ -28,13 +26,13 @@ def all_seeds(nbits: int) -> np.ndarray:
 
 def test_kwise_degree_zero_constant():
     fam = KWiseFamily(gf2(3), 5, 1)
-    for c in range(8):
-        assert np.all(fam.sample(c) == c)
+    out = fam.sample_batch(all_seeds(3))
+    assert np.array_equal(out, np.repeat(np.arange(8)[:, None], 5, axis=1))
 
 
 def test_kwise_zero_seed_zero_vector():
     fam = KWiseFamily(gf2(4), 8, 3)
-    assert np.all(fam.sample(0) == 0)
+    assert np.all(fam.sample_batch(0) == 0)
 
 
 def test_kwise_insufficient_points():
@@ -73,7 +71,7 @@ def test_kwise_eval_points_batch_matches_sample():
 
 def test_kwise_sample_wrapper_deterministic():
     fam = KWiseFamily(gf2(3), 4, 2)
-    assert np.array_equal(fam.sample(37), fam.sample(37))
+    assert np.array_equal(fam.sample_batch([37]), fam.sample_batch([37]))
 
 
 def test_kwise_vectors_nonpow2_deviation_budget():
@@ -88,9 +86,9 @@ def test_kwise_big_field_scalar_path_matches_eval_at():
     fam = KWiseFamily(gf2(40), 4, 2)
     seeds = np.array([123456789012345678901, 1, (1 << 80) - 1], dtype=object)
     out = fam.sample_batch(seeds)
-    for i, s in enumerate(seeds):
-        for x in range(4):
-            assert out[i, x] == fam.eval_at(int(s), x)
+    for x in range(4):
+        at = fam.eval_points_batch(seeds, np.full(len(seeds), x))
+        assert list(at) == list(out[:, x])
 
 
 def kwise_reference(fam: KWiseFamily, seeds) -> np.ndarray:
@@ -100,7 +98,7 @@ def kwise_reference(fam: KWiseFamily, seeds) -> np.ndarray:
     w = fam.coeff_bits
     out = np.empty((len(seeds), fam.n), dtype=object)
     for i, s in enumerate(seeds):
-        c = [bit_slice(int(s), fam.seed_bits, j * w, (j + 1) * w) % fam.q
+        c = [(int(s) >> (fam.seed_bits - (j + 1) * w)) % (1 << w) % fam.q
              for j in range(fam.k)]
         for x in range(fam.n):
             acc = 0
@@ -132,7 +130,6 @@ def test_kwise_matches_wide_seed_reference(field, n, k):
     at = fam.eval_points_batch(seeds, points)
     assert [int(v) for v in at] == \
         [want[i, x] for i, x in enumerate(points)]
-    assert fam.eval_at(int(seeds[0]), int(points[0])) == want[0, points[0]]
     # wide seeds over fields with int64 products stay on int64 arithmetic
     if field.q <= 1 << 16 or (isinstance(field, PrimeField)
                               and field.q <= 1 << 62):
@@ -145,7 +142,8 @@ def test_kwise_matches_wide_seed_reference(field, n, k):
 
 def parity_biases(fam: SmallBiasFamily) -> np.ndarray:
     """|E[(-1)^<S,x>]| for every parity S, by Walsh-Hadamard transform."""
-    packed = fam.sample_packed(all_seeds(fam.seed_bits))
+    bits = fam.sample_batch(all_seeds(fam.seed_bits))
+    packed = bits @ (1 << np.arange(fam.n - 1, -1, -1, dtype=np.int64))
     counts = np.bincount(packed, minlength=1 << fam.n).astype(float)
     counts /= counts.sum()
     h = counts.copy()
@@ -174,7 +172,7 @@ def test_small_bias_n16_bound():
 
 def test_small_bias_deterministic():
     fam = SmallBiasFamily(10, 0.25)
-    assert np.array_equal(fam.sample(999), fam.sample(999))
+    assert np.array_equal(fam.sample_batch([999]), fam.sample_batch([999]))
 
 
 def small_bias_reference(fam: SmallBiasFamily, seeds) -> np.ndarray:
@@ -241,7 +239,7 @@ def test_small_bias_matches_reference_on_wide_and_edge_seeds(n, delta, t):
     assert not got[-4].any()                       # y = 0
     assert not got[-5, 1:].any()                   # x = 0
     for i in (0, len(seeds) - 1):
-        assert np.array_equal(fam.sample(int(seeds[i])), got[i])
+        assert np.array_equal(fam.sample_batch(int(seeds[i]))[0], got[i])
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,7 +252,7 @@ def test_small_bias_matches_reference_property(n, data):
         fam, 6, np.random.default_rng(data.draw(st.integers(0, 1 << 32))))
     got = fam.sample_batch(seeds)
     assert np.array_equal(got, small_bias_reference(fam, seeds))
-    assert np.array_equal(fam.sample(int(seeds[0])), got[0])
+    assert np.array_equal(fam.sample_batch(int(seeds[0]))[0], got[0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +261,7 @@ def test_small_bias_matches_reference_property(n, data):
 
 def test_hash_t1_constant_zero():
     fam = CombinedHashFamily(5, 1, 2, 0.0)
-    assert np.all(fam.table(7) == 0)
+    assert np.all(fam.table_batch(7) == 0)
 
 
 def test_hash_k1_uniform_marginals():
@@ -292,75 +290,56 @@ def test_hash_biased_mode_within_delta():
 
 def test_hash_eval_matches_table():
     fam = CombinedHashFamily(6, 4, 2, 0.0)
-    table = fam.table(45)
-    for i in range(6):
-        assert fam.eval(45, i) == table[i]
+    table = fam.table_batch(45)[0]
+    at = fam.kwise.eval_points_batch(np.full(6, 45), np.arange(6)) % fam.t
+    assert np.array_equal(at, table)
 
 
 # ---------------------------------------------------------------------------
-# pairwise permutations
+# the pairwise-independent permutations x -> a*x + b over GF(2^t), a != 0,
+# that G1 computes inline
+
+
+def perm_table(t: int, a: int, b: int) -> np.ndarray:
+    return gf2(t).mul_vec(a, np.arange(1 << t, dtype=np.int64)) ^ b
 
 
 def test_perm_identity():
-    p = PairwisePermutation(3, 1, 0)
-    assert np.array_equal(p.table(), np.arange(8))
+    assert np.array_equal(perm_table(3, 1, 0), np.arange(8))
 
 
 @pytest.mark.parametrize("t", [2, 4, 6])
 def test_perm_bijectivity_all_seeds(t):
-    for seed in range(1 << perm_seed_bits(t)):
-        p = perm_sample(t, seed)
-        assert np.array_equal(np.sort(p.table()), np.arange(1 << t))
+    # G1's decoding of a 2t-bit seed (a_raw, b): a = a_raw mod (2^t - 1) + 1
+    for seed in range(1 << 2 * t):
+        a = (seed >> t) % ((1 << t) - 1) + 1
+        table = perm_table(t, a, seed & ((1 << t) - 1))
+        assert np.array_equal(np.sort(table), np.arange(1 << t))
 
 
 def test_perm_pair_uniform_over_family():
     # enumerate the family (a != 0, b) directly: every ordered pair of
     # distinct points appears exactly once as (pi(0), pi(1))
-    t = 4
-    pairs = set()
-    for a in range(1, 16):
-        for b in range(16):
-            p = PairwisePermutation(t, a, b)
-            pairs.add((p.apply(0), p.apply(1)))
+    f = gf2(4)
+    pairs = {(f.mul(a, 0) ^ b, f.mul(a, 1) ^ b)
+             for a in range(1, 16) for b in range(16)}
     assert len(pairs) == 240
 
 
 def test_perm_pairwise_independence_exhaustive():
     # (pi(x), pi(y)) uniform over ordered distinct pairs for fixed x != y
-    t = 3
+    f = gf2(3)
     counts = {}
     for a in range(1, 8):
         for b in range(8):
-            p = PairwisePermutation(t, a, b)
-            key = (p.apply(2), p.apply(5))
+            key = (f.mul(a, 2) ^ b, f.mul(a, 5) ^ b)
             counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 56
     assert set(counts.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
-# hash load and the moment / load-balancing properties
-
-
-def test_hash_load_zero_vector():
-    assert hash_load(np.zeros(5), np.zeros(5, dtype=int), 3) == 0.0
-
-
-def test_hash_load_single_bucket():
-    v = np.array([1.0, 2.0, 0.5])
-    assert hash_load(v, np.zeros(3, dtype=int), 1) == \
-        pytest.approx(float(np.sum(v * v)) ** 2)
-
-
-def test_hash_load_matches_two_pass():
-    rng = np.random.default_rng(3)
-    v = rng.random(6)
-    h = rng.integers(0, 4, 6)
-    expected = 0.0
-    for j in range(4):
-        mass = sum(v[i] ** 2 for i in range(6) if h[i] == j)
-        expected += mass ** 2
-    assert hash_load(v, h, 4) == pytest.approx(expected, abs=1e-12)
+# moment and load-balancing properties
 
 
 def test_hash_moment_bound():

@@ -9,32 +9,19 @@ import pytest
 from fourierprg.bitseq import as_bits, to_ints
 from fourierprg.compose import build_generator
 from fourierprg.core import plan_to_generator, sample_seeds
-from fourierprg.families import PairwisePermutation, perm_sample
+from fourierprg.fields import gf2
 from fourierprg.highvar import (G1Plan, GLargePlan, SeedRecycler,
-                                SpreadingFamily, bucket_split, dyadic_buckets)
+                                SpreadingFamily)
 from fourierprg.shapes import (EnumerateMode, SampleMode, fooling_error,
                                random_shape, scale_toward_mean, tvar)
 
 
 def test_dyadic_buckets_sizes():
-    buckets = dyadic_buckets(4)
-    assert [len(b) for b in buckets] == [1, 2, 4, 8]
-    assert buckets[0] == range(1, 2)
-    assert buckets[3] == range(8, 16)
-
-
-def test_bucket_split_partitions_coordinates():
-    p = PairwisePermutation(3, 5, 3)
-    buckets = bucket_split(p, 8)
-    assert [len(b) for b in buckets] == [2, 2, 4]
-    flat = np.sort(np.concatenate(buckets))
-    assert np.array_equal(flat, np.arange(8))
-    assert p.apply(0) == buckets[0][0]
-
-
-def test_bucket_split_requires_pow2():
-    with pytest.raises(ValueError):
-        bucket_split(PairwisePermutation(3, 1, 0), 6)
+    # G1's buckets are the domain indices {0, 1}, then [2^j, 2^(j+1)) for
+    # j >= 1, so together they cover all of [n_padded]
+    g = G1Plan(2, 12)
+    assert g.n_padded == 16
+    assert [fam.n for fam in g.bucket_families] == [2, 2, 4, 8]
 
 
 def test_recycler_direct_passthrough():
@@ -110,15 +97,29 @@ def test_spreading_family_parameters():
     assert s.ell == math.ceil(2 * math.log2(10))
 
 
+def spot_check(s: SpreadingFamily, v: np.ndarray, rng, trials=2000):
+    """Fraction of sampled hash seeds with fewer than ell heavy buckets,
+    for a vector with squared norm >= B."""
+    v2 = np.asarray(v, dtype=float) ** 2
+    if float(np.sum(v2)) < s.B:
+        raise ValueError("vector too light for the spreading property")
+    tables = np.asarray(
+        s.table_batch(sample_seeds(rng, s.seed_bits, trials)), dtype=np.int64)
+    thresh = s.B / (2 * s.T)
+    bad = sum(int(np.sum(np.bincount(h, weights=v2, minlength=s.T)
+                         >= thresh)) < s.ell for h in tables)
+    return bad / trials
+
+
 def test_spreading_spot_check_rejects_light_vectors():
     s = SpreadingFamily(64, 0.1)
     with pytest.raises(ValueError):
-        s.spot_check(np.ones(64) * 0.1, np.random.default_rng(0))
+        spot_check(s, np.ones(64) * 0.1, np.random.default_rng(0))
 
 
 def test_spreading_spot_check_within_budget():
     s = SpreadingFamily(256, 0.1)
-    frac = s.spot_check(np.ones(256), np.random.default_rng(2), trials=500)
+    frac = spot_check(s, np.ones(256), np.random.default_rng(2), trials=500)
     assert frac <= 2 * s.delta
 
 
@@ -134,8 +135,8 @@ def test_spreading_spot_check_draws_full_width_seeds():
         return table_batch(seeds)
 
     s.table_batch = record
-    s.spot_check(np.full(128, math.sqrt(s.B / 128) + 0.01),
-                 np.random.default_rng(0), trials=64)
+    spot_check(s, np.full(128, math.sqrt(s.B / 128) + 0.01),
+               np.random.default_rng(0), trials=64)
     assert len(drawn) == 64
     # bits above position 62 are set, so every coefficient is random,
     # the constant term (the top 22 bits) included
@@ -192,18 +193,22 @@ def _g1_reference(g: G1Plan, seeds) -> np.ndarray:
     stream = list(rec) if g.recycler.mode == "direct" \
         else _bitstream_reference(g.recycler, rec)
     total = g.recycler.total_bits
+    t = g.tlog
     for i, s in enumerate(seeds):
-        perm = perm_sample(g.tlog, (int(s) >> rec_bits)
-                           & ((1 << g.perm_bits) - 1))
+        # perm seed (a_raw, b): pi(x) = a*x + b over GF(2^t), with
+        # a = a_raw mod (2^t - 1) + 1 never 0
+        a_raw, b = divmod((int(s) >> rec_bits) & ((1 << g.perm_bits) - 1),
+                          1 << t)
+        a = a_raw % ((1 << t) - 1) + 1 if t > 1 else 1
         offset = 0
         for j, fam in enumerate(g.bucket_families):
             sbits = g.bucket_seed_bits[j]
             bseed = (stream[i] >> (total - offset - sbits)) \
                 & ((1 << sbits) - 1)
-            vals = fam.sample(bseed)
+            vals = fam.sample_batch(bseed)[0]
             interval = [0, 1] if j == 0 else range(1 << j, 1 << (j + 1))
             for x, v in zip(interval, vals):
-                c = perm.apply(x)
+                c = gf2(t).mul(a, x) ^ b
                 if c < g.n:
                     out[i, c] = v
             offset += sbits

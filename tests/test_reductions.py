@@ -11,7 +11,7 @@ from fourierprg.families import CombinedHashFamily
 from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
                                    alphabet_reduce, bias_function,
                                    dim_step_params, is_good_hash)
-from fourierprg.shapes import FourierShape, constant_shape, random_shape, tvar
+from fourierprg.shapes import FourierShape, random_shape, tvar
 
 
 def test_alphabet_step_applicability_guard():
@@ -61,7 +61,8 @@ def test_bias_function_matches_direct_product():
 
 def test_bias_function_shape_mismatch():
     with pytest.raises(ValueError):
-        bias_function(constant_shape(3, 4), np.zeros((2, 5), dtype=int))
+        bias_function(FourierShape(np.ones((3, 4))),
+                      np.zeros((2, 5), dtype=int))
 
 
 def test_alphabet_reduce_no_step_needed():
@@ -186,7 +187,8 @@ def test_is_good_hash_low_variance_budget():
 
 def test_is_good_hash_size_mismatch():
     with pytest.raises(ValueError):
-        is_good_hash(np.zeros(3, dtype=int), constant_shape(4, 2), 0.5, 1.0, 2)
+        is_good_hash(np.zeros(3, dtype=int), FourierShape(np.ones((4, 2))),
+                     0.5, 1.0, 2)
 
 
 def test_good_hash_fraction_over_family():

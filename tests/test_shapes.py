@@ -8,11 +8,15 @@ import pytest
 
 from fourierprg.core import KWiseGenerator, UniformStub
 from fourierprg.shapes import (EnumerateMode, FourierShape, SampleMode,
-                               constant_shape, empirical_expectation,
-                               eval_shape, eval_shape_batch, fooling_error,
-                               linear_shape, random_shape, scale_toward_mean,
-                               shape_stats, tvar, uniform_expectation,
+                               empirical_expectation, eval_shape,
+                               eval_shape_batch, fooling_error, linear_shape,
+                               random_shape, scale_toward_mean, shape_stats,
+                               tvar, uniform_expectation,
                                values_on_all_patterns)
+
+
+def constant_shape(n: int, m: int, value: complex = 1.0) -> FourierShape:
+    return FourierShape(np.full((n, m), value, dtype=complex))
 
 
 def brute_force_expectation(f: FourierShape) -> complex:
@@ -120,13 +124,6 @@ def test_values_on_all_patterns_order():
     vals = values_on_all_patterns(f)
     # index 0b110 -> symbols (1,1,0), coordinate 0 most significant
     assert vals[0b110] == pytest.approx(eval_shape(f, [1, 1, 0]), abs=1e-12)
-
-
-def test_json_roundtrip():
-    rng = np.random.default_rng(6)
-    f = random_shape(rng, 4, 3)
-    g = FourierShape.from_json(f.to_json())
-    assert np.allclose(f.table, g.table)
 
 
 # ---------------------------------------------------------------------------

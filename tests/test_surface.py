@@ -1,0 +1,112 @@
+"""Surface guard: every definition in src/ has a caller outside the tests
+of its own.
+
+A top-level function, a class or a non-dunder method counts as
+referenced when its name appears outside its own body in src/, in
+perfbench/*.py or in tests/test_acceptance.py: as a name, an attribute
+or an imported name, or in perfbench, which patches the attributes its
+lists name, as a string in a list. Uses inside definitions that are
+themselves unreferenced do not count, so a chain of dead helpers is
+found whole; a method of an unreferenced class is unreferenced too.
+Names are matched bare, so a method shares its references with every
+other method of the same name. A class registered with @register_plan
+is referenced through its plan type. The names left over must be
+exactly PENDING, so the guard fails both when dead code appears and
+when a pending name gains a caller.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+PENDING = {
+    "shape_to_robp": "ROADMAP item 4: its width feeds the INW state rule",
+    "default_precision_bits": "ROADMAP item 4: precision for shape_to_robp",
+    "bias_function": "ROADMAP item 3: adversary target for alphabet steps",
+    "is_good_hash": "ROADMAP item 3: adversary target for dimension steps",
+    "eval_shape": "one-row evaluator that checks its input; the "
+                  "bit-identity tests compare eval_shape_batch against it",
+    "ModularTest.eval": "the one statement of the modular test's rule; "
+                        "modular_error reads the residues in batch",
+    "ROBP.eval": "one-row form of the paper-lemma program, which waits "
+                 "with shape_to_robp for ROADMAP item 4",
+}
+
+
+def _sources(root: pathlib.Path):
+    """The files whose definitions are checked, and the files whose uses
+    count. The package __init__ re-exports names, which is no use."""
+    src = sorted((root / "src").rglob("*.py"))
+    refs = [p for p in src if p.name != "__init__.py"]
+    refs += sorted((root / "perfbench").glob("*.py"))
+    refs.append(root / "tests" / "test_acceptance.py")
+    return src, refs
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name, node, owning class or None) of each
+    top-level function and class and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield (f"{node.name}.{item.name}", item.name, item,
+                           node.name)
+
+
+def _names(node: ast.AST, strings: bool = False) -> Counter:
+    """Occurrences of each identifier under node, and if strings is set
+    of each string in a list literal."""
+    out = Counter()
+    for cur in ast.walk(node):
+        if isinstance(cur, ast.Name):
+            out[cur.id] += 1
+        elif isinstance(cur, ast.Attribute):
+            out[cur.attr] += 1
+        elif isinstance(cur, ast.alias):
+            out[cur.name.rsplit(".", 1)[-1]] += 1
+        elif strings and isinstance(cur, ast.List):
+            out.update(e.value for e in cur.elts
+                       if isinstance(e, ast.Constant)
+                       and isinstance(e.value, str))
+    return out
+
+
+def _registered(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+        and d.func.id == "register_plan" for d in node.decorator_list)
+
+
+def unreferenced(root: pathlib.Path = ROOT) -> set:
+    """Qualified names of the definitions in src/ with no reference."""
+    src, refs = _sources(root)
+    used = sum((_names(ast.parse(p.read_text(), str(p)),
+                       strings=p.parent.name == "perfbench") for p in refs),
+               Counter())
+    defs = [(qual, name, _names(node), owner)
+            for path in src
+            for qual, name, node, owner in _definitions(ast.parse(
+                path.read_text())) if not _registered(node)]
+    dead: set = set()
+    while True:
+        # uses inside dead definitions, each counted once
+        unused = sum((inner for qual, _, inner, owner in defs
+                      if qual in dead and owner not in dead), Counter())
+        new = {qual for qual, name, inner, owner in defs
+               if qual not in dead and (owner in dead or used[name]
+                                        - unused[name] <= inner[name])}
+        if not new:
+            return dead
+        dead |= new
+
+
+def test_every_definition_has_a_caller():
+    dead = unreferenced()
+    assert dead - set(PENDING) == set(), "definitions no caller reaches"
+    assert set(PENDING) - dead == set(), "pending names that gained a caller"
