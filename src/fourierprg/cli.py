@@ -73,10 +73,18 @@ class FoolingReport:
         yield json.dumps(self.summary, sort_keys=True)
 
 
+# (bound, whether the bound itself is allowed) of each range-checked knob
+_KNOB_RANGES = {"n0": (1, True), "inw_block_bits": (1, True),
+                "bucket_p": (1, True), "max_levels": (0, True),
+                "delta_map": (0, False), "c_T": (0, False),
+                "C_alpha": (0, False), "C_dim": (0, False)}
+
+
 def compose_plan_from_knobs(knobs: dict) -> ComposePlan:
     """The ComposePlan the knobs set, and the one place knobs are checked:
     an int knob takes an int, a float knob an int or a float (kept as
-    given), and anything else is refused with a ValueError."""
+    given), each knob in _KNOB_RANGES takes only values in its range, and
+    anything else is refused with a ValueError."""
     kinds = {f.name: (int,) if f.type in ("int", int) else (int, float)
              for f in dataclasses.fields(ComposePlan)}
     bad = set(knobs) - set(kinds)
@@ -86,6 +94,12 @@ def compose_plan_from_knobs(knobs: dict) -> ComposePlan:
         if isinstance(val, bool) or not isinstance(val, kinds[key]):
             want = " or ".join(t.__name__ for t in kinds[key])
             raise ValueError(f"knob {key} takes {want}, not {val!r}")
+        if key in _KNOB_RANGES:
+            low, closed = _KNOB_RANGES[key]
+            if not (val >= low if closed else val > low):  # refuses nan
+                raise ValueError(f"knob {key} must be "
+                                 f"{'>=' if closed else '>'} {low}, "
+                                 f"not {val!r}")
     return ComposePlan(**knobs)
 
 

@@ -191,18 +191,12 @@ def _build_level(m: int, n: int, delta: float, plan: ComposePlan,
     # inner generator, alphabet-reduced when its alphabet overshoots
     t, _k, r0 = dim_step_params(m, n, delta / 2, plan.C_dim)
     m_inner = 1 << r0
-    inner = _build_for_alphabet(m_inner, t, delta / 2, plan, levels_left - 1)
+    inner = alphabet_reduce(
+        m_inner, t, delta / 2,
+        lambda mm, nn, dd: _build_level(mm, nn, dd, plan, levels_left - 1),
+        plan.C_alpha)
     g_s = DimStepPlan(m, n, delta / 2, inner, plan.C_dim)
     g_l = GLargePlan(m, n, delta, plan.bucket_p, "inw", plan.c_T,
                      plan.delta_map)
     return XorCompose(g_l, g_s)
 
-
-def _build_for_alphabet(m: int, n: int, delta: float, plan: ComposePlan,
-                        levels_left: int) -> Generator:
-    if m > n ** 4:
-        return alphabet_reduce(
-            m, n, delta,
-            lambda mm, nn, dd: _build_level(mm, nn, dd, plan, levels_left),
-            plan.C_alpha)
-    return _build_level(m, n, delta, plan, levels_left)

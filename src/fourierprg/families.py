@@ -12,18 +12,14 @@ import math
 import numpy as np
 
 from .bitseq import as_bits, bit_fields, to_ints
-from .fields import Field, gf2, next_prime, prime_field
-
-
-def _coeff_bits(q: int) -> int:
-    return max(1, (q - 1).bit_length())
+from .fields import gf2, next_prime, prime_field
 
 
 class KWiseFamily:
     """k-wise independent vectors over [q]: seed-decoded polynomial of
     degree < k evaluated at the first n field elements."""
 
-    def __init__(self, field: Field, n: int, k: int):
+    def __init__(self, field, n: int, k: int):
         if n > field.q:
             raise ValueError(f"n={n} exceeds field size {field.q}: "
                              "not enough evaluation points")
@@ -33,7 +29,7 @@ class KWiseFamily:
         self.n = n
         self.k = k
         self.q = field.q
-        self.coeff_bits = _coeff_bits(field.q)
+        self.coeff_bits = max(1, (field.q - 1).bit_length())
         self.seed_bits = k * self.coeff_bits
 
     def _coeff_batch(self, seeds) -> np.ndarray:
@@ -80,7 +76,7 @@ class KWiseVectors:
         self.k = k
         if m >= 2 and m & (m - 1) == 0:
             t = max(m.bit_length() - 1, max(1, (max(n, 2) - 1).bit_length()))
-            f: Field = gf2(t)
+            f = gf2(t)
             self.delta_map_actual = 0.0
         else:
             q = next_prime(max(n, m * max(1, math.ceil(4 * n / delta_map))))
@@ -127,9 +123,10 @@ class SmallBiasFamily:
                 if i + 1 < self.n:
                     power = f.mul_vec(power, x)
             return out
-        log, exp = f._tables()
-        log, lsb = log.astype(np.int32), exp[:f.q - 1] & 1
+        log, exp, _ = f.tables
+        # log(0) mod (q - 1) reads 0 as 1; the fixes below undo that.
         # n <= 2^(t-1), so i * log x + log y < 2^(2t-1) fits int32
+        log, lsb = log % (f.q - 1), (exp[:f.q - 1] & 1).astype(np.int64)
         cols = np.arange(self.n, dtype=np.int32)
         for lo in range(0, len(x), 1 << 13):  # int32 blocks bound the RSS
             hi = lo + (1 << 13)
@@ -143,47 +140,25 @@ class SmallBiasFamily:
 
 
 class CombinedHashFamily:
-    """Hash functions [n] -> [t]: a k-wise independent part, optionally
-    xor-combined (per output bit) with a delta-biased string.
+    """Hash functions [n] -> [t] read from a k-wise independent family;
+    with t a power of two the joint distribution of any <= k point
+    evaluations is exactly uniform."""
 
-    In delta=0 mode and with t a power of two the joint distribution of
-    any <= k point evaluations is exactly uniform.
-    """
-
-    def __init__(self, n: int, t: int, k: int, delta: float = 0.0):
+    def __init__(self, n: int, t: int, k: int):
         if t < 1:
             raise ValueError("range must be nonempty")
         self.n = n
         self.t = t
         self.k = k
-        self.delta = delta
-        self.range_pow2 = t & (t - 1) == 0
-        if self.range_pow2:
+        if t & (t - 1) == 0:
             s = max(max(1, t.bit_length() - 1),
                     max(1, (max(n, 2) - 1).bit_length()))
             self.kwise = KWiseFamily(gf2(s), n, k)
         else:
             q = next_prime(max(n, t * t, 2 * t))
             self.kwise = KWiseFamily(prime_field(q), n, k)
-        if delta > 0:
-            if not self.range_pow2:
-                raise ValueError("biased mode requires power-of-two range")
-            self.rbits = t.bit_length() - 1
-            self.bias = SmallBiasFamily(n * self.rbits, delta)
-            self.seed_bits = self.kwise.seed_bits + self.bias.seed_bits
-        else:
-            self.bias = None
-            self.seed_bits = self.kwise.seed_bits
+        self.seed_bits = self.kwise.seed_bits
 
     def table_batch(self, seeds) -> np.ndarray:
-        """(len(seeds), n) tables of values in [t]; the k-wise part reads
-        the high seed bits, the biased part the low ones."""
-        seeds = as_bits(seeds, self.seed_bits)
-        kbits = self.kwise.seed_bits
-        base = self.kwise.sample_batch(seeds[:, :kbits]) % self.t
-        if self.bias is None:
-            return base
-        bits = self.bias.sample_batch(seeds[:, kbits:]).reshape(
-            len(seeds), self.n, self.rbits)
-        weights = 1 << np.arange(self.rbits - 1, -1, -1, dtype=np.int64)
-        return base ^ (bits @ weights)
+        """(len(seeds), n) tables of values in [t]."""
+        return self.kwise.sample_batch(seeds) % self.t

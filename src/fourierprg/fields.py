@@ -1,17 +1,19 @@
 """Finite fields: binary extension fields GF(2^t) and prime fields GF(p).
 
-GF(2^t) elements are ints whose bits are polynomial coefficients, reduced
-by a fixed irreducible modulus per degree so outputs are bit-exact across
-runs. For t <= 16 the vectorized multiply needs no zero masks: with
-log(0) = 2(q - 1) and exp padded with zeros, exp[log a + log b] is the
-product even when a or b is 0, and for t <= 8 a flat uint8 q x q product
-table built from these is one lookup. Products of uint8/uint16 operands
-stay uint8/uint16; any other operand gives int64.
+A field is an object with q, add, mul and mul_vec; gf2() and
+prime_field() cache one object per field. GF(2^t) elements are ints
+whose bits are polynomial coefficients, reduced by a fixed irreducible
+modulus per degree so outputs are bit-exact across runs. For t <= 16 one
+cached table set serves every vectorized product with no zero masks:
+with log(0) = 2(q - 1) and exp padded with zeros, exp[log a + log b] is
+the product even when a or b is 0, and for t <= 8 a flat uint8 q x q
+product table built from these is one lookup. Products of uint8/uint16
+operands stay uint8/uint16; any other operand gives int64.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,6 +63,18 @@ def _clgcd(a: int, b: int) -> int:
     return a
 
 
+def _prime_factors(n: int) -> list:
+    """Distinct prime factors of n by trial division, ascending."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
+
+
 def _is_irreducible(f: int, t: int) -> bool:
     # Rabin's test: x^(2^t) = x mod f, and gcd(x^(2^(t/p)) - x, f) = 1
     # for every prime p dividing t
@@ -70,15 +84,7 @@ def _is_irreducible(f: int, t: int) -> bool:
         h = clmod(clmul(h, h), f)
     if h != clmod(x, f):
         return False
-    primes, n, d = set(), t, 2
-    while d * d <= n:
-        while n % d == 0:
-            primes.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        primes.add(n)
-    for p in primes:
+    for p in _prime_factors(t):
         h = x
         for _ in range(t // p):
             h = clmod(clmul(h, h), f)
@@ -102,24 +108,19 @@ def irreducible_modulus(t: int) -> int:
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
-class Field:
-    """Common interface: ints in [0, q) with field arithmetic."""
+class GF2Field:
+    """GF(2^t): ints in [0, q) whose bits are polynomial coefficients."""
 
-    q: int
+    def __init__(self, t: int):
+        self.t = t
+        self.q = 1 << t
+        self.modulus = irreducible_modulus(t)
 
     def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return self.pow(a, self.q - 2)
+        return clmod(clmul(a, b), self.modulus)
 
     def pow(self, a: int, e: int) -> int:
         r = 1
@@ -130,75 +131,37 @@ class Field:
             e >>= 1
         return r
 
-
-class GF2Field(Field):
-    def __init__(self, t: int):
-        self.t = t
-        self.q = 1 << t
-        self.modulus = irreducible_modulus(t)
-        self._log = None
-        self._exp = None
-        self._sentinel = None
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add
-
-    def mul(self, a: int, b: int) -> int:
-        return clmod(clmul(a, b), self.modulus)
-
-    def _tables(self):
-        # log/exp over a multiplicative generator; only for small t
-        if self._log is None:
-            if self.t > 16:
-                raise ValueError("log/exp tables limited to t <= 16")
-            g = self._find_generator()
-            q = self.q
-            log = np.zeros(q, dtype=np.int64)
-            exp = np.zeros(2 * (q - 1), dtype=np.int64)
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
-                exp[i + q - 1] = x
-                log[x] = i
-                x = self.mul(x, g)
-            log[0] = -1
-            self._log, self._exp = log, exp
-        return self._log, self._exp
-
     def _find_generator(self) -> int:
         if self.q == 2:
             return 1  # trivial multiplicative group
         n = self.q - 1
-        primes = []
-        m, d = n, 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.append(m)
+        primes = _prime_factors(n)
         for g in range(2, self.q):
             if all(self.pow(g, n // p) != 1 for p in primes):
                 return g
         raise RuntimeError("no generator found")  # pragma: no cover
 
-    def _sentinel_tables(self):
-        # log, exp and (t <= 8) the product table indexed by (a << t) | b;
-        # a zero factor sends log a + log b into exp's zero padding
-        if self._sentinel is None:
-            log, exp = self._tables()
-            slog = log.astype(np.int32)
-            slog[0] = 2 * (self.q - 1)
-            sexp = np.zeros(4 * self.q - 3, dtype=np.uint16)
-            sexp[:2 * self.q - 2] = exp
-            prod = (sexp[slog[:, None] + slog].astype(np.uint8).reshape(-1)
-                    if self.t <= 8 else None)
-            self._sentinel = slog, sexp, prod
-        return self._sentinel
+    @cached_property
+    def tables(self):
+        """(log, exp, prod) over a multiplicative generator g, t <= 16:
+        int32 log with log(0) = 2(q - 1), uint16 exp of length 4q - 3
+        with exp[i] = g^i for i < 2(q - 1) and zeros after, so a zero
+        factor sends log a + log b into the padding; and for t <= 8 the
+        uint8 product table indexed by (a << t) | b, else None."""
+        if self.t > 16:
+            raise ValueError("log/exp tables limited to t <= 16")
+        g = self._find_generator()
+        q = self.q
+        log = np.full(q, 2 * (q - 1), dtype=np.int32)
+        exp = np.zeros(4 * q - 3, dtype=np.uint16)
+        x = 1
+        for i in range(q - 1):
+            exp[i] = exp[i + q - 1] = x
+            log[x] = i
+            x = self.mul(x, g)
+        prod = (exp[log[:, None] + log].astype(np.uint8).reshape(-1)
+                if self.t <= 8 else None)
+        return log, exp, prod
 
     def mul_vec(self, a, b):
         """Elementwise product of int arrays (values in [0, q)): uint8 or
@@ -217,23 +180,16 @@ class GF2Field(Field):
         if a.dtype.kind != "u" or b.dtype.kind != "u" or dtype.itemsize > 2:
             dtype = np.dtype(np.int64)
         a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-        log, exp, prod = self._sentinel_tables()
+        log, exp, prod = self.tables
         if self.t <= 8:
             idx = (a.astype(np.uint16, copy=False) << self.t) | b
             return np.take(prod, idx).astype(dtype, copy=False)
         return np.take(exp, log[a] + log[b]).astype(dtype, copy=False)
 
-    def __repr__(self):
-        return f"GF2Field(t={self.t})"
 
-    def __eq__(self, other):
-        return isinstance(other, GF2Field) and other.t == self.t
+class PrimeField:
+    """GF(p): ints in [0, p) with arithmetic mod p."""
 
-    def __hash__(self):
-        return hash(("gf2", self.t))
-
-
-class PrimeField(Field):
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -245,9 +201,6 @@ class PrimeField(Field):
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -257,15 +210,6 @@ class PrimeField(Field):
                     * np.asarray(b, dtype=object)) % self.p
             return prod.astype(np.int64) if self.p <= 1 << 63 else prod
         return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
-
-    def __repr__(self):
-        return f"PrimeField(p={self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("gfp", self.p))
 
 
 @lru_cache(maxsize=None)

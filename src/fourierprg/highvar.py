@@ -126,20 +126,16 @@ class SpreadingFamily:
     values.
     """
 
-    def __init__(self, n: int, delta: float, c_T: float = 0.125,
-                 k: int | None = None):
+    def __init__(self, n: int, delta: float, c_T: float = 0.125):
         self.n = n
         self.delta = delta
         log1d = max(1.0, math.log2(1 / delta))
         self.T = max(16, math.ceil(c_T * log1d ** 5))
         self.B = 2 * self.T
         self.ell = math.ceil(2 * log1d)
-        self.k = k if k is not None else min(n, 2 + math.ceil(2 * log1d))
-        self.family = CombinedHashFamily(n, self.T, self.k, 0.0)
+        self.k = min(n, 2 + math.ceil(2 * log1d))
+        self.family = CombinedHashFamily(n, self.T, self.k)
         self.seed_bits = self.family.seed_bits
-
-    def table_batch(self, seeds) -> np.ndarray:
-        return self.family.table_batch(seeds)
 
     def config(self) -> dict:
         return {"n": self.n, "delta": self.delta, "T": self.T, "B": self.B,
@@ -178,8 +174,8 @@ class GLargePlan(Generator):
         N = len(bits)
         # hash seed in the high bits, recycler seed below
         hbits = self.spreading.seed_bits
-        tables = np.asarray(self.spreading.table_batch(bits[:, :hbits]),
-                            dtype=np.int64)  # (N, n)
+        tables = np.asarray(self.spreading.family.table_batch(
+            bits[:, :hbits]), dtype=np.int64)  # (N, n)
         stream = self.recycler.bitstream_batch(bits[:, hbits:])
         T = self.spreading.T
         # one G1 row per (row, bucket) pair that some coordinate uses

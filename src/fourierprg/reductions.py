@@ -132,7 +132,7 @@ class DimStepPlan(Generator):
         if m > n ** 4:
             raise ValueError("dimension step requires m <= n^4")
         self.t, self.k, self.r0 = dim_step_params(m, n, self.delta, self.C)
-        self.bucket_hash = CombinedHashFamily(n, self.t, self.k, 0.0)
+        self.bucket_hash = CombinedHashFamily(n, self.t, self.k)
         self.within = KWiseVectors(n, m, self.k)
         self.m_inner = 1 << self.r0
         if inner.m != self.m_inner or inner.n != self.t:

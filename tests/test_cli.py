@@ -1,6 +1,8 @@
 """Command-line interface: reproducibility, report formats, exit codes."""
 
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,29 @@ import pytest
 from fourierprg.cli import (FAMILIES, VerifyCampaign, compose_plan_from_knobs,
                             main, run_campaign)
 from fourierprg.compose import ComposePlan, build_generator
+
+
+CAMPAIGNS = pathlib.Path(__file__).resolve().parent.parent / "campaigns"
+
+# sha256 of the report each shipped campaign writes (the bytes of
+# `verify --campaign FILE --out REPORT`); golden's is the sha256 of
+# golden.expected.jsonl
+CAMPAIGN_SHA256 = {
+    "chernoff-n64":
+        "9040b7f8ee0254ab679b62387ad6e4d1fa74a6ea108dad480d3ec868aae67cef",
+    "golden":
+        "b23a0b340727e5befdd12389fd108c79a6a047c27f09fe08fcb04d8d75386692",
+    "halfspaces-n12":
+        "c6a3128d9880efa96be84f5b5f7377c88848642c039b59f4b286c62fd19bce56",
+    "modular-m3":
+        "c4d8643b8d9755643f24a2b1bc6796154a19d91ab4e44c7eb9f47dfc2b5aa8c0",
+    "modular-m5":
+        "877774cc4563d389f11d03e9c67e3da855a1ce3c3bd33ba5a7c4a9b4780ec0b2",
+    "modular-m6":
+        "87893818b8f87b619e755aceb83fa490b8363cf263d93e65c608b39589ca420e",
+    "shapes-m2-n8":
+        "7cd72f443a5b6c12d15add9e580f1a88211c52ed7b3c5bdef0fc8126e24391cd",
+}
 
 
 def run_main(capsys, *argv):
@@ -82,6 +107,16 @@ def test_run_campaign_chernoff_sampled():
                        n_samples=5000, generator="uniform-stub")
     report = run_campaign(c)
     assert report.summary["pass"]
+
+
+@pytest.mark.parametrize("path", sorted(CAMPAIGNS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_shipped_campaign_report_bytes(path):
+    # every shipped campaign is pinned, so a new one must add its hash
+    report = run_campaign(VerifyCampaign.from_json(path.read_text()))
+    text = "".join(line + "\n" for line in report.lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CAMPAIGN_SHA256[path.stem]
 
 
 def test_run_campaign_records_refusals():
@@ -275,6 +310,18 @@ def test_campaign_file_knob_types_checked(tmp_path, capsys, knobs, name):
         camp.write_text(json.dumps(text))
         code, _, err = run_main(capsys, "verify", "--campaign", str(camp))
         assert code == 2 and name in err
+
+
+@pytest.mark.parametrize("knob,limit", [
+    ("n0=0", ">= 1"), ("inw_block_bits=0", ">= 1"), ("bucket_p=0", ">= 1"),
+    ("max_levels=-1", ">= 0"), ("delta_map=0", "> 0"), ("c_T=-0.5", "> 0"),
+    ("C_alpha=0", "> 0"), ("C_dim=-1e-3", "> 0")])
+def test_out_of_range_knob_is_a_usage_error(capsys, knob, limit):
+    code, out, err = run_main(capsys, "gen", "--m", "2", "--n", "128",
+                              "--eps", "0.1", "--knob", knob)
+    name = knob.split("=")[0]
+    assert code == 2 and out == ""
+    assert f"knob {name} must be {limit}" in err
 
 
 def test_uniform_stub_refuses_non_power_of_two_alphabet(capsys):

@@ -104,7 +104,8 @@ def spot_check(s: SpreadingFamily, v: np.ndarray, rng, trials=2000):
     if float(np.sum(v2)) < s.B:
         raise ValueError("vector too light for the spreading property")
     tables = np.asarray(
-        s.table_batch(sample_seeds(rng, s.seed_bits, trials)), dtype=np.int64)
+        s.family.table_batch(sample_seeds(rng, s.seed_bits, trials)),
+        dtype=np.int64)
     thresh = s.B / (2 * s.T)
     bad = sum(int(np.sum(np.bincount(h, weights=v2, minlength=s.T)
                          >= thresh)) < s.ell for h in tables)
@@ -128,13 +129,13 @@ def test_spreading_spot_check_draws_full_width_seeds():
     s = SpreadingFamily(128, 0.1 / 12)
     assert s.seed_bits == 352
     drawn = []
-    table_batch = s.table_batch
+    table_batch = s.family.table_batch
 
     def record(seeds):
         drawn.extend(to_ints(as_bits(seeds, s.seed_bits)))
         return table_batch(seeds)
 
-    s.table_batch = record
+    s.family.table_batch = record
     spot_check(s, np.full(128, math.sqrt(s.B / 128) + 0.01),
                np.random.default_rng(0), trials=64)
     assert len(drawn) == 64
@@ -232,7 +233,7 @@ def _glarge_reference(g: GLargePlan, seeds) -> np.ndarray:
     if g.spreading.seed_bits <= 62:
         hseed = hseed.astype(np.int64)
     rec_seed = seeds & ((1 << g.recycler.seed_bits) - 1)
-    tables = g.spreading.table_batch(hseed)
+    tables = g.spreading.family.table_batch(hseed)
     stream = _bitstream_reference(g.recycler, rec_seed)
     g1_bits = g.g1.seed_bits
     out = np.zeros((N, g.n), dtype=np.int64)

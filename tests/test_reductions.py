@@ -195,7 +195,7 @@ def test_good_hash_fraction_over_family():
     # 4 high-variance coordinates into 4 buckets with a 4-wise hash: only
     # the all-in-one-bucket event (probability 4/4^4) violates k = 6
     f = variance_pattern_shape([1, 1, 1, 1, 0, 0, 0, 0])
-    fam = CombinedHashFamily(8, 4, 4, 0.0)
+    fam = CombinedHashFamily(8, 4, 4)
     assert fam.seed_bits <= 20
     tables = fam.table_batch(np.arange(1 << fam.seed_bits, dtype=np.int64))
     good = sum(is_good_hash(h, f, alpha=0.5, beta=0.1, k=6) for h in tables)

@@ -3,16 +3,18 @@ of its own.
 
 A top-level function, a class or a non-dunder method counts as
 referenced when its name appears outside its own body in src/, in
-perfbench/*.py or in tests/test_acceptance.py: as a name, an attribute
-or an imported name, or in perfbench, which patches the attributes its
-lists name, as a string in a list. Uses inside definitions that are
-themselves unreferenced do not count, so a chain of dead helpers is
-found whole; a method of an unreferenced class is unreferenced too.
-Names are matched bare, so a method shares its references with every
-other method of the same name. A class registered with @register_plan
-is referenced through its plan type. The names left over must be
-exactly PENDING, so the guard fails both when dead code appears and
-when a pending name gains a caller.
+perfbench/*.py or in tests/test_acceptance.py: as an attribute, or in
+perfbench, which patches the attributes its lists name, as a string in
+a list; a function or class also as a name or an imported name. So a
+local variable or a class-body assignment never shields a method. Uses
+inside definitions that are themselves unreferenced do not count, so a
+chain of dead helpers is found whole; a method of an unreferenced class
+is unreferenced too. Attributes are matched by name alone, so a method
+still shares its references with every other method or attribute of the
+same name. A class registered with @register_plan is referenced through
+its plan type. The names left over must be exactly PENDING, so the guard
+fails both when dead code appears and when a pending name gains a
+caller.
 """
 
 import ast
@@ -60,21 +62,27 @@ def _definitions(tree: ast.Module):
 
 
 def _names(node: ast.AST, strings: bool = False) -> Counter:
-    """Occurrences of each identifier under node, and if strings is set
-    of each string in a list literal."""
+    """Occurrences of each identifier under node: "x" for a name or an
+    imported name x, ".x" for an attribute x and, if strings is set, for
+    a string x in a list literal."""
     out = Counter()
     for cur in ast.walk(node):
         if isinstance(cur, ast.Name):
             out[cur.id] += 1
         elif isinstance(cur, ast.Attribute):
-            out[cur.attr] += 1
+            out["." + cur.attr] += 1
         elif isinstance(cur, ast.alias):
             out[cur.name.rsplit(".", 1)[-1]] += 1
         elif strings and isinstance(cur, ast.List):
-            out.update(e.value for e in cur.elts
+            out.update("." + e.value for e in cur.elts
                        if isinstance(e, ast.Constant)
                        and isinstance(e.value, str))
     return out
+
+
+def _refs(names: Counter, name: str, owner) -> int:
+    """References to a definition: attributes only for a method."""
+    return names["." + name] + (0 if owner else names[name])
 
 
 def _registered(node) -> bool:
@@ -96,11 +104,11 @@ def unreferenced(root: pathlib.Path = ROOT) -> set:
     dead: set = set()
     while True:
         # uses inside dead definitions, each counted once
-        unused = sum((inner for qual, _, inner, owner in defs
-                      if qual in dead and owner not in dead), Counter())
+        live = used - sum((inner for qual, _, inner, owner in defs
+                           if qual in dead and owner not in dead), Counter())
         new = {qual for qual, name, inner, owner in defs
-               if qual not in dead and (owner in dead or used[name]
-                                        - unused[name] <= inner[name])}
+               if qual not in dead and (owner in dead or _refs(
+                   live, name, owner) <= _refs(inner, name, owner))}
         if not new:
             return dead
         dead |= new
