@@ -16,15 +16,14 @@ from .core import (Generator, UniformStub, plan_seed_bits, plan_to_generator,
                    sample_seeds)
 from .families import (CombinedHashFamily, KWiseFamily, KWiseVectors,
                        SmallBiasFamily)
-from .metrics import (DistanceTriple, IntPMF, d_ft, d_k, d_tv,
-                      fourier_lemma_check, linear_pmf)
-from .robp import INWGenerator, ROBP, inw_for_robp, shape_to_robp
+from .metrics import IntPMF, d_ft, d_k, d_tv, fourier_lemma_check, linear_pmf
+from .robp import INWGenerator, ROBP, inw_for_robp
 from .shapes import (EnumerateMode, FourierShape, SampleMode, fooling_error,
                      random_shape, tvar, uniform_expectation)
 
 __all__ = [
     "ChernoffSampler", "CombinatorialShape", "CombinedHashFamily",
-    "ComposePlan", "DistanceTriple", "EnumerateMode", "FourierShape",
+    "ComposePlan", "EnumerateMode", "FourierShape",
     "GeneralizedHalfspace", "Generator", "Halfspace", "INWGenerator",
     "IntPMF", "KWiseFamily", "KWiseVectors", "ModularTest",
     "ROBP", "SampleMode", "SmallBiasFamily",
@@ -33,5 +32,5 @@ __all__ = [
     "fooling_error", "fourier_lemma_check", "gen_halfspace_error",
     "halfspace_error", "inw_for_robp", "linear_pmf", "modular_error",
     "plan_seed_bits", "plan_to_generator", "random_shape", "sample_seeds",
-    "shape_to_robp", "tvar", "uniform_expectation",
+    "tvar", "uniform_expectation",
 ]

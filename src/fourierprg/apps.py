@@ -123,10 +123,6 @@ class ModularTest:
     def n(self) -> int:
         return len(self.a)
 
-    def eval(self, x) -> int:
-        return int((np.dot(self.a, np.asarray(x, dtype=np.int64)) % self.M)
-                   in self.S)
-
 
 @dataclass(frozen=True)
 class CombinatorialShape:

@@ -75,9 +75,9 @@ class FoolingReport:
 
 # (bound, whether the bound itself is allowed) of each range-checked knob
 _KNOB_RANGES = {"n0": (1, True), "inw_block_bits": (1, True),
-                "bucket_p": (1, True), "max_levels": (0, True),
-                "delta_map": (0, False), "c_T": (0, False),
-                "C_alpha": (0, False), "C_dim": (0, False)}
+                "inw_state_extra": (1, True), "bucket_p": (1, True),
+                "max_levels": (0, True), "delta_map": (0, False),
+                "c_T": (0, False), "C_alpha": (0, False), "C_dim": (0, False)}
 
 
 def compose_plan_from_knobs(knobs: dict) -> ComposePlan:

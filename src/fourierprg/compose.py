@@ -86,6 +86,9 @@ class INWBase(Generator):
 
     def __post_init__(self):
         m, n = self.m, self.n
+        if self.state_extra < 1:
+            raise ValueError(f"state_extra must be >= 1, not "
+                             f"{self.state_extra!r}")
         base = max(1, (m - 1).bit_length())
         if m & (m - 1) == 0:
             self.bits_per_symbol = base
@@ -104,7 +107,7 @@ class INWBase(Generator):
             nblocks = max(2, math.ceil(self.total_bits / self.block_bits))
             T = 1 << (nblocks - 1).bit_length()
             D = math.ceil(self.total_bits / T)
-            w = min(16, D + max(1, self.state_extra))
+            w = min(16, D + self.state_extra)
         self.inw = INWGenerator(D, T, w)
         self.seed_bits = self.inw.seed_bits
         if T == 2 and w == D and m & (m - 1) == 0:

@@ -64,20 +64,6 @@ class IntPMF:
         return cls(lo, np.full(width, 1.0 / width))
 
 
-@dataclass(frozen=True)
-class DistanceTriple:
-    d_ft: float
-    d_tv: float
-    d_k: float
-    eta: float
-
-    def __post_init__(self):
-        tol = 1e-9  # rounding slack from cumulative-sum arithmetic
-        if not (0 <= self.d_ft <= 2 + tol and 0 <= self.d_tv <= 1 + tol
-                and 0 <= self.d_k <= 1 + tol):
-            raise ValueError("distance out of range")
-
-
 class WindowCapError(ValueError):
     """Raised when an exact DP would exceed the configured state window."""
 
@@ -164,10 +150,6 @@ def d_ft(p: IntPMF, q: IntPMF, eta: float = 1e-3) -> float:
     return float(_char_gap_on_grid(p, q, grid_points).max())
 
 
-def distance_triple(p: IntPMF, q: IntPMF, eta: float = 1e-3) -> DistanceTriple:
-    return DistanceTriple(d_ft(p, q, eta), d_tv(p, q), d_k(p, q), eta)
-
-
 def fourier_lemma_check(p: IntPMF, q: IntPMF, eta: float = 1e-3,
                         c_k: float = 10.0) -> dict:
     """Numerical check of the metric comparison inequalities.
@@ -178,16 +160,16 @@ def fourier_lemma_check(p: IntPMF, q: IntPMF, eta: float = 1e-3,
     randomized audit, not derived values.
     """
     N = max(p.radius, q.radius)
-    t = distance_triple(p, q, eta)
-    slack = t.d_ft + eta
+    ft, tv, k = d_ft(p, q, eta), d_tv(p, q), d_k(p, q)
+    slack = ft + eta
     tv_bound = 2.0 * math.sqrt(4 * N + 1) * slack
     k_bound = c_k * math.log2(2 * N + 2) * slack
-    tv_ratio = t.d_tv / tv_bound if tv_bound > 0 else 0.0
-    k_ratio = t.d_k / k_bound if k_bound > 0 else 0.0
+    tv_ratio = tv / tv_bound if tv_bound > 0 else 0.0
+    k_ratio = k / k_bound if k_bound > 0 else 0.0
     return {
         "N": N, "eta": eta, "c_k": c_k,
-        "d_ft": t.d_ft, "d_tv": t.d_tv, "d_k": t.d_k,
+        "d_ft": ft, "d_tv": tv, "d_k": k,
         "tv_bound": tv_bound, "k_bound": k_bound,
         "tv_ratio": tv_ratio, "k_ratio": k_ratio,
-        "pass": t.d_tv <= tv_bound + 1e-12 and t.d_k <= k_bound + 1e-12,
+        "pass": tv <= tv_bound + 1e-12 and k <= k_bound + 1e-12,
     }

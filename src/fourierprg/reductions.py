@@ -20,7 +20,6 @@ from .bitseq import as_bits
 from .core import Generator, register_plan
 from .families import CombinedHashFamily, KWiseFamily, KWiseVectors
 from .fields import gf2, next_prime, prime_field
-from .shapes import FourierShape, shape_stats
 
 
 def _column_field(m: int):
@@ -74,15 +73,6 @@ class AlphabetStepPlan(Generator):
             vals = self.col_family.eval_points_batch(col_seeds[:, j], Y[:, j])
             out[:, j] = np.asarray(vals % self.m, dtype=np.int64)
         return out
-
-
-def bias_function(f: FourierShape, x: np.ndarray) -> complex:
-    """prod_j mean_l f_j(x[l, j]) for a matrix x in [m]^(D x n)."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != f.n:
-        raise ValueError("matrix must be D x n")
-    cols = f.table[np.arange(f.n)[None, :], x]  # (D, n) values
-    return complex(np.prod(cols.mean(axis=0)))
 
 
 def alphabet_reduce(m: int, n: int, delta: float, base_factory,
@@ -156,21 +146,3 @@ class DimStepPlan(Generator):
             out[mask] = vals[mask]
         return out
 
-
-def is_good_hash(h: np.ndarray, f: FourierShape, alpha: float, beta: float,
-                 k: int) -> bool:
-    """Every bucket has at most k/2 high-variance coordinates and at most
-    beta total variance over its low-variance coordinates."""
-    h = np.asarray(h, dtype=np.int64)
-    var = shape_stats(f).variances
-    if h.shape != var.shape:
-        raise ValueError("hash table and shape disagree on n")
-    t = int(h.max(initial=0)) + 1
-    large = var >= alpha
-    for j in range(t):
-        mask = h == j
-        if int(np.sum(large & mask)) > k / 2:
-            return False
-        if float(np.sum(var[mask & ~large])) > beta:
-            return False
-    return True

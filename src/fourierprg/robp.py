@@ -4,8 +4,6 @@ computation is needed."""
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +38,6 @@ class ROBP:
         self.transitions = transitions
         self.labels = labels
         self.start = start
-
-    def eval(self, blocks) -> complex:
-        return complex(self.eval_batch(np.asarray([blocks]))[0])
 
     def eval_batch(self, blocks: np.ndarray) -> np.ndarray:
         blocks = np.asarray(blocks, dtype=np.int64)
@@ -129,76 +124,3 @@ def inw_for_robp(S: int, D: int, T: int, delta: float,
     w = D + max(1, S + state_extra)
     return INWGenerator(D, Tp, w)
 
-
-def shape_to_robp(f, precision_bits: int) -> ROBP:
-    """Width grows with the number of reachable accumulator states.
-
-    States are pairs (quantized phase in turns, quantized -log magnitude),
-    both in units of 2^-precision_bits, built layer by layer over the
-    reachable set only. A dedicated absorbing state handles zero-magnitude
-    table entries.
-    """
-    m, n = f.m, f.n
-    D = (m - 1).bit_length()
-    if m != 1 << D:
-        raise ValueError("alphabet must be a power of two")
-    p = precision_bits
-    scale = 1 << p
-    # cap -log|f| so the magnitude accumulator stays bounded; beyond this
-    # the label underflows double precision anyway
-    mlog_cap = 64 * scale
-
-    def quantize(z: complex):
-        if abs(z) == 0.0:
-            return None  # absorbing zero state
-        phase = (cmath.phase(z) / (2 * math.pi)) % 1.0
-        qp = round(phase * scale) % scale
-        qm = min(round(-math.log(abs(min(abs(z), 1.0))) * scale), mlog_cap)
-        return qp, qm
-
-    steps = [[quantize(f.table[j][x]) for x in range(m)] for j in range(n)]
-
-    # breadth-first construction over reachable (phase, mlog) pairs
-    ZERO = "zero"
-    layer = {(0, 0): 0}
-    transitions = []
-    all_widths = [1]
-    for j in range(n):
-        nxt: dict = {}
-        table = []
-        # index map for this layer in insertion order
-        for state in layer:
-            row = []
-            for x in range(m):
-                if state == ZERO or steps[j][x] is None:
-                    succ = ZERO
-                else:
-                    qp, qm = steps[j][x]
-                    succ = ((state[0] + qp) % scale,
-                            min(state[1] + qm, mlog_cap))
-                if succ not in nxt:
-                    nxt[succ] = len(nxt)
-                row.append(nxt[succ])
-            table.append(row)
-        transitions.append(table)
-        layer = nxt
-        all_widths.append(len(nxt))
-
-    width = max(all_widths)
-    trans = np.zeros((n, width, m), dtype=np.int64)
-    for j, table in enumerate(transitions):
-        for s, row in enumerate(table):
-            trans[j, s, :] = row
-    labels = np.zeros(width, dtype=complex)
-    for state, idx in layer.items():
-        if state == ZERO:
-            labels[idx] = 0.0
-        else:
-            qp, qm = state
-            labels[idx] = cmath.exp(2j * math.pi * qp / scale - qm / scale)
-    return ROBP(width, D, n, trans, labels)
-
-
-def default_precision_bits(n: int, delta: float) -> int:
-    """Discretization rule: 2*ceil(log2(n/delta)) bits."""
-    return 2 * max(1, math.ceil(math.log2(max(n, 2) / delta)))

@@ -39,35 +39,15 @@ class FourierShape:
         return self.table.shape[1]
 
 
-@dataclass(frozen=True)
-class ShapeStats:
-    means: np.ndarray        # per-coordinate complex means
-    variances: np.ndarray    # per-coordinate real variances
-    tvar: float
-
-
-def shape_stats(f: FourierShape) -> ShapeStats:
+def tvar(f: FourierShape) -> float:
+    """Sum over coordinates of E|f_j|^2 - |E f_j|^2."""
     means = f.table.mean(axis=1)
     second = (np.abs(f.table) ** 2).mean(axis=1)
-    var = np.maximum(second - np.abs(means) ** 2, 0.0)
-    return ShapeStats(means, var, float(var.sum()))
-
-
-def tvar(f: FourierShape) -> float:
-    return shape_stats(f).tvar
+    return float(np.maximum(second - np.abs(means) ** 2, 0.0).sum())
 
 
 def uniform_expectation(f: FourierShape) -> complex:
     return complex(np.prod(f.table.mean(axis=1)))
-
-
-def eval_shape(f: FourierShape, x) -> complex:
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (f.n,):
-        raise ValueError(f"input must have length {f.n}")
-    if np.any(x < 0) or np.any(x >= f.m):
-        raise ValueError("symbol out of range")
-    return complex(eval_shape_batch(f, x[None])[0])
 
 
 def eval_shape_batch(f: FourierShape, xs: np.ndarray) -> np.ndarray:

@@ -313,7 +313,9 @@ def test_campaign_file_knob_types_checked(tmp_path, capsys, knobs, name):
 
 
 @pytest.mark.parametrize("knob,limit", [
-    ("n0=0", ">= 1"), ("inw_block_bits=0", ">= 1"), ("bucket_p=0", ">= 1"),
+    ("n0=0", ">= 1"), ("inw_block_bits=0", ">= 1"),
+    ("inw_state_extra=0", ">= 1"), ("inw_state_extra=-5", ">= 1"),
+    ("bucket_p=0", ">= 1"),
     ("max_levels=-1", ">= 0"), ("delta_map=0", "> 0"), ("c_T=-0.5", "> 0"),
     ("C_alpha=0", "> 0"), ("C_dim=-1e-3", "> 0")])
 def test_out_of_range_knob_is_a_usage_error(capsys, knob, limit):

@@ -204,6 +204,17 @@ def test_build_generator_validation():
         build_generator(2, 4, 1.5)
 
 
+def test_inw_base_refuses_state_extra_below_one():
+    # no silent clamp: a plan that names state_extra 0 is refused too
+    plan = INWBase(2, 128, 0.1).plan()
+    plan["state_extra"] = 0
+    for build in (lambda: INWBase(2, 128, 0.1, state_extra=0),
+                  lambda: INWBase(2, 128, 0.1, state_extra=-5),
+                  lambda: plan_to_generator(plan)):
+        with pytest.raises(ValueError, match="state_extra must be >= 1"):
+            build()
+
+
 def test_build_generator_refuses_sub_float_budget():
     with pytest.raises(ValueError):
         build_generator(2, 8, 1e-14)

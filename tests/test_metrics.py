@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fourierprg.metrics import (DistanceTriple, IntPMF, WindowCapError, d_ft,
-                                d_k, d_tv, distance_triple,
+from fourierprg.metrics import (IntPMF, WindowCapError, d_ft, d_k, d_tv,
                                 fourier_lemma_check, linear_pmf)
 
 
@@ -160,12 +159,16 @@ def test_d_ft_bounded_by_tv():
 
 
 def test_distance_triple_fields():
+    # the three distances fourier_lemma_check reports
     p = point_mass(0)
     q = IntPMF.uniform(0, 1)
-    t = distance_triple(p, q, eta=0.01)
-    assert isinstance(t, DistanceTriple)
-    assert t.eta == 0.01
-    assert t.d_tv == pytest.approx(0.5)
+    res = fourier_lemma_check(p, q, eta=0.01)
+    assert res["eta"] == 0.01
+    assert res["d_tv"] == pytest.approx(0.5)
+    assert (res["d_ft"], res["d_tv"], res["d_k"]) == (
+        d_ft(p, q, 0.01), d_tv(p, q), d_k(p, q))
+    assert 0 <= res["d_ft"] <= 2 and 0 <= res["d_tv"] <= 1
+    assert 0 <= res["d_k"] <= 1
 
 
 def test_fourier_lemma_check_random_audit():

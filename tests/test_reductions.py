@@ -1,17 +1,12 @@
 """Alphabet and dimension reduction steps against enumeration oracles."""
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 
 from fourierprg.core import (UniformStub, plan_to_generator, sample_seeds)
 from fourierprg.families import CombinedHashFamily
 from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
-                                   alphabet_reduce, bias_function,
-                                   dim_step_params, is_good_hash)
-from fourierprg.shapes import FourierShape, random_shape, tvar
+                                   alphabet_reduce, dim_step_params)
 
 
 def test_alphabet_step_applicability_guard():
@@ -47,22 +42,6 @@ def test_alphabet_step_scalar_and_roundtrip():
     seeds = np.arange(min(256, 1 << g.seed_bits), dtype=np.int64)
     assert np.array_equal(g.generate_batch(seeds), g2.generate_batch(seeds))
     assert np.array_equal(g.generate(5), g.generate_batch([5])[0])
-
-
-def test_bias_function_matches_direct_product():
-    rng = np.random.default_rng(0)
-    f = random_shape(rng, 3, 5)
-    x = rng.integers(0, 5, size=(4, 3))
-    expected = 1.0 + 0j
-    for j in range(3):
-        expected *= sum(f.table[j][x[l, j]] for l in range(4)) / 4
-    assert bias_function(f, x) == pytest.approx(expected, abs=1e-12)
-
-
-def test_bias_function_shape_mismatch():
-    with pytest.raises(ValueError):
-        bias_function(FourierShape(np.ones((3, 4))),
-                      np.zeros((2, 5), dtype=int))
 
 
 def test_alphabet_reduce_no_step_needed():
@@ -154,51 +133,16 @@ def test_dim_step_scalar_and_roundtrip():
     assert np.array_equal(g.generate(3), g.generate_batch([3])[0])
 
 
-# ---------------------------------------------------------------------------
-# good-hash predicate
-
-
-def variance_pattern_shape(pattern):
-    # variance 1 for marked coordinates (parity column), 0 otherwise
-    table = np.ones((len(pattern), 2), dtype=complex)
-    for j, marked in enumerate(pattern):
-        if marked:
-            table[j] = [1.0, -1.0]
-    return FourierShape(table)
-
-
-def test_is_good_hash_large_coordinate_cap():
-    f = variance_pattern_shape([1, 1, 0, 0])
-    h = np.array([0, 0, 1, 1])
-    assert not is_good_hash(h, f, alpha=0.5, beta=1.0, k=2)
-    assert is_good_hash(h, f, alpha=0.5, beta=1.0, k=4)
-
-
-def test_is_good_hash_low_variance_budget():
-    # coordinate variance of [1, i] is 1/2 (mean (1+i)/2, |mean|^2 = 1/2)
-    table = np.ones((4, 2), dtype=complex)
-    table[0] = [1.0, 1.0j]
-    table[1] = [1.0, 1.0j]
-    f = FourierShape(table)
-    h = np.zeros(4, dtype=int)
-    assert is_good_hash(h, f, alpha=0.9, beta=1.0, k=2)
-    assert not is_good_hash(h, f, alpha=0.9, beta=0.9, k=2)
-
-
-def test_is_good_hash_size_mismatch():
-    with pytest.raises(ValueError):
-        is_good_hash(np.zeros(3, dtype=int), FourierShape(np.ones((4, 2))),
-                     0.5, 1.0, 2)
-
-
 def test_good_hash_fraction_over_family():
-    # 4 high-variance coordinates into 4 buckets with a 4-wise hash: only
-    # the all-in-one-bucket event (probability 4/4^4) violates k = 6
-    f = variance_pattern_shape([1, 1, 1, 1, 0, 0, 0, 0])
+    # the dimension step's hash into 4 buckets, 4-wise: a hash is good
+    # for 4 high-variance coordinates and k = 6 when no bucket holds more
+    # than k/2 of them, which fails only when all four share a bucket
+    # (probability 4/4^4)
     fam = CombinedHashFamily(8, 4, 4)
     assert fam.seed_bits <= 20
     tables = fam.table_batch(np.arange(1 << fam.seed_bits, dtype=np.int64))
-    good = sum(is_good_hash(h, f, alpha=0.5, beta=0.1, k=6) for h in tables)
-    frac = good / len(tables)
+    high = tables[:, :4]
+    loads = (high[:, :, None] == np.arange(4)).sum(axis=1)
+    frac = float(np.mean(loads.max(axis=1) <= 6 / 2))
     assert frac == pytest.approx(1 - 4 / 256, abs=1e-12)
     assert frac >= 0.9

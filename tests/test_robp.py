@@ -1,4 +1,4 @@
-"""Branching programs, the recycling generator, and shape discretization."""
+"""Branching programs and the recycling generator."""
 
 import itertools
 import math
@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from fourierprg.bitseq import to_ints
 from fourierprg.core import sample_seeds
-from fourierprg.robp import (INWGenerator, ROBP, default_precision_bits,
-                             inw_for_robp, shape_to_robp)
-from fourierprg.shapes import (FourierShape, eval_shape, linear_shape,
-                               random_shape)
+from fourierprg.robp import INWGenerator, ROBP, inw_for_robp
 
 
 def random_robp(rng, width, D, T):
@@ -27,7 +24,7 @@ def random_robp(rng, width, D, T):
 def test_single_state_program():
     p = ROBP(1, 1, 3, np.zeros((3, 1, 2), dtype=int), np.array([1.0 + 0j]))
     for bits in itertools.product([0, 1], repeat=3):
-        assert p.eval(list(bits)) == pytest.approx(1.0)
+        assert p.eval_batch([bits])[0] == pytest.approx(1.0)
 
 
 def parity_robp(nbits):
@@ -42,19 +39,7 @@ def test_parity_program():
     p = parity_robp(5)
     for bits in itertools.product([0, 1], repeat=5):
         expected = (-1.0) ** (sum(bits) % 2)
-        assert p.eval(list(bits)) == pytest.approx(expected)
-
-
-def test_linear_form_tracking_program():
-    # ROBP accumulating a linear form at fixed precision vs direct shape
-    # evaluation
-    rng = np.random.default_rng(0)
-    f = linear_shape(rng.integers(-3, 4, 8), 0.37, 2)
-    p = shape_to_robp(f, precision_bits=8)
-    for _ in range(100):
-        x = rng.integers(0, 2, 8)
-        direct = eval_shape(f, x)
-        assert abs(p.eval(list(x)) - direct) <= 8 * 2 ** -6
+        assert p.eval_batch([bits])[0] == pytest.approx(expected)
 
 
 def test_robp_validation():
@@ -204,55 +189,3 @@ def test_inw_fools_small_robps():
         p = random_robp(rng, 4, 2, 4)
         vals = p.eval_batch(all_inputs)
         assert abs(pmf @ vals - vals.mean()) <= 0.1
-
-
-# ---------------------------------------------------------------------------
-# shape -> ROBP discretization
-
-
-def test_shape_to_robp_constant():
-    p = shape_to_robp(FourierShape(np.ones((4, 2))), 8)
-    assert np.allclose(p.labels, 1.0)
-
-
-def test_shape_to_robp_parity():
-    f = FourierShape(np.tile([1.0, -1.0], (4, 1)))
-    p = shape_to_robp(f, 8)
-    for bits in itertools.product([0, 1], repeat=4):
-        expected = (-1.0) ** (sum(bits) % 2)
-        assert p.eval(list(bits)) == pytest.approx(expected, abs=1e-9)
-
-
-def test_shape_to_robp_error_bound():
-    rng = np.random.default_rng(4)
-    f = random_shape(rng, 6, 2)
-    p = shape_to_robp(f, 16)
-    for code in range(64):
-        x = [(code >> (5 - j)) & 1 for j in range(6)]
-        assert abs(p.eval(x) - eval_shape(f, x)) <= 6 * 2 ** -14
-
-
-def test_shape_to_robp_zero_entries_absorb():
-    t = np.ones((3, 2), dtype=complex)
-    t[1, 0] = 0.0
-    p = shape_to_robp(FourierShape(t), 8)
-    assert p.eval([0, 0, 1]) == pytest.approx(0.0)
-    assert p.eval([0, 1, 1]) == pytest.approx(1.0)
-
-
-def test_discretization_pointwise_bound():
-    # precision >= 2*log2(n/delta) keeps the truncated shape within
-    # delta of the original pointwise
-    rng = np.random.default_rng(5)
-    for n, delta in ((4, 0.1), (8, 0.05)):
-        bits = default_precision_bits(n, delta)
-        f = random_shape(rng, n, 2)
-        p = shape_to_robp(f, bits)
-        for code in range(1 << n):
-            x = [(code >> (n - 1 - j)) & 1 for j in range(n)]
-            assert abs(p.eval(x) - eval_shape(f, x)) <= delta
-
-
-def test_shape_to_robp_requires_pow2_alphabet():
-    with pytest.raises(ValueError):
-        shape_to_robp(FourierShape(np.ones((2, 3))), 8)

@@ -8,10 +8,9 @@ import pytest
 
 from fourierprg.core import KWiseGenerator, UniformStub
 from fourierprg.shapes import (EnumerateMode, FourierShape, SampleMode,
-                               empirical_expectation, eval_shape,
-                               eval_shape_batch, fooling_error, linear_shape,
-                               random_shape, scale_toward_mean, shape_stats,
-                               tvar, uniform_expectation,
+                               empirical_expectation, eval_shape_batch,
+                               fooling_error, linear_shape, random_shape,
+                               scale_toward_mean, tvar, uniform_expectation,
                                values_on_all_patterns)
 
 
@@ -22,7 +21,7 @@ def constant_shape(n: int, m: int, value: complex = 1.0) -> FourierShape:
 def brute_force_expectation(f: FourierShape) -> complex:
     total = 0j
     for x in itertools.product(range(f.m), repeat=f.n):
-        total += eval_shape(f, x)
+        total += eval_shape_batch(f, np.asarray([x]))[0]
     return total / f.m ** f.n
 
 
@@ -52,10 +51,12 @@ def test_tvar_matches_two_pass():
 
 
 def test_shape_stats_variance_mean_tradeoff():
-    rng = np.random.default_rng(1)
-    s = shape_stats(random_shape(rng, 8, 4))
-    assert np.all(s.variances >= -1e-12)
-    assert np.all(s.variances + np.abs(s.means) ** 2 <= 1 + 1e-12)
+    # per coordinate: tvar of the one-coordinate shape is its variance
+    f = random_shape(np.random.default_rng(1), 8, 4)
+    for row in f.table:
+        var = tvar(FourierShape(row[None]))
+        assert var >= -1e-12
+        assert var + abs(row.mean()) ** 2 <= 1 + 1e-12
 
 
 def test_uniform_expectation_constant():
@@ -77,19 +78,19 @@ def test_uniform_expectation_brute_force():
 
 
 def test_eval_shape_examples():
-    assert eval_shape(constant_shape(3, 2), [0, 1, 1]) == pytest.approx(1.0)
+    assert eval_shape_batch(constant_shape(3, 2),
+                            np.asarray([[0, 1, 1]]))[0] == pytest.approx(1.0)
     t = np.ones((3, 2), dtype=complex)
     t[2, 0] = 0.0
-    assert eval_shape(FourierShape(t), [1, 1, 0]) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        eval_shape(constant_shape(3, 2), [0, 1, 2])
+    assert eval_shape_batch(FourierShape(t),
+                            np.asarray([[1, 1, 0]]))[0] == pytest.approx(0.0)
 
 
 def test_eval_shape_reordered_product():
     rng = np.random.default_rng(3)
     f = random_shape(rng, 6, 3)
     x = rng.integers(0, 3, 6)
-    forward = eval_shape(f, x)
+    forward = eval_shape_batch(f, np.asarray([x]))[0]
     backward = 1.0 + 0j
     for j in range(5, -1, -1):
         backward *= f.table[j][x[j]]
@@ -123,7 +124,8 @@ def test_values_on_all_patterns_order():
     f = random_shape(rng, 3, 2)
     vals = values_on_all_patterns(f)
     # index 0b110 -> symbols (1,1,0), coordinate 0 most significant
-    assert vals[0b110] == pytest.approx(eval_shape(f, [1, 1, 0]), abs=1e-12)
+    assert vals[0b110] == pytest.approx(
+        eval_shape_batch(f, np.asarray([[1, 1, 0]]))[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +233,14 @@ def test_eval_shape_batch_matches_scalar():
     xs = rng.integers(0, 4, size=(20, 5))
     vals = eval_shape_batch(f, xs)
     for i in range(20):
-        assert vals[i] == pytest.approx(eval_shape(f, xs[i]), abs=1e-12)
+        direct = math.prod(f.table[j][xs[i, j]] for j in range(5))
+        assert vals[i] == pytest.approx(direct, abs=1e-12)
 
 
 def test_eval_shape_bit_identical_to_batch():
     f = random_shape(np.random.default_rng(0), 8, 2)
     xs = np.indices((2,) * 8).reshape(8, -1).T
     batch = eval_shape_batch(f, xs)
-    assert [eval_shape(f, x) for x in xs] == batch.tolist()
+    # a row alone rounds exactly as it does inside the batch
+    assert [eval_shape_batch(f, np.asarray([x]))[0]
+            for x in xs] == batch.tolist()

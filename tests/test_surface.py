@@ -12,9 +12,7 @@ chain of dead helpers is found whole; a method of an unreferenced class
 is unreferenced too. Attributes are matched by name alone, so a method
 still shares its references with every other method or attribute of the
 same name. A class registered with @register_plan is referenced through
-its plan type. The names left over must be exactly PENDING, so the guard
-fails both when dead code appears and when a pending name gains a
-caller.
+its plan type. No name may be left over.
 """
 
 import ast
@@ -22,19 +20,6 @@ import pathlib
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-PENDING = {
-    "shape_to_robp": "ROADMAP item 4: its width feeds the INW state rule",
-    "default_precision_bits": "ROADMAP item 4: precision for shape_to_robp",
-    "bias_function": "ROADMAP item 3: adversary target for alphabet steps",
-    "is_good_hash": "ROADMAP item 3: adversary target for dimension steps",
-    "eval_shape": "one-row evaluator that checks its input; the "
-                  "bit-identity tests compare eval_shape_batch against it",
-    "ModularTest.eval": "the one statement of the modular test's rule; "
-                        "modular_error reads the residues in batch",
-    "ROBP.eval": "one-row form of the paper-lemma program, which waits "
-                 "with shape_to_robp for ROADMAP item 4",
-}
 
 
 def _sources(root: pathlib.Path):
@@ -115,6 +100,4 @@ def unreferenced(root: pathlib.Path = ROOT) -> set:
 
 
 def test_every_definition_has_a_caller():
-    dead = unreferenced()
-    assert dead - set(PENDING) == set(), "definitions no caller reaches"
-    assert set(PENDING) - dead == set(), "pending names that gained a caller"
+    assert unreferenced() == set(), "definitions no caller reaches"
