@@ -27,10 +27,18 @@ _DEFAULT_WINDOW_CAP = 10 ** 6
 # test families
 
 
-def _table_sums(g: np.ndarray, xs) -> np.ndarray:
-    """sum_j g[j, x_j] for every row x of xs."""
+def _columns(table: np.ndarray, xs):
+    """table[j][xs[:, j]] for j = 0, 1, ...: one 1-D gather per coordinate,
+    each reading one contiguous column when xs is Fortran-ordered, as
+    generator output may be."""
     xs = np.asarray(xs, dtype=np.int64)
-    return g[np.arange(g.shape[0]), xs].sum(axis=1)
+    return (np.take(row, xs[:, j]) for j, row in enumerate(table))
+
+
+def _table_sums(g: np.ndarray, xs) -> np.ndarray:
+    """sum_j g[j, x_j] for every row x of xs, added j = 0, 1, ... in turn,
+    so every memory layout of xs rounds the same."""
+    return sum(_columns(g, xs))
 
 
 @dataclass(frozen=True)
@@ -307,7 +315,7 @@ class ChernoffSampler:
     `table` holds every h_i outright: an (n, 2^r_x) array of
     n * 2^r_x entries in the narrowest unsigned dtype that holds m - 1
     (256 KB for n = 64, r_x = 12, m = 2), so mapping a batch is one
-    gather.
+    gather per coordinate from that coordinate's row.
     """
 
     def __init__(self, pmfs: np.ndarray, eps: float, generator: Generator):
@@ -327,7 +335,6 @@ class ChernoffSampler:
         self.cuts = np.cumsum(self.weights, axis=1)
         self.table = self._rows(
             np.arange(self.m, dtype=np.min_scalar_type(self.m - 1)))
-        self._offsets = np.arange(self.n, dtype=np.int64) << self.r_x
 
     def _rows(self, values: np.ndarray) -> np.ndarray:
         """(n, 2^r_x) table whose row i repeats values[i, j] (or values[j])
@@ -335,10 +342,6 @@ class ChernoffSampler:
         values = np.broadcast_to(values, (self.n, self.m))
         return np.repeat(values.ravel(), self.weights.ravel()).reshape(
             self.n, 1 << self.r_x)
-
-    def _lookup(self, table: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """table[i, z[:, i]] for every coordinate i, as one flat gather."""
-        return np.take(table, z + self._offsets)
 
     @property
     def seed_bits(self) -> int:
@@ -349,8 +352,7 @@ class ChernoffSampler:
 
     def map_batch(self, z: np.ndarray) -> np.ndarray:
         """Inverse-CDF tables applied coordinatewise to (N, n) indices."""
-        z = np.asarray(z, dtype=np.int64)
-        return self._lookup(self.table, z).astype(np.int64)
+        return np.stack(list(_columns(self.table, z))).T.astype(np.int64)
 
     def sample_batch(self, seeds) -> np.ndarray:
         return self.map_batch(self.generator.generate_batch(seeds))
@@ -377,7 +379,7 @@ def chernoff_tail_check(s: ChernoffSampler, g_tables: np.ndarray, t: float,
     values = s._rows(g_tables)
     est = expectation(
         s.generator,
-        lambda z: np.abs(s._lookup(values, z).sum(axis=1) - mean) >= t,
+        lambda z: np.abs(_table_sums(values, z) - mean) >= t,
         SampleMode(trials, rng_seed))
     emp = float(est.mean)
     bound = 2 * math.exp(-t * t / (2 * s.n)) + s.eps

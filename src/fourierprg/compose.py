@@ -15,6 +15,10 @@ from .highvar import GLargePlan
 from .reductions import DimStepPlan, alphabet_reduce, dim_step_params
 from .robp import INWGenerator
 
+# INWBase runs chunks of about 2 MB of int64 output (4096 rows at n = 64),
+# so a chunk's blocks and pieces stay in cache from expansion to symbols
+_CHUNK_BYTES = 1 << 21
+
 
 @dataclass(frozen=True)
 class ComposePlan:
@@ -73,7 +77,8 @@ class INWBase(Generator):
     MSB first. It overlaps at most ceil(b/D) + 1 blocks, so it is the OR
     of that many pieces, each one block shifted right, masked and shifted
     left into place. The pieces come from a schedule fixed per plan, so a
-    batch costs one gather-shift-mask-shift pass per piece position.
+    batch costs one gather-shift-mask-shift pass per piece position on the
+    (T, N) blocks. The output is the (N, n) view of (n, N) int64 symbols.
     """
 
     m: int
@@ -107,7 +112,11 @@ class INWBase(Generator):
             nblocks = max(2, math.ceil(self.total_bits / self.block_bits))
             T = 1 << (nblocks - 1).bit_length()
             D = math.ceil(self.total_bits / T)
-            w = min(16, D + self.state_extra)
+            w = D + self.state_extra
+            if w > 16:
+                raise ValueError(f"inw-base state of {D} + {self.state_extra}"
+                                 " bits exceeds 16; lower the knob "
+                                 "inw_block_bits or inw_state_extra")
         self.inw = INWGenerator(D, T, w)
         self.seed_bits = self.inw.seed_bits
         if T == 2 and w == D and m & (m - 1) == 0:
@@ -117,21 +126,27 @@ class INWBase(Generator):
         self._pieces = symbol_pieces(n, self.bits_per_symbol, D, self._dtype)
 
     def generate_batch(self, seeds) -> np.ndarray:
-        blocks = self.inw.expand_batch(seeds).astype(self._dtype)
+        bits = as_bits(seeds, self.seed_bits)
         block, rshift, mask, lshift = self._pieces
-        out = np.zeros((len(blocks), self.n), dtype=self._dtype)
-        piece = np.empty_like(out)
-        for k in range(len(block)):
-            np.take(blocks, block[k], axis=1, out=piece)
-            piece >>= rshift[k]
-            piece &= mask[k]
-            piece <<= lshift[k]
-            out |= piece
-        if self.m & (self.m - 1) == 0:
-            out &= self._dtype(self.m - 1)
-        else:
-            out %= self._dtype(self.m)
-        return out.astype(np.int64)
+        out = np.empty((self.n, len(bits)), dtype=np.int64)
+        step = max(1, _CHUNK_BYTES // (8 * self.n))
+        for lo in range(0, len(bits), step):
+            blocks = self.inw.expand_batch(bits[lo:lo + step])
+            blocks = blocks.T.astype(self._dtype)
+            sym = np.zeros((self.n, blocks.shape[1]), dtype=self._dtype)
+            piece = np.empty_like(sym)
+            for k in range(len(block)):
+                np.take(blocks, block[k], axis=0, out=piece)
+                piece >>= rshift[k][:, None]
+                piece &= mask[k][:, None]
+                piece <<= lshift[k][:, None]
+                sym |= piece
+            if self.m & (self.m - 1) == 0:
+                sym &= self._dtype(self.m - 1)
+            else:
+                sym %= self._dtype(self.m)
+            out[:, lo:lo + step] = sym
+        return out.T
 
 
 @register_plan("xor-compose")

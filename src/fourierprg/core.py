@@ -40,7 +40,10 @@ class Generator:
 
     generate_batch takes any seed batch `bitseq.as_bits` accepts, turns it
     into an (N, seed_bits) bit matrix with one as_bits call and returns an
-    (N, n) array of output symbols."""
+    (N, n) int64 array of output symbols in an unspecified memory layout
+    (the INW nodes return Fortran order). A consumer that reduces floats
+    across coordinates must add them in a fixed order, not with a sum
+    whose rounding follows the layout."""
 
     m: int
     n: int

@@ -54,9 +54,10 @@ class SeedRecycler:
         blocks = self.inw.expand_batch(bits)
         N, T = blocks.shape
         D = self.block_bits
-        # block_bits <= state_bits <= 16, so a block fits in 2 bytes
+        # a block fits in 2 bytes; the C-order copy transposes (T, N) states
         width = 1 if D <= 8 else 2
-        raw = blocks.astype(f">u{width}").view(np.uint8).reshape(N, T, width)
+        raw = blocks.astype(f">u{width}", order="C").view(np.uint8)
+        raw = raw.reshape(N, T, width)
         stream = np.unpackbits(raw, axis=2)[:, :, 8 * width - D:]
         return stream.reshape(N, T * D)[:, :self.total_bits]
 

@@ -62,10 +62,12 @@ class INWGenerator(Generator):
     Level i+1 emits (expand(x), expand(hi(x))); each block is the D
     most significant bits of its state.
 
-    expand_batch keeps the (N, T) states in block order: with s = T >>
-    (l + 1), level l maps the states so far, at the multiples of 2s, to
-    the odd multiples of s. States, and the blocks expand_batch returns,
-    are uint8 for state_bits <= 8, uint16 to 16 and int64 beyond.
+    expand_batch keeps the states coordinate-major, as a (T, N) array with
+    one contiguous row per block position, in block order: with s = T >>
+    (l + 1), level l maps the rows so far, at the multiples of 2s, to the
+    odd multiples of s, each seed's (a, b) a row broadcast down them. It
+    returns the transposed (N, T) view. States, and so the blocks, are
+    uint8 for state_bits <= 8, uint16 to 16 and int64 beyond.
     """
 
     D: int
@@ -89,19 +91,18 @@ class INWGenerator(Generator):
 
     def expand_batch(self, seeds) -> np.ndarray:
         """(len(seeds), T) blocks of D bits, in the state dtype."""
-        # x, then (a, b) per level, as w-bit seed fields MSB first
+        # x, then (a, b) per level: one row per w-bit seed field, MSB first
         w = self.state_bits
         fields = bit_fields(as_bits(seeds, self.seed_bits), w)
-        fields = fields.astype(self._dtype, copy=False)
-        states = np.empty((len(fields), self.T), dtype=self._dtype)
-        states[:, 0] = fields[:, 0]
+        fields = fields.T.astype(self._dtype, order="C")
+        states = np.empty((self.T, fields.shape[1]), dtype=self._dtype)
+        states[0] = fields[0]
         for lvl in range(self.levels):
             s = self.T >> (lvl + 1)
-            a = fields[:, 1 + 2 * lvl:2 + 2 * lvl]
-            b = fields[:, 2 + 2 * lvl:3 + 2 * lvl]
-            states[:, s::2 * s] = self.field.mul_vec(a, states[:, ::2 * s]) ^ b
+            a, b = fields[1 + 2 * lvl], fields[2 + 2 * lvl]
+            states[s::2 * s] = self.field.mul_vec(a, states[::2 * s]) ^ b
         states >>= w - self.D
-        return states
+        return states.T
 
     def generate_batch(self, seeds) -> np.ndarray:
         return self.expand_batch(seeds).astype(np.int64)
@@ -114,13 +115,15 @@ def inw_for_robp(S: int, D: int, T: int, delta: float,
                  state_extra: int = -2) -> INWGenerator:
     """INW instance sized for (S, D, T)-ROBPs.
 
-    The state carries the block plus max(1, S + state_extra) recycled
-    bits, a desk-scale substitution for the asymptotic parameterization.
+    The state carries the block plus S + state_extra >= 1 recycled bits,
+    a desk-scale substitution for the asymptotic parameterization.
     state_extra is a calibrated knob (default -2, validated by the
     width-16 ROBP fooling campaign at delta = 0.1); delta itself enters
     only through that empirical validation, not a formula.
     """
+    if S + state_extra < 1:
+        raise ValueError(f"S + state_extra = {S} + {state_extra} leaves no "
+                         "recycled state bit; need at least 1")
     Tp = 1 << max(0, (T - 1).bit_length())
-    w = D + max(1, S + state_extra)
-    return INWGenerator(D, Tp, w)
+    return INWGenerator(D, Tp, D + S + state_extra)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourierprg import apps
 from fourierprg.apps import (ChernoffSampler, CombinatorialShape,
                              GeneralizedHalfspace, Halfspace, ModularTest,
                              chernoff_tail_check,
@@ -18,7 +19,8 @@ from fourierprg.apps import (ChernoffSampler, CombinatorialShape,
 from fourierprg.compose import build_generator
 from fourierprg.core import KWiseGenerator, UniformStub
 from fourierprg.metrics import WindowCapError
-from fourierprg.shapes import EnumerateMode, SampleMode
+from fourierprg.shapes import (EnumerateMode, SampleMode, eval_shape_batch,
+                               random_shape)
 from test_estimator import chernoff_tail_check_reference
 
 
@@ -399,3 +401,49 @@ def test_chernoff_tail_check_fails_one_wise_indices():
         res = chernoff_tail_check(ChernoffSampler(pmfs, eps, g), tables, t,
                                   200_000)
         assert res.passed, res
+
+
+class _Layout:
+    """g with its output batches copied into one memory layout."""
+
+    def __init__(self, g, order: str):
+        self.g, self.order = g, order
+        self.m, self.n, self.seed_bits = g.m, g.n, g.seed_bits
+
+    def generate_batch(self, seeds):
+        return np.asarray(self.g.generate_batch(seeds), order=self.order)
+
+
+def test_float_consumers_round_alike_in_c_and_fortran_order():
+    # sums of tables of tenths land next to the threshold 4.8: a pairwise
+    # sum along the contiguous axis puts 4 of these 4000 rows on
+    # different sides of it in the two layouts
+    rng = np.random.default_rng(15)
+    n, m = 12, 4
+    tables = rng.integers(0, 11, size=(n, m)) / 10
+    xs = rng.integers(0, m, size=(4000, n))
+    c, f = np.ascontiguousarray(xs), np.asfortranarray(xs)
+    in_order = functools.reduce(
+        lambda acc, j: acc + tables[j][xs[:, j]], range(1, n),
+        tables[0][xs[:, 0]])
+    for layout in (c, f):
+        assert apps._table_sums(tables, layout).tobytes() == \
+            in_order.tobytes()
+    gh = GeneralizedHalfspace(tables, 4.8)
+    assert gh.eval_batch(c).tobytes() == gh.eval_batch(f).tobytes()
+    shape = random_shape(rng, n, m)
+    assert eval_shape_batch(shape, c).tobytes() == \
+        eval_shape_batch(shape, f).tobytes()
+    # the Chernoff statistic, on the benchmark's index generator
+    g = build_generator(4096, 64, 0.05)
+    pmfs = rng.random((64, 2)) + 0.1
+    pmfs /= pmfs.sum(axis=1, keepdims=True)
+    g_tables = rng.integers(-10, 11, size=(64, 2)) / 10
+    checks = [chernoff_tail_check(ChernoffSampler(pmfs, 0.05, _Layout(g, o)),
+                                  g_tables, 1.0, 5000, rng_seed=3)
+              for o in "CF"]
+    assert checks[0] == checks[1]
+    z = g.generate_batch(np.arange(5000))
+    values = ChernoffSampler(pmfs, 0.05, g)._rows(g_tables)
+    assert apps._table_sums(values, np.ascontiguousarray(z)).tobytes() == \
+        apps._table_sums(values, np.asfortranarray(z)).tobytes()

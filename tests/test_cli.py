@@ -326,6 +326,17 @@ def test_out_of_range_knob_is_a_usage_error(capsys, knob, limit):
     assert f"knob {name} must be {limit}" in err
 
 
+@pytest.mark.parametrize("knob", [
+    "inw_state_extra=14", "inw_state_extra=20", "inw_block_bits=20"])
+@pytest.mark.parametrize("n", ["64", "128"])
+def test_inw_base_state_above_16_bits_is_refused(capsys, knob, n):
+    # an INW state above 16 bits is refused naming the knob, not clamped
+    code, out, err = run_main(capsys, "gen", "--m", "2", "--n", n,
+                              "--eps", "0.1", "--knob", knob)
+    assert code == 2 and out == ""
+    assert "inw-base" in err and knob.split("=")[0] in err
+
+
 def test_uniform_stub_refuses_non_power_of_two_alphabet(capsys):
     # m^n codes read from n*ceil(log2 m) seed bits are not uniform, so the
     # stub would report its own bias rather than a measurement

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourierprg import compose
 from fourierprg.bitseq import to_ints
 from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
                                 build_generator, symbol_pieces)
@@ -18,7 +19,7 @@ from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
                                    dim_step_params)
 from fourierprg.robp import INWGenerator
 from fourierprg.shapes import EnumerateMode, fooling_error, random_shape
-from test_robp import edge_seeds
+from test_robp import edge_seeds, reference_expand_batch
 
 
 def test_inw_base_small_instance_exactly_uniform():
@@ -114,6 +115,62 @@ def test_benchmark_base_nodes_run_on_uint8_states(m, n, eps):
     got = g.generate_batch(seeds)
     assert got.dtype == np.int64
     assert np.array_equal(got, reference_inw_base(g, seeds))
+
+
+def _sized_batch(nbits: int, size: int, rng) -> np.ndarray:
+    """size seeds: all zero, all ones and top-bit-set seeds first, then
+    full-width random ones."""
+    seeds = edge_seeds(nbits, max(size, 1), rng)
+    return np.concatenate([seeds[-5:], seeds[:-5]])[:size]
+
+
+# (m, n, block_bits): INW state widths up to 8 and 9-16 bits, power-of-two
+# and other m
+CHUNK_CASES = [(2, 64, 6), (4096, 64, 6), (5, 20, 6), (8, 64, 12),
+               (3, 10, 6), (2, 8, 6)]
+
+
+@pytest.mark.parametrize("m,n,block_bits", CHUNK_CASES)
+def test_inw_base_chunks_match_reference(monkeypatch, m, n, block_bits):
+    # generate_batch expands and assembles chunk by chunk of seeds; a
+    # 7-row chunk puts chunk edges inside small batches
+    g = INWBase(m, n, 0.1, block_bits)
+    monkeypatch.setattr(compose, "_CHUNK_BYTES", 8 * n * 7)
+    rng = np.random.default_rng(m + n + block_bits)
+    for size in (1, 6, 7, 8, 3 * 7 + 5):
+        seeds = _sized_batch(g.seed_bits, size, rng)
+        assert np.array_equal(g.inw.expand_batch(seeds),
+                              reference_expand_batch(g.inw, seeds))
+        got = g.generate_batch(seeds)
+        assert got.shape == (size, n) and got.dtype == np.int64
+        assert np.array_equal(got, reference_inw_base(g, seeds))
+
+
+def test_chunk_cases_cover_both_state_dtypes():
+    widths = {INWBase(m, n, 0.1, b).inw.state_bits for m, n, b in CHUNK_CASES}
+    assert min(widths) <= 8 < max(widths) <= 16
+
+
+def test_inw_base_chunks_at_full_size():
+    # the base-sample node at its own chunk size: 4096 rows at n = 64
+    g = build_generator(2, 64, 0.1)
+    chunk = compose._CHUNK_BYTES // (8 * g.n)
+    rng = np.random.default_rng(64)
+    for size in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        seeds = _sized_batch(g.seed_bits, size, rng)
+        got = g.generate_batch(seeds)
+        # symbols reach the consumer coordinate-major
+        assert got.flags.f_contiguous and got.dtype == np.int64
+        assert np.array_equal(got, reference_inw_base(g, seeds))
+
+
+def test_inw_base_refuses_state_above_16_bits():
+    # D = 4 at (2, 64): state_extra 12 fills 16 bits, 13 is one too many
+    assert INWBase(2, 64, 0.1, 6, 12).inw.state_bits == 16
+    for args in ((6, 13), (6, 20), (20, 2)):
+        with pytest.raises(ValueError, match="inw_block_bits or "
+                                             "inw_state_extra"):
+            INWBase(2, 64, 0.1, *args)
 
 
 def test_inw_base_case_shapes():

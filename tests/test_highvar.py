@@ -273,6 +273,20 @@ def test_recycler_matches_blockwise_reference(total_bits, block_bits):
     assert all(v >> total_bits == 0 for v in out)
 
 
+@pytest.mark.parametrize("block_bits,state_extra", [(5, 2), (8, 2), (11, 3)])
+def test_recycler_batch_sizes_match_reference(block_bits, state_extra):
+    # INW states of up to 8 and of 9-16 bits, at the batch sizes that
+    # bracket INWBase's 4096-row chunk, from edge and full-width seeds
+    r = SeedRecycler(3 * block_bits + 1, "inw", block_bits, state_extra)
+    rng = np.random.default_rng(block_bits)
+    edges = [0] + list(_full_width_seeds(r.seed_bits, block_bits))
+    for size in (1, 4095, 4096, 4097, 3 * 4096 + 5):
+        seeds = np.concatenate(
+            [edges, to_ints(sample_seeds(rng, r.seed_bits, size))])[:size]
+        assert list(to_ints(r.bitstream_batch(seeds))) == \
+            _bitstream_reference(r, seeds)
+
+
 @pytest.mark.parametrize("args,kwargs", [
     ((2, 16, 0.2), {"p": 2}), ((3, 32, 0.2), {})])
 def test_glarge_matches_per_bucket_reference(args, kwargs):

@@ -176,8 +176,10 @@ def test_inw_plan_roundtrip():
 
 def test_inw_fools_small_robps():
     # reduced version of the fooling campaign: 10 random width-4
-    # programs, exact enumeration
-    gen = inw_for_robp(2, 2, 4, 0.1)
+    # programs, exact enumeration, with one recycled state bit (S = 2
+    # leaves none at the default state_extra = -2)
+    gen = inw_for_robp(2, 2, 4, 0.1, state_extra=-1)
+    assert (gen.D, gen.T, gen.state_bits) == (2, 4, 3)
     seeds = np.arange(1 << gen.seed_bits, dtype=np.int64)
     blocks = gen.expand_batch(seeds)
     codes = blocks @ (4 ** np.arange(3, -1, -1))
@@ -189,3 +191,16 @@ def test_inw_fools_small_robps():
         p = random_robp(rng, 4, 2, 4)
         vals = p.eval_batch(all_inputs)
         assert abs(pmf @ vals - vals.mean()) <= 0.1
+
+
+@pytest.mark.parametrize("extra", [-2, -5, -10])
+def test_inw_for_robp_refuses_empty_state(extra):
+    # no recycled state bit is refused, not raised to one
+    with pytest.raises(ValueError, match="state_extra"):
+        inw_for_robp(2, 2, 4, 0.1, state_extra=extra)
+
+
+def test_inw_for_robp_state_width():
+    for S, extra in ((2, -1), (4, -2), (3, 0)):
+        gen = inw_for_robp(S, 2, 5, 0.1, state_extra=extra)
+        assert (gen.T, gen.state_bits) == (8, 2 + S + extra)
