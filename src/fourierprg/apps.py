@@ -2,8 +2,10 @@
 generalized halfspaces, modular linear tests, combinatorial shapes, and
 a randomness-efficient sampler with a Chernoff-style tail guarantee.
 
-Uniform-side probabilities come from the exact convolution oracles in
-metrics; generator-side probabilities come from full seed enumeration
+Each of the four tests is a rule applied to one integer linear form
+S = sum_j tables[j, x_j]. The uniform side of its error is one exact
+convolution of the table rows (metrics.linear_pmf); the generator side
+applies the same rule to the same sums under full seed enumeration
 (exact) or Monte-Carlo sampling with a reported standard error.
 """
 
@@ -57,10 +59,6 @@ class Halfspace:
     def n(self) -> int:
         return len(self.w)
 
-    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        return (np.asarray(xs, dtype=np.int64) @ self.w
-                >= self.theta).astype(np.int64)
-
 
 @dataclass(frozen=True)
 class GeneralizedHalfspace:
@@ -84,11 +82,8 @@ class GeneralizedHalfspace:
     def m(self) -> int:
         return self.g.shape[1]
 
-    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        return (_table_sums(self.g, xs) >= self.theta).astype(np.int64)
-
-    def canonicalize(self, scale_bits: int = 20) -> "IntegerHalfspace":
-        """Equivalent instance with integer tables and threshold.
+    def canonicalize(self, scale_bits: int = 20) -> tuple[np.ndarray, int]:
+        """Equivalent integer tables and threshold.
 
         Entries are scaled by 2^scale_bits and rounded to the nearest
         integer; exact (pointwise-agreeing) whenever the inputs are
@@ -96,19 +91,8 @@ class GeneralizedHalfspace:
         n * 2^-(scale_bits+1) in the linear form otherwise.
         """
         scale = 1 << scale_bits
-        tables = np.rint(self.g * scale).astype(np.int64)
-        return IntegerHalfspace(tables, int(round(self.theta * scale)))
-
-
-@dataclass(frozen=True)
-class IntegerHalfspace:
-    """Canonical form consumed by the convolution oracle."""
-
-    g: np.ndarray  # (n, m) int
-    theta: int
-
-    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        return (_table_sums(self.g, xs) >= self.theta).astype(np.int64)
+        return (np.rint(self.g * scale).astype(np.int64),
+                int(round(self.theta * scale)))
 
 
 @dataclass(frozen=True)
@@ -157,12 +141,10 @@ class CombinatorialShape:
     def m(self) -> int:
         return self.g.shape[1]
 
-    def eval_batch(self, xs: np.ndarray) -> np.ndarray:
-        return self.h[_table_sums(self.g, xs)]
-
 
 # ---------------------------------------------------------------------------
-# generator-side pmfs
+# fooling errors: every test above is rule(S) for one integer linear form
+# S = sum_j tables[j, x_j]
 
 
 @dataclass(frozen=True)
@@ -175,32 +157,49 @@ class ErrorResult:
     generator_prob: float
 
 
-def _indicator_error(g: Generator, eval_batch, uniform_prob: float,
-                     mode, pattern_cap: int, enumerate_cap: int
+def _linear_form(g: Generator, tables: np.ndarray, rule, mode,
+                 window_cap: int, pattern_cap: int, enumerate_cap: int):
+    """E[rule(S)] for S = sum_j tables[j, x_j] under uniform x in [m]^n,
+    exact by one convolution of the rows' pmfs and added over s in
+    ascending order, and the Estimate of E[rule(S)] under g."""
+    if tables.shape != (g.n, g.m):
+        raise ValueError(f"generator over [{g.m}]^{g.n} and test tables "
+                         f"of shape {tables.shape} disagree on (m, n)")
+    bases = []
+    for row in tables:
+        lo = int(row.min())
+        if int(row.max()) - lo >= window_cap:
+            raise WindowCapError(int(row.max()) - lo + 1, window_cap)
+        bases.append(IntPMF(lo, np.bincount(row - lo) / g.m))
+    pmf = linear_pmf(np.ones(g.n, dtype=np.int64), bases, window_cap)
+    uniform = sum(pmf.prob(s) * rule(s) for s in range(pmf.lo, pmf.hi + 1))
+    est = expectation(g, lambda xs: rule(_table_sums(tables, xs)), mode,
+                      enumerate_cap, pattern_cap)
+    return uniform, est
+
+
+def _indicator_error(g: Generator, tables: np.ndarray, rule, mode,
+                     window_cap: int, pattern_cap: int, enumerate_cap: int
                      ) -> ErrorResult:
-    """|Pr_seed[test] - Pr_uniform[test]| with the generator side exact
-    (enumerate) or estimated (sample)."""
-    est = expectation(g, eval_batch, mode, enumerate_cap, pattern_cap)
-    p_gen = float(est.mean)
+    """|Pr_seed[rule(S)] - Pr_uniform[rule(S)]| for a 0/1 rule, with the
+    generator side exact (enumerate) or estimated (sample)."""
+    uniform, est = _linear_form(g, tables, rule, mode, window_cap,
+                                pattern_cap, enumerate_cap)
+    p_unif, p_gen = float(uniform), float(est.mean)
     std_err = (math.sqrt(max(p_gen * (1 - p_gen), 0.0) / est.count)
                if isinstance(mode, SampleMode) else 0.0)
-    return ErrorResult(abs(p_gen - uniform_prob), std_err, est.count,
-                       mode.name, uniform_prob, p_gen)
+    return ErrorResult(abs(p_gen - p_unif), std_err, est.count,
+                       mode.name, p_unif, p_gen)
 
 
 def halfspace_error(g: Generator, h: Halfspace, mode,
                     window_cap: int = _DEFAULT_WINDOW_CAP,
                     pattern_cap: int = 1 << 22,
                     enumerate_cap: int = 26) -> ErrorResult:
-    """Fooling error of g against one halfspace over {0,1}^n."""
-    if g.m != 2:
-        raise ValueError("halfspaces are defined over {0,1}^n")
-    if g.n != h.n:
-        raise ValueError("generator and halfspace disagree on n")
-    pmf = linear_pmf(h.w, 2, window_cap)
-    p_unif = sum(pmf.prob(j) for j in range(h.theta, pmf.hi + 1))
-    return _indicator_error(g, h.eval_batch, p_unif, mode, pattern_cap,
-                            enumerate_cap)
+    """Fooling error of g against one halfspace over [m]^n."""
+    return _indicator_error(g, h.w[:, None] * np.arange(g.m),
+                            lambda s: s >= h.theta, mode, window_cap,
+                            pattern_cap, enumerate_cap)
 
 
 def gen_halfspace_error(g: Generator, gh: GeneralizedHalfspace, mode,
@@ -209,31 +208,17 @@ def gen_halfspace_error(g: Generator, gh: GeneralizedHalfspace, mode,
                         enumerate_cap: int = 26) -> ErrorResult:
     """Fooling error against a generalized halfspace over [m]^n, via its
     integer canonical form."""
-    if (g.m, g.n) != (gh.m, gh.n):
-        raise ValueError("generator and halfspace disagree on (m, n)")
-    ih = gh.canonicalize(scale_bits)
-    for row in ih.g:
-        if int(row.max()) - int(row.min()) >= window_cap:
-            raise WindowCapError(int(row.max()) - int(row.min()) + 1,
-                                 window_cap)
-    bases = [IntPMF(int(row.min()),
-                    np.bincount(row - row.min()) / gh.m)
-             for row in ih.g]
-    pmf = linear_pmf(np.ones(gh.n, dtype=np.int64), bases, window_cap)
-    p_unif = float(sum(pmf.prob(j)
-                       for j in range(max(ih.theta, pmf.lo), pmf.hi + 1)))
-    return _indicator_error(g, ih.eval_batch, p_unif, mode, pattern_cap,
-                            enumerate_cap)
+    tables, theta = gh.canonicalize(scale_bits)
+    return _indicator_error(g, tables, lambda s: s >= theta, mode,
+                            window_cap, pattern_cap, enumerate_cap)
 
 
-def modular_pmf(t: ModularTest, m: int = 2,
-                window_cap: int = _DEFAULT_WINDOW_CAP) -> np.ndarray:
-    """Exact pmf of <a, X> mod M under uniform X in [m]^n."""
-    lp = linear_pmf(t.a, m, window_cap)
-    out = np.zeros(t.M)
-    for j in range(lp.lo, lp.hi + 1):
-        out[j % t.M] += lp.prob(j)
-    return out
+def comb_shape_error(g: Generator, c: CombinatorialShape, mode,
+                     pattern_cap: int = 1 << 22,
+                     enumerate_cap: int = 26) -> ErrorResult:
+    """Fooling error |E[h(sum g_j)] under g - same under uniform|."""
+    return _indicator_error(g, c.g, lambda s: c.h[s], mode,
+                            _DEFAULT_WINDOW_CAP, pattern_cap, enumerate_cap)
 
 
 @dataclass(frozen=True)
@@ -252,35 +237,16 @@ def modular_error(g: Generator, t: ModularTest, mode=EnumerateMode(),
                   enumerate_cap: int = 26) -> ModularResult:
     """Total-variation distance between <a, X> mod M under g and under
     uniform input, exact in enumerate mode."""
-    if g.n != t.n:
-        raise ValueError("generator and test disagree on n")
-    unif = modular_pmf(t, g.m, window_cap)
-    est = expectation(
-        g, lambda xs: ((xs @ t.a) % t.M)[:, None] == np.arange(t.M), mode,
-        enumerate_cap, pattern_cap)
+    # the rule is the residue's one-hot over the M cells
+    unif, est = _linear_form(
+        g, t.a[:, None] * np.arange(g.m),
+        lambda s: np.equal.outer(s % t.M, np.arange(t.M)), mode,
+        window_cap, pattern_cap, enumerate_cap)
     # confidence radius on the TV estimate: sum of per-cell errors
     std_err = (math.sqrt(t.M / (4 * est.count))
                if isinstance(mode, SampleMode) else 0.0)
     return ModularResult(float(0.5 * np.abs(est.mean - unif).sum()),
                          std_err, est.count, mode.name, est.mean, unif)
-
-
-def comb_shape_pmf(c: CombinatorialShape) -> IntPMF:
-    """Exact pmf of sum_j g_j(X_j) on {0..n} under uniform input."""
-    bases = [IntPMF(0, np.bincount(row, minlength=2) / c.m) for row in c.g]
-    return linear_pmf(np.ones(c.n, dtype=np.int64), bases)
-
-
-def comb_shape_error(g: Generator, c: CombinatorialShape, mode,
-                     pattern_cap: int = 1 << 22,
-                     enumerate_cap: int = 26) -> ErrorResult:
-    """Fooling error |E[h(sum g_j)] under g - same under uniform|."""
-    if (g.m, g.n) != (c.m, c.n):
-        raise ValueError("generator and shape disagree on (m, n)")
-    pmf = comb_shape_pmf(c)
-    p_unif = float(sum(pmf.prob(s) * int(c.h[s]) for s in range(c.n + 1)))
-    return _indicator_error(g, c.eval_batch, p_unif, mode, pattern_cap,
-                            enumerate_cap)
 
 
 # ---------------------------------------------------------------------------

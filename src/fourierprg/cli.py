@@ -22,7 +22,7 @@ from .apps import (ChernoffSampler, CombinatorialShape, Halfspace,
                    ModularTest, chernoff_tail_check, comb_shape_error,
                    halfspace_error, modular_error)
 from .compose import ComposePlan, build_generator
-from .core import Generator, UniformStub, sample_seeds
+from .core import Generator, Refused, UniformStub, sample_seeds
 from .shapes import EnumerateMode, SampleMode, fooling_error, random_shape
 
 @dataclass(frozen=True)
@@ -50,6 +50,10 @@ class VerifyCampaign:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.generator not in ("composed", "uniform-stub"):
             raise ValueError(f"unknown generator {self.generator!r}")
+        for name, low in (("count", 1), ("n_samples", 1), ("modulus", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, not "
+                                 f"{getattr(self, name)!r}")
         compose_plan_from_knobs(self.knobs)
 
     def to_json(self) -> str:
@@ -144,7 +148,8 @@ def _shapes(c: VerifyCampaign, g, rng, index: int) -> tuple:
 
 def _halfspaces(c: VerifyCampaign, g, rng, index: int) -> tuple:
     w = rng.integers(-c.n, c.n + 1, size=c.n)
-    bound = int(np.abs(w).sum())
+    # theta ranges over the linear form's support [-bound, bound]
+    bound = int(np.abs(w).sum()) * (c.m - 1)
     theta = int(rng.integers(-bound, bound + 1)) if bound else 0
     return _fields(halfspace_error(g, Halfspace(w, theta),
                                    _eval_mode(c, index), **_caps(c)))
@@ -211,7 +216,7 @@ def run_campaign(campaign: VerifyCampaign) -> FoolingReport:
     for i in range(campaign.count):
         try:
             instances.append(_run_one(campaign, g, rng, i))
-        except ValueError as exc:
+        except Refused as exc:
             instances.append({"type": "instance", "index": i,
                               "family": campaign.family,
                               "m": campaign.m, "n": campaign.n,

@@ -214,7 +214,6 @@ def _build_level(m: int, n: int, delta: float, plan: ComposePlan,
         lambda mm, nn, dd: _build_level(mm, nn, dd, plan, levels_left - 1),
         plan.C_alpha)
     g_s = DimStepPlan(m, n, delta / 2, inner, plan.C_dim)
-    g_l = GLargePlan(m, n, delta, plan.bucket_p, "inw", plan.c_T,
-                     plan.delta_map)
+    g_l = GLargePlan(m, n, delta, plan.bucket_p, plan.c_T, plan.delta_map)
     return XorCompose(g_l, g_s)
 

@@ -17,6 +17,12 @@ from .families import KWiseVectors, SmallBiasFamily
 PLAN_REGISTRY: dict[str, type] = {}
 
 
+class Refused(ValueError):
+    """A well-formed instance that an exact evaluation cap turns away; a
+    campaign records it as refused, while any other ValueError is a usage
+    error."""
+
+
 def register_plan(name: str):
     def deco(cls):
         cls.plan_type = name
@@ -115,7 +121,7 @@ class Generator:
         """Outputs of all 2^seed_bits seeds in seed order, lazily in
         chunks of `chunk` rows; refused at once above seed_cap."""
         if self.seed_bits > seed_cap:
-            raise ValueError(
+            raise Refused(
                 f"seed length {self.seed_bits} exceeds enumeration cap "
                 f"{seed_cap}; use sampling instead")
         total = 1 << self.seed_bits
@@ -129,7 +135,7 @@ class Generator:
         computed by full seed enumeration (cached)."""
         npat = self.m ** self.n
         if npat > pattern_cap:
-            raise ValueError(f"{npat} patterns exceed cap {pattern_cap}")
+            raise Refused(f"{npat} patterns exceed cap {pattern_cap}")
         if self.exactly_uniform:
             return np.full(npat, 1.0 / npat)
         cached = getattr(self, "_pmf_cache", None)
@@ -186,25 +192,6 @@ class UniformStub(Generator):
             out[:, j] = (rem % self.m).astype(np.int64)
             rem //= self.m
         return out
-
-
-@register_plan("constant-stub")
-@dataclass(eq=False)
-class ConstantStub(Generator):
-    """Fixed output; zero seed bits. Test scaffolding."""
-
-    m: int
-    n: int
-    value: int = 0
-    seed_bits = 0
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.m:
-            raise ValueError("value out of range")
-
-    def generate_batch(self, seeds) -> np.ndarray:
-        bits = as_bits(seeds, self.seed_bits)
-        return np.full((len(bits), self.n), self.value, dtype=np.int64)
 
 
 @register_plan("kwise")

@@ -2,8 +2,8 @@
 
 G1: constant fooling error via dyadic bucketing by a pairwise-independent
 permutation x -> a*x + b over GF(2^t), computed inline, a p-wise
-independent string per bucket, and (optionally) seed recycling through
-the INW generator.
+independent string per bucket, and the bucket seeds recycled through the
+INW generator.
 
 GLarge: error amplification by a spreading hash whose buckets each get an
 independent-looking G1 output.
@@ -24,47 +24,25 @@ from .robp import INWGenerator
 
 
 class SeedRecycler:
-    """Supplies total_bits of expanded seed material, either verbatim from
-    the seed ("direct") or recycled through an INW instance ("inw")."""
+    """Supplies total_bits of expanded seed material: the 8-bit blocks of
+    INW(8, T, 10), T the least power of two with 8T >= total_bits, read
+    MSB first and truncated to total_bits."""
 
-    def __init__(self, total_bits: int, mode: str = "inw",
-                 block_bits: int = 8, state_extra: int = 2):
+    def __init__(self, total_bits: int):
         self.total_bits = total_bits
-        self.mode = mode
-        self.block_bits = block_bits
-        self.state_extra = state_extra
-        if mode == "direct":
-            self.seed_bits = total_bits
-            self.inw = None
-        elif mode == "inw":
-            nblocks = max(1, math.ceil(total_bits / block_bits))
-            T = 1 << (nblocks - 1).bit_length()
-            self.inw = INWGenerator(block_bits, T,
-                                    min(16, block_bits + state_extra))
-            self.seed_bits = self.inw.seed_bits
-        else:
-            raise ValueError(f"unknown recycler mode {mode!r}")
+        nblocks = max(1, math.ceil(total_bits / 8))
+        self.inw = INWGenerator(8, 1 << (nblocks - 1).bit_length(), 10)
+        self.seed_bits = self.inw.seed_bits
 
     def bitstream_batch(self, seeds) -> np.ndarray:
-        """(N, total_bits) bit matrix: the INW blocks of a row
-        concatenated MSB first, truncated to total_bits."""
-        bits = as_bits(seeds, self.seed_bits)
-        if self.mode == "direct":
-            return bits
-        blocks = self.inw.expand_batch(bits)
-        N, T = blocks.shape
-        D = self.block_bits
-        # a block fits in 2 bytes; the C-order copy transposes (T, N) states
-        width = 1 if D <= 8 else 2
-        raw = blocks.astype(f">u{width}", order="C").view(np.uint8)
-        raw = raw.reshape(N, T, width)
-        stream = np.unpackbits(raw, axis=2)[:, :, 8 * width - D:]
-        return stream.reshape(N, T * D)[:, :self.total_bits]
+        """(N, total_bits) bit matrix of the concatenated blocks."""
+        blocks = self.inw.expand_batch(seeds)
+        # the C-order copy transposes the (T, N) states into rows
+        raw = blocks.astype(np.uint8, order="C")
+        return np.unpackbits(raw, axis=1)[:, :self.total_bits]
 
     def config(self) -> dict:
-        return {"mode": self.mode, "block_bits": self.block_bits,
-                "state_extra": self.state_extra,
-                "seed_bits": self.seed_bits}
+        return {**self.inw.config(), "seed_bits": self.seed_bits}
 
 
 @register_plan("g1")
@@ -75,7 +53,6 @@ class G1Plan(Generator):
     m: int
     n: int
     p: int = 8
-    recycle: str = "inw"
     delta_map: float = 1e-3
     plan_info = ("recycler",)
 
@@ -87,7 +64,7 @@ class G1Plan(Generator):
         self.bucket_families = [
             KWiseVectors(sz, self.m, self.p, self.delta_map) for sz in sizes]
         self.bucket_seed_bits = [fam.seed_bits for fam in self.bucket_families]
-        self.recycler = SeedRecycler(sum(self.bucket_seed_bits), self.recycle)
+        self.recycler = SeedRecycler(sum(self.bucket_seed_bits))
         self.seed_bits = self.perm_bits + self.recycler.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
@@ -158,16 +135,14 @@ class GLargePlan(Generator):
     n: int
     delta: float
     p: int = 8
-    recycle: str = "inw"
     c_T: float = 0.125
     delta_map: float = 1e-3
     plan_info = ("spreading", "recycler")
 
     def __post_init__(self):
         self.spreading = SpreadingFamily(self.n, self.delta, self.c_T)
-        self.g1 = G1Plan(self.m, self.n, self.p, self.recycle, self.delta_map)
-        self.recycler = SeedRecycler(self.spreading.T * self.g1.seed_bits,
-                                     self.recycle)
+        self.g1 = G1Plan(self.m, self.n, self.p, self.delta_map)
+        self.recycler = SeedRecycler(self.spreading.T * self.g1.seed_bits)
         self.seed_bits = self.spreading.seed_bits + self.recycler.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import Refused
+
 _SUM_TOL = 1e-10
 
 
@@ -64,7 +66,7 @@ class IntPMF:
         return cls(lo, np.full(width, 1.0 / width))
 
 
-class WindowCapError(ValueError):
+class WindowCapError(Refused):
     """Raised when an exact DP would exceed the configured state window."""
 
     def __init__(self, needed: int, cap: int):
@@ -140,13 +142,14 @@ def d_ft(p: IntPMF, q: IntPMF, eta: float = 1e-3) -> float:
     """Grid maximum of the characteristic-function gap.
 
     Each characteristic function is (2 pi N)-Lipschitz in the frequency,
-    so a grid of spacing eta / (4 pi N) under-approximates the true
-    supremum by at most eta.
+    so a grid of spacing at most eta / (4 pi N) under-approximates the
+    true supremum by at most eta. The grid has the least power-of-two
+    number of points above 4 pi N / eta, a fast FFT length.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     N = max(p.radius, q.radius, 1)
-    grid_points = int(math.ceil(4 * math.pi * N / eta)) + 1
+    grid_points = 1 << math.floor(4 * math.pi * N / eta).bit_length()
     return float(_char_gap_on_grid(p, q, grid_points).max())
 
 

@@ -40,12 +40,11 @@ class AlphabetStepPlan(Generator):
     delta: float
     inner: Generator
     C: float = 4.0
-    check_applicability: bool = True
     plan_info = ("D", "k")
 
     def __post_init__(self):
         m, n, inner = self.m, self.n, self.inner
-        if self.check_applicability and m <= n ** 4:
+        if m <= n ** 4:
             raise ValueError("step not applicable: m <= n^4")
         self.D = math.isqrt(m)
         if inner.m != self.D or inner.n != n:

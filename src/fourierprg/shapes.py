@@ -112,6 +112,11 @@ class SampleMode:
     rng_seed: int = 0
     name = "sample"
 
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, not "
+                             f"{self.n_samples!r}")
+
 
 @dataclass(frozen=True)
 class Estimate:

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from fourierprg import apps
 from fourierprg.apps import (ChernoffSampler, CombinatorialShape,
                              GeneralizedHalfspace, Halfspace, ModularTest,
-                             chernoff_tail_check,
-                             comb_shape_error, comb_shape_pmf,
+                             chernoff_tail_check, comb_shape_error,
                              gen_halfspace_error, halfspace_error,
-                             modular_error, modular_pmf, quantize_pmf)
+                             modular_error, quantize_pmf)
+from fourierprg.bitseq import as_bits
 from fourierprg.compose import build_generator
-from fourierprg.core import KWiseGenerator, UniformStub
+from fourierprg.core import Generator, KWiseGenerator, UniformStub
 from fourierprg.metrics import WindowCapError
 from fourierprg.shapes import (EnumerateMode, SampleMode, eval_shape_batch,
                                random_shape)
@@ -37,6 +37,28 @@ def brute_seed_prob(g, predicate):
     return sum(predicate(g.generate(s)) for s in range(total)) / total
 
 
+class Fixed(Generator):
+    """Every seed gives the same row; zero seed bits. A test's error
+    against it reads the test's value at that row back as
+    generator_prob."""
+
+    seed_bits = 0
+
+    def __init__(self, m, row):
+        self.m, self.row = m, np.asarray(row, dtype=np.int64)
+        self.n = len(self.row)
+
+    def generate_batch(self, seeds):
+        return np.tile(self.row, (len(as_bits(seeds, 0)), 1))
+
+
+def value_at(error, m, test, row):
+    """The test's 0/1 value at one input, as the error function sees it."""
+    p = error(Fixed(m, row), test, EnumerateMode()).generator_prob
+    assert p in (0.0, 1.0)
+    return int(p)
+
+
 # ---------------------------------------------------------------------------
 # test families
 
@@ -53,18 +75,21 @@ def rectangle_shape(sets, m=2):
 
 def test_halfspace_eval():
     h = Halfspace([2, -1, 3], 2)
-    assert np.array_equal(h.eval_batch([[1, 0, 0], [0, 1, 0]]), [1, 0])
+    assert [value_at(halfspace_error, 2, h, x)
+            for x in ([1, 0, 0], [0, 1, 0])] == [1, 0]
 
 
 def test_generalized_halfspace_eval_and_canonicalize():
     g = GeneralizedHalfspace(np.array([[0.0, 0.5], [0.25, -0.25]]), 0.5)
-    assert np.array_equal(g.eval_batch([[1, 0], [1, 1]]), [1, 0])
-    ih = g.canonicalize(scale_bits=4)
+    assert [value_at(gen_halfspace_error, 2, g, x)
+            for x in ([1, 0], [1, 1])] == [1, 0]
+    tables, theta = g.canonicalize(scale_bits=4)
     # dyadic entries at 4 bits are represented exactly
-    assert np.array_equal(ih.g, [[0, 8], [4, -4]])
-    assert ih.theta == 8
-    xs = np.array(list(itertools.product(range(2), repeat=2)))
-    assert np.array_equal(ih.eval_batch(xs), g.eval_batch(xs))
+    assert np.array_equal(tables, [[0, 8], [4, -4]])
+    assert theta == 8
+    for x in itertools.product(range(2), repeat=2):
+        assert value_at(gen_halfspace_error, 2, g, x) == int(
+            sum(g.g[j, x[j]] for j in range(2)) >= g.theta)
 
 
 def test_modular_test_normalization():
@@ -82,7 +107,8 @@ def test_combinatorial_shape_eval():
     c = CombinatorialShape(np.array([[0, 1], [1, 0]]),
                            np.array([0, 1, 0]))
     # sums 2 and 1
-    assert np.array_equal(c.eval_batch([[1, 0], [1, 1]]), [0, 1])
+    assert [value_at(comb_shape_error, 2, c, x)
+            for x in ([1, 0], [1, 1])] == [0, 1]
 
 
 def test_combinatorial_shape_validation():
@@ -94,7 +120,8 @@ def test_combinatorial_shape_validation():
 
 def test_rectangle_shape():
     r = rectangle_shape([{0}, {0, 1}], m=2)
-    assert np.array_equal(r.eval_batch([[0, 1], [1, 0]]), [1, 0])
+    assert [value_at(comb_shape_error, 2, r, x)
+            for x in ([0, 1], [1, 0])] == [1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +154,31 @@ def test_halfspace_error_biased_generator_detected():
 
 
 def test_halfspace_error_dimension_checks():
-    with pytest.raises(ValueError):
-        halfspace_error(UniformStub(3, 4), Halfspace([1] * 4, 0),
-                        EnumerateMode())
-    with pytest.raises(ValueError):
-        halfspace_error(UniformStub(2, 4), Halfspace([1] * 5, 0),
-                        EnumerateMode())
+    for m in (2, 3):
+        with pytest.raises(ValueError, match="disagree"):
+            halfspace_error(UniformStub(m, 4), Halfspace([1] * 5, 0),
+                            EnumerateMode())
+
+
+def test_halfspace_error_over_three_symbols_matches_brute_force():
+    # UniformStub(3, 4) reads 8 seed bits mod 81, so it is not uniform:
+    # both sides must match brute force over [3]^4 and over the 256 seeds
+    g = UniformStub(3, 4)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        w = rng.integers(-4, 5, 4)
+        h = Halfspace(w, int(rng.integers(-12, 13)))
+
+        def pred(x):
+            return int(np.dot(w, x) >= h.theta)
+
+        exact = halfspace_error(g, h, EnumerateMode())
+        sampled = halfspace_error(g, h, SampleMode(3000, 1))
+        want = brute_prob(4, 3, pred)
+        assert exact.uniform_prob == pytest.approx(want, abs=1e-12)
+        assert sampled.uniform_prob == pytest.approx(want, abs=1e-12)
+        assert exact.generator_prob == pytest.approx(
+            brute_seed_prob(g, pred), abs=1e-12)
 
 
 def test_halfspace_error_sample_mode_consistent():
@@ -153,10 +199,10 @@ def test_gen_halfspace_error_uniform_stub():
     tables = rng.random((4, 3)) - 0.5
     gh = GeneralizedHalfspace(tables, 0.1)
     res = gen_halfspace_error(g, gh, EnumerateMode())
-    ih = gh.canonicalize(12)
+    itables, theta = gh.canonicalize(12)
 
     def pred(x):
-        return int(sum(ih.g[j, x[j]] for j in range(4)) >= ih.theta)
+        return int(sum(itables[j, x[j]] for j in range(4)) >= theta)
 
     direct = brute_prob(4, 3, pred)
     assert res.uniform_prob == pytest.approx(direct, abs=1e-12)
@@ -179,7 +225,7 @@ def test_modular_pmf_matches_brute_force():
         M = int(rng.integers(2, 7))
         a = rng.integers(-5, 6, n)
         t = ModularTest(a, M, frozenset({0}))
-        pmf = modular_pmf(t, 2)
+        pmf = modular_error(UniformStub(2, n), t).uniform_pmf
         for r in range(M):
             direct = brute_prob(n, 2, lambda x: int(
                 sum(int(ai) * xi for ai, xi in zip(a, x)) % M == r))
@@ -206,11 +252,13 @@ def test_comb_shape_pmf_and_error():
     tables = rng.integers(0, 2, size=(4, 3))
     h = rng.integers(0, 2, size=5)
     c = CombinatorialShape(tables, h)
-    pmf = comb_shape_pmf(c)
     for s in range(5):
+        # h = 1 at s alone: the uniform side is the pmf of the sum at s
+        point = comb_shape_error(g, CombinatorialShape(tables, np.eye(5)[s]),
+                                 EnumerateMode())
         direct = brute_prob(4, 3, lambda x: int(
             sum(tables[j, x[j]] for j in range(4)) == s))
-        assert pmf.prob(s) == pytest.approx(direct, abs=1e-12)
+        assert point.uniform_prob == pytest.approx(direct, abs=1e-12)
     # UniformStub(3, 4) is not uniform (8 seed bits read mod 81)
     res = comb_shape_error(g, c, EnumerateMode())
     gen = brute_seed_prob(g, lambda x: int(
@@ -415,9 +463,9 @@ class _Layout:
 
 
 def test_float_consumers_round_alike_in_c_and_fortran_order():
-    # sums of tables of tenths land next to the threshold 4.8: a pairwise
-    # sum along the contiguous axis puts 4 of these 4000 rows on
-    # different sides of it in the two layouts
+    # sums of tables of tenths round by layout under a pairwise sum along
+    # the contiguous axis: it puts 4 of these 4000 rows on different
+    # sides of 4.8 in the two layouts
     rng = np.random.default_rng(15)
     n, m = 12, 4
     tables = rng.integers(0, 11, size=(n, m)) / 10
@@ -429,8 +477,6 @@ def test_float_consumers_round_alike_in_c_and_fortran_order():
     for layout in (c, f):
         assert apps._table_sums(tables, layout).tobytes() == \
             in_order.tobytes()
-    gh = GeneralizedHalfspace(tables, 4.8)
-    assert gh.eval_batch(c).tobytes() == gh.eval_batch(f).tobytes()
     shape = random_shape(rng, n, m)
     assert eval_shape_batch(shape, c).tobytes() == \
         eval_shape_batch(shape, f).tobytes()

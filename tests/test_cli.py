@@ -7,9 +7,14 @@ import pathlib
 import numpy as np
 import pytest
 
+from fourierprg import cli
+from fourierprg.apps import Halfspace, halfspace_error
 from fourierprg.cli import (FAMILIES, VerifyCampaign, compose_plan_from_knobs,
                             main, run_campaign)
 from fourierprg.compose import ComposePlan, build_generator
+from fourierprg.core import KWiseGenerator, Refused
+from fourierprg.metrics import WindowCapError
+from fourierprg.shapes import EnumerateMode
 
 
 CAMPAIGNS = pathlib.Path(__file__).resolve().parent.parent / "campaigns"
@@ -160,6 +165,49 @@ def test_verify_all_refused_exit_code(capsys):
     summary = json.loads(out.strip().split("\n")[-1])
     assert summary["refused"] == 2
     assert summary["pass"] is False
+
+
+def test_only_cap_refusals_are_recorded(monkeypatch):
+    # the three exact-evaluation caps raise Refused, which a campaign
+    # records; any other ValueError is a usage error and propagates
+    g = KWiseGenerator(2, 10, 2)
+    with pytest.raises(Refused, match="patterns exceed cap"):
+        g.output_pmf(pattern_cap=4)
+    with pytest.raises(Refused, match="enumeration cap"):
+        next(g.enumerate_outputs(seed_cap=4))
+    assert issubclass(WindowCapError, Refused)
+    with pytest.raises(Refused, match="cap is 4"):
+        halfspace_error(g, Halfspace([3] * 10, 1), EnumerateMode(),
+                        window_cap=4)
+
+    def fails(c, g, rng, index):
+        raise ValueError("not a cap")
+
+    monkeypatch.setitem(cli.MEASURE, "shapes", fails)
+    with pytest.raises(ValueError, match="not a cap"):
+        run_campaign(VerifyCampaign("shapes", 2, 8, 0.1, 2))
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--family", "modular", "--modulus", "1"], "modulus"),
+    (["--family", "shapes", "--count", "0"], "count"),
+    (["--family", "shapes", "--mode", "sample", "--samples", "0"],
+     "n_samples"),
+], ids=["modulus", "count", "samples"])
+def test_campaign_out_of_range_field_is_a_usage_error(capsys, flags, field):
+    code, out, err = run_main(capsys, "verify", "--m", "2", "--n", "8",
+                              "--eps", "0.1", *flags)
+    assert code == 2 and out == ""
+    assert field in err
+
+
+def test_halfspaces_over_three_symbols_are_measured():
+    # halfspaces over [m]^n for any m, as the paper's general domains
+    report = run_campaign(VerifyCampaign("halfspaces", 3, 4, 0.1, 4,
+                                         mode="sample", n_samples=20_000))
+    assert report.summary["refused"] == 0
+    assert report.summary["pass"]
+    assert all(r["seeds_evaluated"] == 20_000 for r in report.instances)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,15 @@ from fourierprg import compose
 from fourierprg.bitseq import to_ints
 from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
                                 build_generator, symbol_pieces)
-from fourierprg.core import (PLAN_REGISTRY, ConstantStub, KWiseGenerator,
-                             SmallBiasLift, UniformStub, plan_seed_bits,
-                             plan_to_generator, sample_seeds)
+from fourierprg.core import (PLAN_REGISTRY, KWiseGenerator, SmallBiasLift,
+                             UniformStub, plan_seed_bits, plan_to_generator,
+                             sample_seeds)
 from fourierprg.highvar import G1Plan, GLargePlan
 from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
                                    dim_step_params)
 from fourierprg.robp import INWGenerator
 from fourierprg.shapes import EnumerateMode, fooling_error, random_shape
+from test_apps import Fixed
 from test_robp import edge_seeds, reference_expand_batch
 
 
@@ -230,7 +231,7 @@ def test_xor_compose_mismatch():
 def test_xor_compose_constant_shift():
     # xor with a constant-1 child is a cyclic shift of the other child
     left = UniformStub(3, 2)
-    right = ConstantStub(3, 2, 1)
+    right = Fixed(3, [1, 1])
     g = XorCompose(left, right)
     assert g.seed_bits == left.seed_bits
     for seed in range(9):
@@ -239,7 +240,7 @@ def test_xor_compose_constant_shift():
 
 
 def test_xor_compose_uniform_child_gives_uniform_output():
-    g = XorCompose(UniformStub(2, 3), ConstantStub(2, 3, 1))
+    g = XorCompose(UniformStub(2, 3), Fixed(2, [1, 1, 1]))
     codes = [int("".join(map(str, g.generate(s))), 2) for s in range(8)]
     assert sorted(codes) == list(range(8))
 
@@ -345,7 +346,6 @@ def carrier_instances() -> list:
     t, _k, r0 = dim_step_params(2, 4, 0.5, 0.5)
     return [
         UniformStub(3, 5),
-        ConstantStub(4, 3, 1),
         KWiseGenerator(2, 8, 3),
         KWiseGenerator(3, 16, 8),  # 144-bit seed over an 18-bit prime field
         SmallBiasLift(8, 0.25),
@@ -353,11 +353,10 @@ def carrier_instances() -> list:
         INWGenerator(8, 16, 10),
         INWBase(2, 16, 0.1),
         INWBase(5, 12, 0.1),
-        G1Plan(2, 8, p=2, recycle="direct"),
+        G1Plan(2, 8, p=2),
         G1Plan(3, 16, p=2),
         GLargePlan(2, 16, 0.2, p=2),
-        AlphabetStepPlan(4, 2, 0.5, UniformStub(2, 2),
-                         check_applicability=False),
+        AlphabetStepPlan(17, 2, 0.5, UniformStub(4, 2)),
         DimStepPlan(2, 4, 0.5, UniformStub(1 << r0, t), 0.5),
         XorCompose(KWiseGenerator(2, 8, 3), SmallBiasLift(8, 0.25)),
         build_generator(1 << 16, 2, 0.1),

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourierprg.bitseq import as_bits, bit_fields, check_seed, to_ints
-from fourierprg.core import (ConstantStub, KWiseGenerator, SmallBiasLift,
-                             UniformStub, plan_seed_bits, plan_to_generator,
-                             sample_seeds)
+from fourierprg.core import (KWiseGenerator, SmallBiasLift, UniformStub,
+                             plan_seed_bits, plan_to_generator, sample_seeds)
 
 
 def bit_slice(seed, nbits, start, stop):
@@ -108,15 +107,9 @@ def test_uniform_stub_pmf_exactly_uniform():
     assert np.allclose(g.output_pmf(), 1 / 16)
 
 
-def test_constant_stub():
-    g = ConstantStub(4, 3, value=2)
-    assert np.array_equal(g.generate(0), [2, 2, 2])
-    assert g.seed_bits == 0
-
-
 @pytest.mark.parametrize("g", [
     UniformStub(3, 4),
-    ConstantStub(4, 3, 1),
+    UniformStub(4, 3),
     KWiseGenerator(2, 8, 3),
     SmallBiasLift(8, 0.25),
 ])

@@ -21,8 +21,8 @@ from fourierprg.apps import (ChernoffSampler, CombinatorialShape,
                              ErrorResult, GeneralizedHalfspace, Halfspace,
                              ModularResult, ModularTest, TailCheck,
                              chernoff_tail_check, comb_shape_error,
-                             comb_shape_pmf, gen_halfspace_error,
-                             halfspace_error, modular_error, modular_pmf)
+                             gen_halfspace_error, halfspace_error,
+                             modular_error)
 from fourierprg.compose import build_generator
 from fourierprg.core import (KWiseGenerator, SmallBiasLift, UniformStub,
                              sample_seeds)
@@ -117,7 +117,10 @@ def indicator_error_reference(g, eval_batch, uniform_prob, mode):
 
 
 def modular_error_reference(g, t, mode):
-    unif = modular_pmf(t, g.m)
+    lp = linear_pmf(t.a, g.m)
+    unif = np.zeros(t.M)
+    for j in range(lp.lo, lp.hi + 1):
+        unif[j % t.M] += lp.prob(j)
     if isinstance(mode, EnumerateMode):
         pmf = output_pmf_reference(g)
         residues = (all_patterns_reference(g.m, g.n) @ t.a) % t.M
@@ -158,7 +161,13 @@ def chernoff_tail_check_reference(s, g_tables, t, trials, rng_seed=0):
     return TailCheck(emp, bound, stderr, done, emp <= bound + 3 * stderr)
 
 
-# uniform-side probabilities, as the public functions compute them
+# the tests' indicators and uniform-side probabilities, as the public
+# functions computed them before they shared one linear-form path
+
+
+def halfspace_indicator(h):
+    return lambda xs: (np.asarray(xs, dtype=np.int64) @ h.w
+                       >= h.theta).astype(np.int64)
 
 
 def halfspace_uniform(h):
@@ -167,16 +176,31 @@ def halfspace_uniform(h):
 
 
 def gen_halfspace_uniform(gh, scale_bits=12):
-    ih = gh.canonicalize(scale_bits)
+    """(indicator of the integer canonical form, its uniform probability)."""
+    scale = 1 << scale_bits
+    tables = np.rint(gh.g * scale).astype(np.int64)
+    theta = int(round(gh.theta * scale))
     bases = [IntPMF(int(row.min()), np.bincount(row - row.min()) / gh.m)
-             for row in ih.g]
+             for row in tables]
     pmf = linear_pmf(np.ones(gh.n, dtype=np.int64), bases)
-    return ih, float(sum(pmf.prob(j)
-                         for j in range(max(ih.theta, pmf.lo), pmf.hi + 1)))
+
+    def indicator(xs):
+        xs = np.asarray(xs, dtype=np.int64)
+        sums = sum(tables[j][xs[:, j]] for j in range(gh.n))
+        return (sums >= theta).astype(np.int64)
+
+    return indicator, float(sum(pmf.prob(j) for j in
+                                range(max(theta, pmf.lo), pmf.hi + 1)))
+
+
+def comb_indicator(c):
+    return lambda xs: c.h[sum(c.g[j][np.asarray(xs)[:, j]]
+                              for j in range(c.n))]
 
 
 def comb_uniform(c):
-    pmf = comb_shape_pmf(c)
+    bases = [IntPMF(0, np.bincount(row, minlength=2) / c.m) for row in c.g]
+    pmf = linear_pmf(np.ones(c.n, dtype=np.int64), bases)
     return float(sum(pmf.prob(s) * int(c.h[s]) for s in range(c.n + 1)))
 
 
@@ -226,14 +250,14 @@ def test_estimator_matches_reference_loops(name, mode):
     assert_same(empirical_expectation(f, g, mode),
                 empirical_expectation_reference(f, g, mode))
     assert_same(halfspace_error(g, h, mode),
-                indicator_error_reference(g, h.eval_batch,
+                indicator_error_reference(g, halfspace_indicator(h),
                                           halfspace_uniform(h), mode))
-    ih, p_unif = gen_halfspace_uniform(gh)
+    indicator, p_unif = gen_halfspace_uniform(gh)
     assert_same(gen_halfspace_error(g, gh, mode),
-                indicator_error_reference(g, ih.eval_batch, p_unif, mode))
+                indicator_error_reference(g, indicator, p_unif, mode))
     assert_same(comb_shape_error(g, c, mode),
-                indicator_error_reference(g, c.eval_batch, comb_uniform(c),
-                                          mode))
+                indicator_error_reference(g, comb_indicator(c),
+                                          comb_uniform(c), mode))
     assert_same(modular_error(g, t, mode),
                 modular_error_reference(g, t, mode))
 
@@ -280,9 +304,9 @@ def test_pmf_branch_across_chunks_matches_reference(g, size, count):
     assert abs(empirical_expectation(f, g, mode).estimate
                - empirical_expectation_reference(f, g, mode).estimate) \
         <= 1e-12
-    ih, p_unif = gen_halfspace_uniform(gh)
+    indicator, p_unif = gen_halfspace_uniform(gh)
     assert abs(gen_halfspace_error(g, gh, mode).generator_prob
-               - indicator_error_reference(g, ih.eval_batch, p_unif,
+               - indicator_error_reference(g, indicator, p_unif,
                                            mode).generator_prob) <= 1e-12
     assert np.allclose(modular_error(g, t, mode).gen_pmf,
                        modular_error_reference(g, t, mode).gen_pmf,
@@ -433,6 +457,8 @@ def test_seed_branch_matches_pmf_branch(g, seed):
     for by_pmf, by_seed in [
         (empirical_expectation(f, g, exact),
          empirical_expectation(f, g, exact, **by_seeds)),
+        (halfspace_error(g, h, exact),
+         halfspace_error(g, h, exact, **by_seeds)),
         (gen_halfspace_error(g, gh, exact),
          gen_halfspace_error(g, gh, exact, **by_seeds)),
         (comb_shape_error(g, c, exact),
@@ -446,9 +472,6 @@ def test_seed_branch_matches_pmf_branch(g, seed):
                 assert a == b
             else:
                 assert np.allclose(a, b, rtol=0, atol=1e-12), fld.name
-    if g.m == 2:
-        assert halfspace_error(g, h, exact).err == pytest.approx(
-            halfspace_error(g, h, exact, **by_seeds).err, abs=1e-12)
     # Chernoff tail indicator over an index generator over [2^r_x]^n
     if g.m & (g.m - 1) == 0:
         rng = np.random.default_rng(seed)

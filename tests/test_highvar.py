@@ -24,16 +24,8 @@ def test_dyadic_buckets_sizes():
     assert [fam.n for fam in g.bucket_families] == [2, 2, 4, 8]
 
 
-def test_recycler_direct_passthrough():
-    r = SeedRecycler(10, mode="direct")
-    assert r.seed_bits == 10
-    out = r.bitstream_batch(np.array([517], dtype=np.int64))
-    assert out.dtype == np.uint8 and out.shape == (1, 10)
-    assert to_ints(out)[0] == 517
-
-
 def test_recycler_inw_deterministic_and_in_range():
-    r = SeedRecycler(400, mode="inw", block_bits=8)
+    r = SeedRecycler(400)
     seeds = np.arange(50, dtype=np.int64)
     out1 = r.bitstream_batch(seeds)
     out2 = r.bitstream_batch(seeds)
@@ -44,15 +36,22 @@ def test_recycler_inw_deterministic_and_in_range():
     assert r.seed_bits < 400  # recycling must actually save seed
 
 
-def test_recycler_unknown_mode():
-    with pytest.raises(ValueError):
-        SeedRecycler(10, mode="bogus")
+def test_recycler_is_one_inw_configuration():
+    # 8-bit blocks on 10-bit states, T the least power of two covering
+    # total_bits; 16 bits fit one block pair
+    for total, T in ((1, 1), (8, 1), (9, 2), (16, 2), (17, 4), (400, 64)):
+        r = SeedRecycler(total)
+        assert (r.inw.D, r.inw.T, r.inw.state_bits) == (8, T, 10)
+        assert r.seed_bits == 10 + 20 * (T.bit_length() - 1)
+        assert r.config() == {"D": 8, "T": T, "state_bits": 10,
+                              "seed_bits": r.seed_bits}
 
 
-def test_g1_marginals_uniform_direct_mode():
-    # fully enumerable instance: every coordinate marginal is uniform
-    g = G1Plan(2, 8, p=2, recycle="direct")
-    assert g.seed_bits <= 16
+def test_g1_marginals_uniform():
+    # fully enumerable instance (6 permutation bits and INW(8, 1, 10)):
+    # every coordinate marginal is uniform
+    g = G1Plan(2, 8, p=2)
+    assert g.seed_bits == 16
     seeds = np.arange(1 << g.seed_bits, dtype=np.int64)
     out = g.generate_batch(seeds)
     for c in range(8):
@@ -61,14 +60,14 @@ def test_g1_marginals_uniform_direct_mode():
 
 
 def test_g1_scalar_matches_batch():
-    g = G1Plan(2, 8, p=2, recycle="direct")
+    g = G1Plan(2, 8, p=2)
     for seed in (0, 3, 1 << (g.seed_bits - 1)):
         assert np.array_equal(g.generate(seed),
                               g.generate_batch([seed])[0])
 
 
 def test_g1_plan_roundtrip():
-    g = G1Plan(3, 8, p=4, recycle="inw")
+    g = G1Plan(3, 8, p=4)
     g2 = plan_to_generator(g.plan())
     assert g2.seed_bits == g.seed_bits
     seeds = sample_seeds(np.random.default_rng(0), g.seed_bits, 20)
@@ -78,7 +77,7 @@ def test_g1_plan_roundtrip():
 def test_g1_constant_error_high_variance_shapes():
     # unit-or-more total variance shapes: fooling error bounded away
     # from the trivial bound 1
-    g = G1Plan(2, 8, p=2, recycle="direct")
+    g = G1Plan(2, 8, p=2)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(50):
@@ -174,12 +173,12 @@ def test_glarge_fools_high_variance_shapes_sampled():
 
 def _bitstream_reference(r: SeedRecycler, seeds) -> list[int]:
     blocks = r.inw.expand_batch(np.asarray(seeds))
-    drop = r.inw.T * r.block_bits - r.total_bits
+    drop = r.inw.T * r.inw.D - r.total_bits
     out = []
     for row in blocks:
         v = 0
         for b in row:
-            v = (v << r.block_bits) | int(b)
+            v = (v << r.inw.D) | int(b)
         out.append(v >> drop)
     return out
 
@@ -191,8 +190,7 @@ def _g1_reference(g: G1Plan, seeds) -> np.ndarray:
     out = np.zeros((len(seeds), g.n), dtype=np.int64)
     rec = np.empty(len(seeds), dtype=object)
     rec[:] = [int(s) & ((1 << rec_bits) - 1) for s in seeds]
-    stream = list(rec) if g.recycler.mode == "direct" \
-        else _bitstream_reference(g.recycler, rec)
+    stream = _bitstream_reference(g.recycler, rec)
     total = g.recycler.total_bits
     t = g.tlog
     for i, s in enumerate(seeds):
@@ -217,7 +215,7 @@ def _g1_reference(g: G1Plan, seeds) -> np.ndarray:
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((2, 8), {"p": 2, "recycle": "direct"}), ((2, 16), {"p": 2}),
+    ((2, 8), {"p": 2}), ((2, 16), {"p": 2}),
     ((3, 32), {}), ((5, 12), {"p": 3})])
 def test_g1_matches_reference(args, kwargs):
     g = G1Plan(*args, **kwargs)
@@ -261,10 +259,11 @@ def _full_width_seeds(nbits: int, rng_seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("total_bits,block_bits", [
-    (403, 8), (403, 5), (77, 5), (250, 11)])
+    (403, 8), (77, 8), (250, 8), (7, 8)])
 def test_recycler_matches_blockwise_reference(total_bits, block_bits):
     assert total_bits % block_bits  # the stream ends inside a block
-    r = SeedRecycler(total_bits, mode="inw", block_bits=block_bits)
+    r = SeedRecycler(total_bits)
+    assert r.inw.D == block_bits
     seeds = _full_width_seeds(r.seed_bits, total_bits + block_bits)
     out = r.bitstream_batch(seeds)
     assert out.dtype == np.uint8 and out.shape == (len(seeds), total_bits)
@@ -273,11 +272,13 @@ def test_recycler_matches_blockwise_reference(total_bits, block_bits):
     assert all(v >> total_bits == 0 for v in out)
 
 
-@pytest.mark.parametrize("block_bits,state_extra", [(5, 2), (8, 2), (11, 3)])
+@pytest.mark.parametrize("block_bits,state_extra", [(8, 2)])
 def test_recycler_batch_sizes_match_reference(block_bits, state_extra):
-    # INW states of up to 8 and of 9-16 bits, at the batch sizes that
-    # bracket INWBase's 4096-row chunk, from edge and full-width seeds
-    r = SeedRecycler(3 * block_bits + 1, "inw", block_bits, state_extra)
+    # the recycler's one configuration, at the batch sizes that bracket
+    # INWBase's 4096-row chunk, from edge and full-width seeds
+    r = SeedRecycler(3 * block_bits + 1)
+    assert (r.inw.D, r.inw.state_bits) == (block_bits,
+                                           block_bits + state_extra)
     rng = np.random.default_rng(block_bits)
     edges = [0] + list(_full_width_seeds(r.seed_bits, block_bits))
     for size in (1, 4095, 4096, 4097, 3 * 4096 + 5):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fourierprg import metrics
 from fourierprg.metrics import (IntPMF, WindowCapError, d_ft, d_k, d_tv,
                                 fourier_lemma_check, linear_pmf)
 
@@ -138,7 +139,10 @@ def test_d_ft_matches_direct_grid_scan():
     p, q = random_pmf(rng, 8), random_pmf(rng, 8)
     eta = 0.05
     N = max(p.radius, q.radius, 1)
-    grid = int(math.ceil(4 * math.pi * N / eta)) + 1
+    # the least power of two above 4 pi N / eta
+    grid = 1
+    while grid <= 4 * math.pi * N / eta:
+        grid *= 2
     direct = 0.0
     for g in range(grid):
         a = g / grid
@@ -148,6 +152,29 @@ def test_d_ft_matches_direct_grid_scan():
                  for j in range(len(q.probs)))
         direct = max(direct, abs(cp - cq))
     assert d_ft(p, q, eta) == pytest.approx(direct, abs=1e-9)
+
+
+def test_d_ft_grid_is_a_power_of_two_within_the_spacing_bound(monkeypatch):
+    # spacing 1 / grid_points <= eta / (4 pi N) keeps the certified slack
+    # eta; a power of two is the least such length, so no finer grid
+    seen = []
+    real = metrics._char_gap_on_grid
+
+    def record(p, q, grid_points):
+        seen.append(grid_points)
+        return real(p, q, grid_points)
+
+    monkeypatch.setattr(metrics, "_char_gap_on_grid", record)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        p, q = random_pmf(rng, 60), random_pmf(rng, 60)
+        eta = float(rng.choice([1e-3, 0.01, 0.05, 0.3, 1.0]))
+        N = max(p.radius, q.radius, 1)
+        d_ft(p, q, eta)
+        grid = seen.pop()
+        assert grid & (grid - 1) == 0
+        assert 1 / grid <= eta / (4 * math.pi * N)
+        assert 2 / grid >= eta / (4 * math.pi * N)
 
 
 def test_d_ft_bounded_by_tv():

@@ -9,9 +9,8 @@ import pytest
 
 from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
                                 build_generator)
-from fourierprg.core import (PLAN_REGISTRY, ConstantStub, KWiseGenerator,
-                             SmallBiasLift, UniformStub, plan_to_generator,
-                             sample_seeds)
+from fourierprg.core import (PLAN_REGISTRY, KWiseGenerator, SmallBiasLift,
+                             UniformStub, plan_to_generator, sample_seeds)
 from fourierprg.highvar import G1Plan, GLargePlan
 from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
                                    dim_step_params)
@@ -23,15 +22,12 @@ def _dim_step():
     return DimStepPlan(2, 4, 0.5, UniformStub(1 << r0, t), 0.5)
 
 
-# (example, sha256 of json.dumps(plan, sort_keys=True)); the hashes are
-# pinned from the per-class plan() methods the shared codec replaced
+# (example, sha256 of json.dumps(plan, sort_keys=True)); pinned, so any
+# change to a node's plan bytes shows here
 EXAMPLES = {
     "uniform-stub": (
         lambda: UniformStub(3, 4),
         "a36658cb4203a9d703e7bb70a70b8cc722832b128ca077b19c5e3006cacd8d23"),
-    "constant-stub": (
-        lambda: ConstantStub(4, 3, 1),
-        "48201409bf64f92791ab74ab123704cb2d16cf3aecb4930282f5db9ddecaefc0"),
     "kwise": (
         lambda: KWiseGenerator(3, 8, 3),
         "deee93012824cf1c2ef9b1b9ea312d2f635153b133bd8efe4b64b1d8c6d1212d"),
@@ -49,13 +45,13 @@ EXAMPLES = {
         "f3c383d3f25e12ca811ae4b7ea132a69134d1d8f9eca007792f8b7bf983821b3"),
     "g1": (
         lambda: G1Plan(2, 16, 4),
-        "9eae181a032cae77d755963908784f95ba49ce02f49fcc92faa0a4b9f916c25d"),
+        "17bb59d9ed1b46d9973f8acbc107cef441fef894d5af5b4514e184305ca4b2e6"),
     "glarge": (
         lambda: GLargePlan(2, 8, 0.25, 2),
-        "0507dae92a0c8ebc2e7260a139efd40d873cc349fd98fbe31911536c9b465c7e"),
+        "f6c03ad5edbb020c727e605733166fe2db29bf55a82f57e6fae34c302e0c6425"),
     "alphabet-step": (
-        lambda: AlphabetStepPlan(16, 2, 0.1, UniformStub(4, 2), 4.0, False),
-        "87fb49c056e14b48298a8566ccc572e52da6b1a28e6c116fb1de7081ba30e944"),
+        lambda: AlphabetStepPlan(17, 2, 0.1, UniformStub(4, 2), 4.0),
+        "7cb786a6ebe94ad73afac3d619de88c011662b574fb8006778c67d497f33a5f9"),
     "dim-step": (
         _dim_step,
         "a92839aa21ffe1568f262f62b07241d39e46bed59f6db493b0e682ad14ba6018"),
@@ -67,13 +63,13 @@ BUILT = {
     (2, 64, 0.1, 64):
         "9d3e517559f61865dd118fb40e25ef9b85b31a1d9c3e54b188ccb44fba362231",
     (2, 128, 0.1, 64):
-        "44c78188d1ec0cead72c222fd38d6376553cb653e5ae52a310b668cb66a4dfab",
+        "447f725694eadda78bc602e345812ec849f422da9afc70ff97d7f2587d086962",
     (4096, 64, 0.05, 64):
         "6c43ae0a611233cfb5cf7530fd4510e757ca0c67c68df2238e78299f393ce637",
     (2 ** 40, 16, 0.1, 64):
         "21b4c25f935ad0d477a8ee33091d057ae17d0d7361b847e3523ba8b5262d8e3a",
     (2, 32, 0.1, 8):
-        "78c9bb34e68659546e77a411364f1173f4903176e10aea3b3b623c1e2d237350",
+        "39933278763387853ba2a8ebf19ee0df89ba9d0d418301b18271db247453f510",
 }
 
 
@@ -110,7 +106,7 @@ def test_built_plan_codec(key):
 @pytest.mark.parametrize("name, field", [
     ("kwise", "delta_map"),
     ("inw-base", "delta"),
-    ("alphabet-step", "check_applicability"),
+    ("alphabet-step", "C"),
     ("dim-step", "C"),
 ])
 def test_plan_missing_field_refused(name, field):

@@ -15,28 +15,26 @@ def test_alphabet_step_applicability_guard():
 
 
 def test_alphabet_step_inner_mismatch():
-    with pytest.raises(ValueError):
-        AlphabetStepPlan(16, 2, 0.5, UniformStub(3, 2),
-                         check_applicability=False)
+    with pytest.raises(ValueError, match="inner generator"):
+        AlphabetStepPlan(17, 2, 0.5, UniformStub(3, 2))
 
 
 def test_alphabet_step_marginals_uniform():
-    # m = 4, D = 2, uniform inner: every output coordinate is exactly
-    # uniform over [4] under full seed enumeration
-    g = AlphabetStepPlan(4, 2, 0.5, UniformStub(2, 2),
-                         check_applicability=False)
+    # m = 32 > n^4, D = 5: each column's polynomial is uniform over
+    # GF(32), so every output coordinate is exactly uniform over [32]
+    # under full seed enumeration, whatever the inner symbols
+    g = AlphabetStepPlan(32, 2, 0.5, UniformStub(5, 2))
     assert g.seed_bits <= 16
     seeds = np.arange(1 << g.seed_bits, dtype=np.int64)
     out = g.generate_batch(seeds)
-    assert out.min() >= 0 and out.max() < 4
+    assert out.min() >= 0 and out.max() < 32
     for j in range(2):
-        counts = np.bincount(out[:, j], minlength=4)
-        assert np.all(counts == len(seeds) // 4)
+        counts = np.bincount(out[:, j], minlength=32)
+        assert np.all(counts == len(seeds) // 32)
 
 
 def test_alphabet_step_scalar_and_roundtrip():
-    g = AlphabetStepPlan(4, 2, 0.5, UniformStub(2, 2),
-                         check_applicability=False)
+    g = AlphabetStepPlan(17, 2, 0.5, UniformStub(4, 2))
     g2 = plan_to_generator(g.plan())
     assert g2.seed_bits == g.seed_bits
     seeds = np.arange(min(256, 1 << g.seed_bits), dtype=np.int64)

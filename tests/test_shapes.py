@@ -168,6 +168,13 @@ def test_empirical_refusal_over_cap():
                               pattern_cap=4)
 
 
+def test_sample_mode_refuses_no_samples():
+    # an estimate over zero seeds divides by zero
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_samples"):
+            SampleMode(n)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
 def test_uniform_stub_pmf_and_seed_branches_agree(m):
     # the pmf branch trusts exactly_uniform; the seed branch
