@@ -97,7 +97,8 @@ class GeneralizedHalfspace:
 
 @dataclass(frozen=True)
 class ModularTest:
-    """1 iff sum_i a_i x_i mod M lies in the accepting set S."""
+    """1 iff sum_i a_i x_i mod M lies in the accepting set S. S is never
+    read: modular_error bounds every accepting set S' at once."""
 
     a: np.ndarray
     M: int
@@ -236,7 +237,8 @@ def modular_error(g: Generator, t: ModularTest, mode=EnumerateMode(),
                   pattern_cap: int = 1 << 22,
                   enumerate_cap: int = 26) -> ModularResult:
     """Total-variation distance between <a, X> mod M under g and under
-    uniform input, exact in enumerate mode."""
+    uniform input, exact in enumerate mode. It is the maximum over every
+    accepting set S' of |Pr_G[S'] - Pr_U[S']|, so t.S is not read."""
     # the rule is the residue's one-hot over the M cells
     unif, est = _linear_form(
         g, t.a[:, None] * np.arange(g.m),

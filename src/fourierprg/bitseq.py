@@ -9,12 +9,14 @@ Inside the package a batch of N seeds is always an (N, r) uint8 matrix of
 0/1 entries in that order, a bit matrix. `as_bits` is the one entry
 point: it turns an int, a list or 1-D array of ints (int64 or python
 ints) or a bit matrix into one. A plan node hands each child its own
-column slice of the matrix, `bit_fields` reads consecutive fixed-width
-fields of a matrix as int64 in one pass, and `to_ints` reads whole rows
-back as python ints for the few callers that need big-int arithmetic.
+column slice of the matrix, and `to_ints` reads whole rows back as
+python ints. `read_fields` is the one reader of fixed-width fields: the
+INW base case cuts its symbols with it, and `bit_fields` its seeds.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -64,15 +66,69 @@ def to_ints(bits: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _schedule(count: int, width: int, D: int):
+    """read_fields' (dtype, block, up, down) for count fields of width
+    <= 62 bits out of D-bit blocks, cast and shaped for a (B, N) batch;
+    read-only, since every caller shares them."""
+    dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if max(D, width) <= np.iinfo(d).bits)
+    bits = np.iinfo(dtype).bits
+    start = np.arange(count) * width
+    first = start // D
+    npieces = ((start + width - 1) // D - first).max(initial=0) + 1
+    block = first + np.arange(npieces)[:, None]
+    block = np.where(block * D < start + width, block, first)
+    lo = np.maximum(start, block * D)  # the piece's first stream bit
+    up = (bits - D + lo - block * D).astype(dtype)[..., None]
+    down = (bits - width - start + lo).astype(dtype)[..., None]
+    for a in (block, up, down):
+        a.flags.writeable = False
+    return dtype, block, up, down
+
+
+def read_fields(blocks: np.ndarray, D: int, width: int,
+                count: int) -> np.ndarray:
+    """(count, N) array of the first count width-bit fields, MSB first, of
+    N streams held coordinate-major: column i of the (B, N) array blocks
+    holds stream i as B blocks of D bits.
+
+    Up to 62 bits, field j (bits [j*width, (j+1)*width)) comes back in
+    the least unsigned dtype that holds a block and a field, as the OR
+    over the <= ceil(width/D) + 1 blocks it overlaps of (blocks[block[k,
+    j]] << up[k, j]) >> down[k, j]: the left shift drops the bits before
+    the piece, the right shift moves it into place and drops the bits
+    after the field; a field with fewer pieces repeats its first. Wider
+    fields come back as python ints, each stream read whole with
+    `to_ints` and cut by shift and mask."""
+    nstreams = blocks.shape[1]
+    if width >= 63:
+        stop, mask = len(blocks) * D, (1 << width) - 1
+        shifts = np.arange(D, dtype=blocks.dtype)[::-1]
+        rows = to_ints((blocks.T[:, :, None] >> shifts & 1).reshape(-1, stop))
+        out = np.empty((count, nstreams), dtype=object)
+        for j in range(count):
+            out[j] = [(v >> (stop - (j + 1) * width)) & mask for v in rows]
+        return out
+    dtype, block, up, down = _schedule(count, width, D)
+    # int64 indices and mode="clip" keep take off its checked path
+    pieces = np.ascontiguousarray(blocks, dtype=dtype).take(block, axis=0,
+                                                            mode="clip")
+    pieces <<= up
+    pieces >>= down
+    return np.bitwise_or.reduce(pieces, axis=0)
+
+
 def bit_fields(bits: np.ndarray, width: int) -> np.ndarray:
-    """(N, k) int64 values of the k = ncols // width consecutive
-    width-bit fields of each row of a bit matrix, MSB first."""
-    if not 1 <= width <= 63:
-        raise ValueError("field width must be in [1, 63]")
-    n, k = len(bits), bits.shape[1] // width
-    carrier = next(c for c in (8, 16, 32, 64) if c >= width)
-    padded = np.zeros((n, k, carrier), dtype=np.uint8)
-    padded[:, :, carrier - width:] = bits[:, :k * width].reshape(n, k, width)
-    # every row packs to whole bytes, so one flat pass packs them all
-    packed = np.packbits(padded.reshape(-1))
-    return packed.view(f">u{carrier // 8}").reshape(n, k).astype(np.int64)
+    """(k, N) values of the k = ncols // width consecutive width-bit
+    fields of each of the N rows of a bit matrix, MSB first: int64 up to
+    62 bits, python ints from 63."""
+    n, ncols = bits.shape
+    if ncols % 8:  # one flat packbits of padded rows beats axis=1
+        padded = np.zeros((n, ncols - ncols % 8 + 8), dtype=np.uint8)
+        padded[:, :ncols] = bits
+        bits = padded
+    packed = np.packbits(np.ascontiguousarray(bits).reshape(-1))
+    packed = packed.reshape(n, bits.shape[1] // 8).T
+    fields = read_fields(packed, 8, width, ncols // width)
+    return fields if width >= 63 else fields.astype(np.int64)

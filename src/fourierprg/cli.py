@@ -159,6 +159,7 @@ def _modular(c: VerifyCampaign, g, rng, index: int) -> tuple:
     M = c.modulus
     a = rng.integers(0, M, size=c.n)
     size = int(rng.integers(1, M))
+    # S is never read; drawn only so the pinned reports keep their rng
     S = frozenset(int(s) for s in rng.choice(M, size=size, replace=False))
     return _fields(modular_error(g, ModularTest(a, M, S),
                                  _eval_mode(c, index), **_caps(c)))

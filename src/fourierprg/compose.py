@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import as_bits
+from .bitseq import as_bits, read_fields
 from .core import Generator, register_plan
 from .highvar import GLargePlan
 from .reductions import DimStepPlan, alphabet_reduce, dim_step_params
 from .robp import INWGenerator
 
 # INWBase runs chunks of about 2 MB of int64 output (4096 rows at n = 64),
-# so a chunk's blocks and pieces stay in cache from expansion to symbols
+# so a chunk's blocks and symbols stay in cache from expansion to output
 _CHUNK_BYTES = 1 << 21
 
 
@@ -40,30 +40,6 @@ class ComposePlan:
 DEFAULT_PLAN = ComposePlan()
 
 
-def symbol_pieces(n: int, b: int, D: int, dtype=np.uint32):
-    """Piece schedule for cutting n b-bit symbols out of a stream of
-    D-bit blocks, MSB first.
-
-    Returns (block, rshift, mask, lshift), each of shape (P, n) with P the
-    largest number of blocks a symbol overlaps: symbol j is the OR over
-    k of ((blocks[block[k, j]] >> rshift[k, j]) & mask[k, j])
-    << lshift[k, j]. Unused pieces have mask 0.
-    """
-    start = np.arange(n, dtype=np.int64) * b
-    stop = start + b
-    npieces = (stop - 1) // D - start // D + 1
-    t = start // D + np.arange(npieces.max(), dtype=np.int64)[:, None]
-    lo = np.maximum(start, t * D)
-    hi = np.minimum(stop, (t + 1) * D)
-    used = hi > lo
-    width = np.where(used, hi - lo, 0)
-    block = np.where(used, t, 0)
-    rshift = np.where(used, (t + 1) * D - hi, 0)
-    lshift = np.where(used, stop - hi, 0)
-    mask = ((1 << width) - 1).astype(dtype)
-    return block, rshift.astype(dtype), mask, lshift.astype(dtype)
-
-
 @register_plan("inw-base")
 @dataclass(eq=False)
 class INWBase(Generator):
@@ -74,11 +50,8 @@ class INWBase(Generator):
     below delta_map / (4n).
 
     Symbol j is bits [j*b, (j+1)*b) of the stream of T blocks of D bits,
-    MSB first. It overlaps at most ceil(b/D) + 1 blocks, so it is the OR
-    of that many pieces, each one block shifted right, masked and shifted
-    left into place. The pieces come from a schedule fixed per plan, so a
-    batch costs one gather-shift-mask-shift pass per piece position on the
-    (T, N) blocks. The output is the (N, n) view of (n, N) int64 symbols.
+    MSB first, cut by `read_fields` from the (T, N) blocks of each chunk.
+    The output is the (N, n) view of (n, N) int64 symbols.
     """
 
     m: int
@@ -121,30 +94,17 @@ class INWBase(Generator):
         self.seed_bits = self.inw.seed_bits
         if T == 2 and w == D and m & (m - 1) == 0:
             self.exactly_uniform = True
-        self._dtype = next(d for d in (np.uint16, np.uint32, np.uint64)
-                           if self.bits_per_symbol <= np.iinfo(d).bits)
-        self._pieces = symbol_pieces(n, self.bits_per_symbol, D, self._dtype)
 
     def generate_batch(self, seeds) -> np.ndarray:
         bits = as_bits(seeds, self.seed_bits)
-        block, rshift, mask, lshift = self._pieces
         out = np.empty((self.n, len(bits)), dtype=np.int64)
         step = max(1, _CHUNK_BYTES // (8 * self.n))
         for lo in range(0, len(bits), step):
-            blocks = self.inw.expand_batch(bits[lo:lo + step])
-            blocks = blocks.T.astype(self._dtype)
-            sym = np.zeros((self.n, blocks.shape[1]), dtype=self._dtype)
-            piece = np.empty_like(sym)
-            for k in range(len(block)):
-                np.take(blocks, block[k], axis=0, out=piece)
-                piece >>= rshift[k][:, None]
-                piece &= mask[k][:, None]
-                piece <<= lshift[k][:, None]
-                sym |= piece
-            if self.m & (self.m - 1) == 0:
-                sym &= self._dtype(self.m - 1)
-            else:
-                sym %= self._dtype(self.m)
+            blocks = self.inw.expand_batch(bits[lo:lo + step]).T
+            sym = read_fields(blocks, self.inw.D, self.bits_per_symbol,
+                              self.n)
+            if self.m != 1 << self.bits_per_symbol:  # else already in [m]
+                sym %= self.m
             out[:, lo:lo + step] = sym
         return out.T
 

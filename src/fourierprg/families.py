@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .bitseq import as_bits, bit_fields, to_ints
+from .bitseq import as_bits, bit_fields
 from .fields import gf2, next_prime, prime_field
 
 
@@ -33,24 +33,18 @@ class KWiseFamily:
         self.seed_bits = k * self.coeff_bits
 
     def _coeff_batch(self, seeds) -> np.ndarray:
-        """(N, k) coefficients per seed, constant term first: the
-        coeff_bits-wide seed fields MSB first, reduced mod q. Python ints
-        only for fields too wide for int64 arithmetic."""
+        """(k, N) coefficients, constant term first: the coeff_bits-wide
+        seed fields MSB first, reduced mod q; python ints from 63 bits,
+        which is exactly when q > 2^62."""
         bits = as_bits(seeds, self.seed_bits)
-        w = self.coeff_bits
-        if self.q > 1 << 62:
-            c = np.stack([to_ints(bits[:, j * w:(j + 1) * w])
-                          for j in range(self.k)], axis=1)
-        else:
-            c = bit_fields(bits, w)
-        return c % self.q
+        return bit_fields(bits, self.coeff_bits) % self.q
 
     def _horner(self, coeffs: np.ndarray, points) -> np.ndarray:
-        """sum_j coeffs[..., j] * points^j over the field, elementwise."""
+        """sum_j coeffs[j] * points^j over the field, elementwise."""
         f = self.field
-        acc = np.zeros_like(coeffs[..., 0])
+        acc = np.zeros_like(coeffs[0])
         for j in range(self.k - 1, -1, -1):
-            acc = f.add(f.mul_vec(acc, points), coeffs[..., j])
+            acc = f.add(f.mul_vec(acc, points), coeffs[j])
         return acc
 
     def eval_points_batch(self, seeds, points) -> np.ndarray:
@@ -61,7 +55,7 @@ class KWiseFamily:
 
     def sample_batch(self, seeds) -> np.ndarray:
         """(len(seeds), n) array of values in [q]."""
-        return self._horner(self._coeff_batch(seeds)[:, None, :],
+        return self._horner(self._coeff_batch(seeds)[:, :, None],
                             np.arange(self.n, dtype=np.int64))
 
 
@@ -112,8 +106,7 @@ class SmallBiasFamily:
 
     def sample_batch(self, seeds) -> np.ndarray:
         """(len(seeds), n) array of bits."""
-        x, y = np.ascontiguousarray(
-            bit_fields(as_bits(seeds, self.seed_bits), self.t).T)
+        x, y = bit_fields(as_bits(seeds, self.seed_bits), self.t)
         out = np.empty((len(x), self.n), dtype=np.int64)
         f = self.field
         if self.t > 16:  # no log tables: x^i by repeated multiplication

@@ -22,6 +22,10 @@ from .families import CombinedHashFamily, KWiseVectors
 from .fields import gf2
 from .robp import INWGenerator
 
+# GLargePlan runs chunks of 16 MB of recycled stream bits: 68 rows of the
+# n = 128 tree's 243,660-bit stream, each row peaking near 0.8 MB there
+_CHUNK_BYTES = 1 << 24
+
 
 class SeedRecycler:
     """Supplies total_bits of expanded seed material: the 8-bit blocks of
@@ -72,8 +76,8 @@ class G1Plan(Generator):
         N = len(bits)
         # perm seed (a_raw, b) in the high bits, recycler seed below
         t = self.tlog
-        a_raw, b = bit_fields(bits[:, :self.perm_bits], t).T
-        a = a_raw % ((1 << t) - 1) + 1 if t > 1 else np.ones(N, dtype=np.int64)
+        a_raw, b = bit_fields(bits[:, :self.perm_bits], t)
+        a = a_raw % ((1 << t) - 1) + 1  # in [1, 2^t - 1]
         stream = self.recycler.bitstream_batch(bits[:, self.perm_bits:])
 
         field = gf2(t)
@@ -127,9 +131,9 @@ class GLargePlan(Generator):
     bucket seeds recycled.
 
     Bucket j of a row reads the j-th g1_bits slice of that row's recycled
-    stream. A batch stacks the seeds of only the (row, bucket) pairs some
-    coordinate hashes to, evaluates G1 once on the stack, and gathers
-    each coordinate from its own pair's G1 row."""
+    stream. A chunk of rows stacks the seeds of only the (row, bucket)
+    pairs some coordinate hashes to, evaluates G1 once on the stack, and
+    gathers each coordinate from its own pair's G1 row."""
 
     m: int
     n: int
@@ -147,6 +151,13 @@ class GLargePlan(Generator):
 
     def generate_batch(self, seeds) -> np.ndarray:
         bits = as_bits(seeds, self.seed_bits)
+        out = np.empty((len(bits), self.n), dtype=np.int64)
+        step = max(1, _CHUNK_BYTES // self.recycler.total_bits)
+        for lo in range(0, len(bits), step):
+            out[lo:lo + step] = self._chunk(bits[lo:lo + step])
+        return out
+
+    def _chunk(self, bits: np.ndarray) -> np.ndarray:
         N = len(bits)
         # hash seed in the high bits, recycler seed below
         hbits = self.spreading.seed_bits

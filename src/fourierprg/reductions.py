@@ -66,12 +66,10 @@ class AlphabetStepPlan(Generator):
             bits[:, :self.local_bits])  # (N, n)
         Y = self.inner.generate_batch(bits[:, self.local_bits:])  # over [D]
         # evaluate each column polynomial only at the selected row, never
-        # materializing the D x n lookup matrix
-        out = np.empty((len(bits), self.n), dtype=np.int64)
-        for j in range(self.n):
-            vals = self.col_family.eval_points_batch(col_seeds[:, j], Y[:, j])
-            out[:, j] = np.asarray(vals % self.m, dtype=np.int64)
-        return out
+        # materializing the D x n lookup matrix: one call for all columns
+        vals = self.col_family.eval_points_batch(col_seeds.reshape(-1),
+                                                 Y.reshape(-1))
+        return np.asarray(vals % self.m, dtype=np.int64).reshape(Y.shape)
 
 
 def alphabet_reduce(m: int, n: int, delta: float, base_factory,

@@ -93,8 +93,8 @@ class INWGenerator(Generator):
         """(len(seeds), T) blocks of D bits, in the state dtype."""
         # x, then (a, b) per level: one row per w-bit seed field, MSB first
         w = self.state_bits
-        fields = bit_fields(as_bits(seeds, self.seed_bits), w)
-        fields = fields.T.astype(self._dtype, order="C")
+        fields = bit_fields(as_bits(seeds, self.seed_bits), w).astype(
+            self._dtype, copy=False)
         states = np.empty((self.T, fields.shape[1]), dtype=self._dtype)
         states[0] = fields[0]
         for lvl in range(self.levels):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourierprg import compose
-from fourierprg.bitseq import to_ints
+from fourierprg.bitseq import _schedule, to_ints
 from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
-                                build_generator, symbol_pieces)
+                                build_generator)
 from fourierprg.core import (PLAN_REGISTRY, KWiseGenerator, SmallBiasLift,
                              UniformStub, plan_seed_bits, plan_to_generator,
                              sample_seeds)
@@ -179,9 +179,8 @@ def test_inw_base_case_shapes():
     spans = {}
     for m, n, block_bits in INW_BASE_CASES:
         g = INWBase(m, n, 0.1, block_bits)
-        block, _, mask, _ = symbol_pieces(n, g.bits_per_symbol, g.inw.D)
-        spans[(m, n)] = (g.bits_per_symbol, g.inw.D, g.inw.T,
-                         int((mask > 0).sum(axis=0).max()))
+        _, block, _, _ = _schedule(n, g.bits_per_symbol, g.inw.D)
+        spans[(m, n)] = (g.bits_per_symbol, g.inw.D, g.inw.T, len(block))
     assert spans[(2, 8)][2] == spans[(3, 1)][2] == 2
     assert spans[(2, 64)][0] < spans[(2, 64)][1]
     assert spans[(64, 16)][0] == spans[(64, 16)][1]
@@ -191,20 +190,25 @@ def test_inw_base_case_shapes():
 
 
 def test_symbol_pieces_cover_stream():
-    # every stream bit a symbol needs comes from exactly one piece
+    # the symbol schedule of bitseq.read_fields: every stream bit a symbol
+    # needs comes from exactly one piece, placed at its bit of the symbol
     for n, b, D in ((5, 3, 4), (7, 17, 6), (4, 6, 6), (3, 44, 6), (9, 1, 5)):
-        block, rshift, mask, lshift = symbol_pieces(n, b, D, np.uint64)
+        dtype, block, up, down = _schedule(n, b, D)
+        bits = np.iinfo(dtype).bits
         assert len(block) <= -(-b // D) + 1
         for j in range(n):
-            covered = []
+            covered = set()
             for k in range(len(block)):
-                width = int(mask[k, j]).bit_length()
-                if width == 0:
-                    continue
-                first = block[k, j] * D + D - int(rshift[k, j]) - width
-                covered += range(first, first + width)
-                assert int(lshift[k, j]) == (j + 1) * b - first - width
-            assert covered == list(range(j * b, (j + 1) * b))
+                t = int(block[k, j])
+                first = t * D + int(up[k, j, 0]) - (bits - D)
+                last = min((j + 1) * b, (t + 1) * D)
+                assert int(down[k, j, 0]) == bits - (j + 1) * b + first
+                piece = range(first, last)
+                # a repeated piece is the symbol's first one again
+                assert covered.isdisjoint(piece) or k and \
+                    (t, first) == (int(block[0, j]), j * b)
+                covered.update(piece)
+            assert covered == set(range(j * b, (j + 1) * b))
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierprg.bitseq import as_bits, bit_fields, check_seed, to_ints
+from fourierprg.bitseq import (as_bits, bit_fields, check_seed, read_fields,
+                               to_ints)
 from fourierprg.core import (KWiseGenerator, SmallBiasLift, UniformStub,
                              plan_seed_bits, plan_to_generator, sample_seeds)
 
@@ -19,12 +20,14 @@ def bit_slice(seed, nbits, start, stop):
 
 
 def test_bit_slice_msb_first():
-    # 0b1011 0100 as an 8-bit seed: bit_fields reads its slices MSB first
+    # 0b1011 0100 as an 8-bit seed: bit_fields reads its slices MSB first,
+    # one row per field
     bits = as_bits(0b10110100, 8)
-    assert np.array_equal(bit_fields(bits, 4), [[0b1011, 0b0100]])
-    assert np.array_equal(bit_fields(bits, 3), [[0b101, 0b101]])
-    with pytest.raises(ValueError):
-        bit_fields(bits, 64)
+    assert np.array_equal(bit_fields(bits, 4), [[0b1011], [0b0100]])
+    assert np.array_equal(bit_fields(bits, 3), [[0b101], [0b101]])
+    # 64-bit fields come back as python ints
+    wide = bit_fields(as_bits([(1 << 64) - 2], 64), 64)
+    assert wide.shape == (1, 1) and wide[0, 0] == (1 << 64) - 2
 
 
 def test_bit_matrix_and_fields_match_bit_slice():
@@ -43,13 +46,52 @@ def test_bit_matrix_and_fields_match_bit_slice():
                                   bits)
         fields = bit_fields(bits, width)
         k = nbits // width
-        assert fields.shape == (len(seeds), k) and fields.dtype == np.int64
-        for seed, brow, frow in zip(seeds, bits, fields):
+        assert fields.shape == (k, len(seeds)) and fields.dtype == np.int64
+        for seed, brow, frow in zip(seeds, bits, fields.T):
             assert [int(v) for v in brow] == \
                 [bit_slice(seed, nbits, i, i + 1) for i in range(nbits)]
             assert [int(v) for v in frow] == \
                 [bit_slice(seed, nbits, i * width, (i + 1) * width)
                  for i in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=st.sampled_from([*range(1, 17), 64]), data=st.data())
+def test_read_fields_matches_int_slicing(D, data):
+    # the one field reader against shift-and-mask slicing of python ints:
+    # streams of B blocks of D bits, held coordinate-major as (B, N)
+    B = data.draw(st.integers(1, 24))
+    width = data.draw(st.one_of(st.integers(1, 200),
+                                st.sampled_from([62, 63, 64, 65, 126]),
+                                st.just(B * D)))
+    count = data.draw(st.integers(0, B * D // width))
+    N = data.draw(st.integers(0, 4))
+    total = B * D
+    rows = [data.draw(st.one_of(st.just(0), st.just((1 << total) - 1),
+                                st.integers(0, (1 << total) - 1),
+                                st.integers(1 << (total - 1),
+                                            (1 << total) - 1)))
+            for _ in range(N)]
+    dtype = (np.uint8 if D <= 8 else np.uint16 if D <= 16 else
+             data.draw(st.sampled_from([np.uint64, np.int64])))
+    blocks = np.array([[(v >> (total - (t + 1) * D)) & ((1 << D) - 1)
+                        for v in rows] for t in range(B)], dtype=np.uint64)
+    blocks = blocks.reshape(B, N).astype(dtype)
+    got = read_fields(blocks, D, width, count)
+    assert got.shape == (count, N)
+    assert got.dtype == object if width >= 63 else got.dtype.kind == "u"
+
+    def field(v, j, nbits):
+        return (v >> (nbits - (j + 1) * width)) & ((1 << width) - 1)
+    assert [[int(x) for x in r] for r in got] == \
+        [[field(v, j, total) for v in rows] for j in range(count)]
+    if width >= 63:
+        assert all(type(x) is int for x in got.reshape(-1))
+    # bit_fields reads all total // width fields of the same bits
+    bits = np.array([[(v >> (total - 1 - i)) & 1 for i in range(total)]
+                     for v in rows], dtype=np.uint8).reshape(N, total)
+    assert [[int(x) for x in r] for r in bit_fields(bits, width)] == \
+        [[field(v, j, total) for v in rows] for j in range(total // width)]
 
 
 def test_bit_matrix_reads_low_bits_of_wider_seeds():

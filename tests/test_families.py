@@ -178,7 +178,7 @@ def test_small_bias_deterministic():
 def small_bias_reference(fam: SmallBiasFamily, seeds) -> np.ndarray:
     """SmallBiasFamily as first written: x^i built up by one field
     multiply per column, bit i = lsb(x^i * y)."""
-    x, y = bit_fields(as_bits(seeds, fam.seed_bits), fam.t).T
+    x, y = bit_fields(as_bits(seeds, fam.seed_bits), fam.t)
     out = np.empty((len(x), fam.n), dtype=np.int64)
     power = np.ones(len(x), dtype=np.int64)
     for i in range(fam.n):

@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fourierprg import highvar
 from fourierprg.bitseq import as_bits, to_ints
 from fourierprg.compose import build_generator
 from fourierprg.core import plan_to_generator, sample_seeds
@@ -300,6 +302,34 @@ def test_glarge_matches_per_bucket_reference(args, kwargs):
         rs = _full_width_seeds(r.seed_bits, r.total_bits)
         assert list(to_ints(r.bitstream_batch(rs))) == \
             _bitstream_reference(r, rs)
+
+
+def test_glarge_chunks_match_rows_one_at_a_time(monkeypatch):
+    # a 3-row budget puts chunk edges inside the 10-row batch of random,
+    # top-bit-set and all-ones seeds
+    g = GLargePlan(3, 32, 0.2)
+    monkeypatch.setattr(highvar, "_CHUNK_BYTES", 3 * g.recycler.total_bits)
+    seeds = _full_width_seeds(g.seed_bits, 3)
+    out = g.generate_batch(seeds)
+    assert out.shape == (10, g.n) and out.dtype == np.int64
+    for i, row in enumerate(out):
+        assert np.array_equal(row, g.generate_batch(seeds[i:i + 1])[0])
+
+
+def test_glarge_batch_memory_is_bounded():
+    # the n = 128 tree's glarge needs about 0.8 MB per row for its
+    # 243,660-bit recycled stream and INW states, so 300 rows held at
+    # once would peak near 231 MB
+    g = build_generator(2, 128, 0.1).left
+    assert isinstance(g, GLargePlan)
+    seeds = sample_seeds(np.random.default_rng(7), g.seed_bits, 300)
+    tracemalloc.start()
+    try:
+        g.generate_batch(seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_recursive_build_output_pinned():
