@@ -77,8 +77,10 @@ class FoolingReport:
         yield json.dumps(self.summary, sort_keys=True)
 
 
-# (bound, whether the bound itself is allowed) of each range-checked knob
-_KNOB_RANGES = {"n0": (1, True), "inw_block_bits": (1, True),
+# (bound, whether the bound itself is allowed) of each range-checked knob;
+# n0 >= 2 because a dimension step on n = 2 makes ceil(sqrt(2)) = 2
+# buckets, so with n0 = 1 the recursion would never shrink n
+_KNOB_RANGES = {"n0": (2, True), "inw_block_bits": (1, True),
                 "inw_state_extra": (1, True), "bucket_p": (1, True),
                 "max_levels": (0, True), "delta_map": (0, False),
                 "c_T": (0, False), "C_alpha": (0, False), "C_dim": (0, False)}

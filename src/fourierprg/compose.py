@@ -64,6 +64,9 @@ class INWBase(Generator):
 
     def __post_init__(self):
         m, n = self.m, self.n
+        if m > 1 << 63:
+            raise ValueError(f"inw-base symbols are int64: m = {m} exceeds "
+                             "the limit 2^63")
         if self.state_extra < 1:
             raise ValueError(f"state_extra must be >= 1, not "
                              f"{self.state_extra!r}")

@@ -32,31 +32,34 @@ class KWiseFamily:
         self.coeff_bits = max(1, (field.q - 1).bit_length())
         self.seed_bits = k * self.coeff_bits
 
-    def _coeff_batch(self, seeds) -> np.ndarray:
+    def coefficients(self, seeds) -> np.ndarray:
         """(k, N) coefficients, constant term first: the coeff_bits-wide
         seed fields MSB first, reduced mod q; python ints from 63 bits,
         which is exactly when q > 2^62."""
         bits = as_bits(seeds, self.seed_bits)
         return bit_fields(bits, self.coeff_bits) % self.q
 
-    def _horner(self, coeffs: np.ndarray, points) -> np.ndarray:
-        """sum_j coeffs[j] * points^j over the field, elementwise."""
-        f = self.field
-        acc = np.zeros_like(coeffs[0])
-        for j in range(self.k - 1, -1, -1):
-            acc = f.add(f.mul_vec(acc, points), coeffs[j])
-        return acc
+    def horner(self, coeffs, points) -> np.ndarray:
+        """sum_j c_j * points^j over the field, elementwise, in k - 1
+        products: coeffs is any iterable, highest degree first, so a caller
+        can gather each coefficient when it is needed."""
+        f, coeffs = self.field, iter(coeffs)
+        acc = next(coeffs)  # one name only, so the first step frees it
+        acc = np.broadcast_to(acc, np.broadcast(acc, points).shape)
+        for c in coeffs:
+            acc = f.add(f.mul_vec(acc, points), c)
+        return acc if acc.flags.writeable else acc.copy()  # k = 1
 
     def eval_points_batch(self, seeds, points) -> np.ndarray:
         """Value at points[i] under seed seeds[i], one output per row;
         avoids materializing all n evaluation points."""
-        return self._horner(self._coeff_batch(seeds),
-                            np.asarray(points, dtype=np.int64))
+        return self.horner(self.coefficients(seeds)[::-1],
+                           np.asarray(points, dtype=np.int64))
 
     def sample_batch(self, seeds) -> np.ndarray:
         """(len(seeds), n) array of values in [q]."""
-        return self._horner(self._coeff_batch(seeds)[:, :, None],
-                            np.arange(self.n, dtype=np.int64))
+        return self.horner(self.coefficients(seeds)[::-1, :, None],
+                           np.arange(self.n, dtype=np.int64))
 
 
 class KWiseVectors:
@@ -90,7 +93,7 @@ class SmallBiasFamily:
     For t <= 16 every bit comes from one exponent through the field's
     log/exp tables: x^i * y = exp((i log x + log y) mod (2^t - 1)). Rows
     with y = 0 are all zeros, and rows with x = 0 are (lsb y, 0, ..., 0)
-    since x^0 = 1. Wider fields multiply x^i up one power at a time."""
+    since x^0 = 1. Wider fields multiply y * x^i up by x, one bit at a time."""
 
     def __init__(self, n: int, delta: float):
         if not 0 < delta <= 1:
@@ -109,12 +112,12 @@ class SmallBiasFamily:
         x, y = bit_fields(as_bits(seeds, self.seed_bits), self.t)
         out = np.empty((len(x), self.n), dtype=np.int64)
         f = self.field
-        if self.t > 16:  # no log tables: x^i by repeated multiplication
-            power = np.ones(len(x), dtype=np.int64)  # x^0
+        if self.t > 16:  # no log tables: y * x^i as v <- v * x
+            v = y
             for i in range(self.n):
-                out[:, i] = f.mul_vec(power, y) & 1
+                out[:, i] = v & 1
                 if i + 1 < self.n:
-                    power = f.mul_vec(power, x)
+                    v = f.mul_vec(v, x)
             return out
         log, exp, _ = f.tables
         # log(0) mod (q - 1) reads 0 as 1; the fixes below undo that.

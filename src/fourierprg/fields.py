@@ -94,27 +94,27 @@ def _is_irreducible(f: int, t: int) -> bool:
 
 
 def irreducible_modulus(t: int) -> int:
-    """Fixed modulus per degree: the table for t <= 64, the
+    """Fixed modulus per degree t >= 1: the table for t <= 64, the
     lexicographically smallest irreducible (same rule) beyond it."""
-    if t in IRREDUCIBLE:
-        return IRREDUCIBLE[t]
-    if t < 1:
-        raise ValueError("degree must be positive")
-    base = 1 << t
-    for low in range(1, base, 2):
-        if _is_irreducible(base | low, t):
-            IRREDUCIBLE[t] = base | low
-            return base | low
-    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
+    if t not in IRREDUCIBLE:  # every degree has one, so next() finds it
+        IRREDUCIBLE[t] = next(f for f in range((1 << t) | 1, 2 << t, 2)
+                              if _is_irreducible(f, t))
+    return IRREDUCIBLE[t]
 
 
 class GF2Field:
     """GF(2^t): ints in [0, q) whose bits are polynomial coefficients."""
 
     def __init__(self, t: int):
+        if t < 1:
+            raise ValueError("degree must be positive")
         self.t = t
         self.q = 1 << t
-        self.modulus = irreducible_modulus(t)
+
+    @cached_property
+    def modulus(self) -> int:
+        """Found on the first product, so a k = 1 family never looks."""
+        return irreducible_modulus(self.t)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b

@@ -80,22 +80,19 @@ class G1Plan(Generator):
         a = a_raw % ((1 << t) - 1) + 1  # in [1, 2^t - 1]
         stream = self.recycler.bitstream_batch(bits[:, self.perm_bits:])
 
-        field = gf2(t)
-        out = np.zeros((N, self.n), dtype=np.int64)
-        offset = 0
-        rows = np.arange(N)
-        for j, fam in enumerate(self.bucket_families):
-            sbits = self.bucket_seed_bits[j]
-            vals = fam.sample_batch(stream[:, offset:offset + sbits])
-            # bucket 0 additionally receives the image of domain index 0
-            interval = (np.arange(0, 2, dtype=np.int64) if j == 0
-                        else np.arange(1 << j, 1 << (j + 1), dtype=np.int64))
-            coords = field.mul_vec(a[:, None], interval[None, :]) ^ b[:, None]
-            valid = coords < self.n
-            out[rows[:, None].repeat(len(interval), 1)[valid], coords[valid]] \
-                = vals[valid]
-            offset += sbits
-        return out
+        # the bucket strings side by side are domain points 0 .. n_padded - 1
+        # in order; point x lands on coordinate a*x + b, dropped from n on
+        vals = np.empty((N, self.n_padded), dtype=np.int64)
+        pos = offset = 0
+        for fam, sbits in zip(self.bucket_families, self.bucket_seed_bits):
+            vals[:, pos:pos + fam.n] = fam.sample_batch(
+                stream[:, offset:offset + sbits])
+            pos, offset = pos + fam.n, offset + sbits
+        coords = gf2(t).mul_vec(
+            a[:, None], np.arange(self.n_padded, dtype=np.int64)) ^ b[:, None]
+        out = np.empty_like(vals)
+        out[np.arange(N)[:, None], coords] = vals
+        return out[:, :self.n]
 
 
 class SpreadingFamily:

@@ -135,11 +135,11 @@ class DimStepPlan(Generator):
             bits[:, :self.local_bits])  # (N, n)
         blocks = self.inner.generate_batch(
             bits[:, self.local_bits:])  # (N, t) in [2^r0]
-        out = np.zeros((len(tables), self.n), dtype=np.int64)
-        for j in range(self.t):
-            # each inner symbol is the r0-bit seed of one bucket's string
-            vals = self.within.sample_batch(blocks[:, j])
-            mask = tables == j
-            out[mask] = vals[mask]
-        return out
-
+        # each inner symbol seeds one bucket's polynomial; evaluate each
+        # coordinate at its bucket's, gathering one coefficient per step
+        fam = self.within.inner
+        coeffs = fam.coefficients(blocks.ravel()).reshape(-1, *blocks.shape)
+        vals = fam.horner(
+            (np.take_along_axis(c, tables, axis=1) for c in coeffs[::-1]),
+            np.arange(self.n, dtype=np.int64))
+        return np.asarray(vals % self.m, dtype=np.int64)

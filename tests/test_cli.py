@@ -361,7 +361,7 @@ def test_campaign_file_knob_types_checked(tmp_path, capsys, knobs, name):
 
 
 @pytest.mark.parametrize("knob,limit", [
-    ("n0=0", ">= 1"), ("inw_block_bits=0", ">= 1"),
+    ("n0=0", ">= 2"), ("n0=1", ">= 2"), ("inw_block_bits=0", ">= 1"),
     ("inw_state_extra=0", ">= 1"), ("inw_state_extra=-5", ">= 1"),
     ("bucket_p=0", ">= 1"),
     ("max_levels=-1", ">= 0"), ("delta_map=0", "> 0"), ("c_T=-0.5", "> 0"),

@@ -1,13 +1,15 @@
 """Composed generator: base case, xor composition, recursive build."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierprg import compose
+from fourierprg import compose, fields
 from fourierprg.bitseq import _schedule, to_ints
 from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
                                 build_generator)
@@ -174,6 +176,21 @@ def test_inw_base_refuses_state_above_16_bits():
             INWBase(2, 64, 0.1, *args)
 
 
+def test_inw_base_refuses_symbols_beyond_int64():
+    # n <= n0, so each tree is one inw-base node
+    with pytest.raises(ValueError, match="inw-base symbols are int64"):
+        build_generator(2 ** 64, 8, 0.1)
+
+
+def test_inw_base_at_the_int64_symbol_limit():
+    g = build_generator(2 ** 63, 8, 0.1)
+    assert isinstance(g, INWBase) and g.seed_bits == 90
+    seeds = edge_seeds(g.seed_bits, 16, np.random.default_rng(63))
+    out = g.generate_batch(seeds)
+    assert out.dtype == np.int64 and out.min() >= 0
+    assert out.max() >= 1 << 62  # the top symbol bit is reached
+
+
 def test_inw_base_case_shapes():
     # the cases above really cover the schedule shapes they claim
     spans = {}
@@ -308,6 +325,48 @@ def test_build_generator_recursive_case():
         assert np.array_equal(g.generate(seed), row)
     replay = plan_to_generator(json.loads(json.dumps(g.plan())))
     assert np.array_equal(replay.generate_batch(wide), out)
+
+
+def test_n128_tree_products_per_batch(monkeypatch):
+    # each symbol computed once: one 4-row batch of the n = 128 tree made
+    # 205 vectorized and 384 scalar GF(2^t) products when the dimension
+    # step evaluated every bucket's polynomial at every coordinate, G1
+    # ran its permutation once per bucket and Horner began by multiplying
+    # zero
+    g = build_generator(2, 128, 0.1)
+    seeds = sample_seeds(np.random.default_rng(4), g.seed_bits, 4)
+    g.generate_batch(seeds)  # field tables outside the count
+    calls = {"mul_vec": 0, "mul": 0}
+
+    def counting(name):
+        product = getattr(fields.GF2Field, name)
+
+        def wrapper(self, a, b):
+            calls[name] += 1
+            return product(self, a, b)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fields.GF2Field, name, counting(name))
+    g.generate_batch(seeds)
+    assert calls["mul_vec"] <= 88 and calls["mul"] <= 192
+
+
+def test_n128_tree_finds_no_modulus_above_degree_64():
+    # the tree's only GF(2^126) family has k = 1 and never multiplies, so
+    # its modulus (a search of about half a second) is never looked for
+    code = ("import numpy as np\n"
+            "from fourierprg import fields\n"
+            "from fourierprg.compose import build_generator\n"
+            "from fourierprg.core import sample_seeds\n"
+            "g = build_generator(2, 128, 0.1)\n"
+            "g.generate_batch(sample_seeds(np.random.default_rng(0), "
+            "g.seed_bits, 4))\n"
+            "print(max(fields.IRREDUCIBLE))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 64
 
 
 def test_build_generator_plan_replay():

@@ -1,12 +1,17 @@
 """Alphabet and dimension reduction steps against enumeration oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fourierprg.bitseq import as_bits
 from fourierprg.core import (UniformStub, plan_to_generator, sample_seeds)
 from fourierprg.families import CombinedHashFamily
+from fourierprg.fields import prime_field
 from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
                                    alphabet_reduce, dim_step_params)
+from test_robp import edge_seeds
 
 
 def test_alphabet_step_applicability_guard():
@@ -129,6 +134,63 @@ def test_dim_step_scalar_and_roundtrip():
     seeds = np.arange(min(512, 1 << g.seed_bits), dtype=np.int64)
     assert np.array_equal(g.generate_batch(seeds), g2.generate_batch(seeds))
     assert np.array_equal(g.generate(3), g.generate_batch([3])[0])
+
+
+def _dim_step_reference(g: DimStepPlan, seeds) -> np.ndarray:
+    """The dimension step as first written: each bucket's string on all n
+    coordinates, kept where the hash sends a coordinate to that bucket."""
+    bits = as_bits(seeds, g.seed_bits)
+    tables = g.bucket_hash.table_batch(bits[:, :g.local_bits])
+    blocks = g.inner.generate_batch(bits[:, g.local_bits:])
+    out = np.zeros((len(tables), g.n), dtype=np.int64)
+    for j in range(g.t):
+        vals = g.within.sample_batch(blocks[:, j])
+        mask = tables == j
+        out[mask] = vals[mask]
+    return out
+
+
+# (m, n, delta, C): the n = 128 tree's dimension step (t = 12 buckets,
+# k = 9, r0 = 63, bucket hash over GF(149)), and m = 3 on n = 10, whose
+# within-bucket strings live in a prime field
+DIM_STEP_CASES = [(2, 128, 0.1 / 24, 4.0), (3, 10, 0.5, 2.0)]
+
+
+@pytest.mark.parametrize("m,n,delta,C", DIM_STEP_CASES,
+                         ids=["n128-tree", "m3-prime-field"])
+def test_dim_step_matches_per_bucket_reference(m, n, delta, C):
+    t, k, r0 = dim_step_params(m, n, delta, C)
+    g = DimStepPlan(m, n, delta, UniformStub(1 << r0, t), C)
+    seeds = edge_seeds(g.seed_bits, 24, np.random.default_rng(n))
+    assert {0, (1 << g.seed_bits) - 1} <= set(seeds)
+    got = g.generate_batch(seeds)
+    assert got.dtype == np.int64 and got.shape == (len(seeds), n)
+    assert np.array_equal(got, _dim_step_reference(g, seeds))
+
+
+def test_dim_step_cases_cover_the_tree_and_a_prime_field():
+    g = DimStepPlan(2, 128, 0.1 / 24, UniformStub(1 << 63, 12))
+    assert (g.t, g.k, g.r0, g.bucket_hash.kwise.q) == (12, 9, 63, 149)
+    t, _, r0 = dim_step_params(3, 10, 0.5, 2.0)
+    g = DimStepPlan(3, 10, 0.5, UniformStub(1 << r0, t), 2.0)
+    assert g.within.inner.field is prime_field(g.within.inner.q)
+
+
+def test_dim_step_memory_at_most_the_per_bucket_loop():
+    # 2^13 rows of the n = 128 tree's dimension step: the per-bucket loop
+    # peaked at 51.3 MB (tracemalloc) and gathering all (k, N, n)
+    # coefficients at once at 112.6 MB; one coefficient per Horner step
+    # stays below the first
+    g = DimStepPlan(2, 128, 0.1 / 24, UniformStub(1 << 63, 12))
+    seeds = sample_seeds(np.random.default_rng(13), g.seed_bits, 1 << 13)
+    g.generate_batch(seeds[:8])  # field tables outside the measurement
+    tracemalloc.start()
+    try:
+        g.generate_batch(seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 51.3 * 2 ** 20
 
 
 def test_good_hash_fraction_over_family():
