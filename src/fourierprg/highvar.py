@@ -1,9 +1,8 @@
 """Generators for high-total-variance shapes.
 
 G1: constant fooling error via dyadic bucketing by a pairwise-independent
-permutation x -> a*x + b over GF(2^t), computed inline, a p-wise
-independent string per bucket, and the bucket seeds recycled through the
-INW generator.
+permutation x -> a*x + b over GF(2^t), a p-wise independent string per
+bucket, and the bucket seeds recycled through the INW generator.
 
 GLarge: error amplification by a spreading hash whose buckets each get an
 independent-looking G1 output.
@@ -22,8 +21,8 @@ from .families import CombinedHashFamily, KWiseVectors
 from .fields import gf2
 from .robp import INWGenerator
 
-# GLargePlan runs chunks of 16 MB of recycled stream bits: 68 rows of the
-# n = 128 tree's 243,660-bit stream, each row peaking near 0.8 MB there
+# GLargePlan runs chunks of 16 MB of its own recycled stream bits (68 rows
+# of the n = 128 tree's 243,660 bits); G1 adds only the symbols a chunk reads
 _CHUNK_BYTES = 1 << 24
 
 
@@ -43,7 +42,7 @@ class SeedRecycler:
         blocks = self.inw.expand_batch(seeds)
         # the C-order copy transposes the (T, N) states into rows
         raw = blocks.astype(np.uint8, order="C")
-        return np.unpackbits(raw, axis=1)[:, :self.total_bits]
+        return np.unpackbits(raw, axis=1, count=self.total_bits)
 
     def config(self) -> dict:
         return {**self.inw.config(), "seed_bits": self.seed_bits}
@@ -62,6 +61,9 @@ class G1Plan(Generator):
 
     def __post_init__(self):
         self.n_padded = 1 << max(1, (self.n - 1).bit_length())
+        if self.n_padded > 1 << 16:
+            raise ValueError(f"g1: n_padded = {self.n_padded} exceeds 2^16, "
+                             "the GF(2^16) log/exp table limit")
         self.tlog = self.n_padded.bit_length() - 1
         self.perm_bits = 2 * self.tlog
         sizes = [2] + [1 << j for j in range(1, self.tlog)]
@@ -72,27 +74,31 @@ class G1Plan(Generator):
         self.seed_bits = self.perm_bits + self.recycler.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        bits = as_bits(seeds, self.seed_bits)
-        N = len(bits)
-        # perm seed (a_raw, b) in the high bits, recycler seed below
-        t = self.tlog
-        a_raw, b = bit_fields(bits[:, :self.perm_bits], t)
-        a = a_raw % ((1 << t) - 1) + 1  # in [1, 2^t - 1]
-        stream = self.recycler.bitstream_batch(bits[:, self.perm_bits:])
+        rows, coords = np.divmod(np.arange(len(seeds) * self.n), self.n)
+        return self.eval_points(seeds, rows, coords).reshape(-1, self.n)
 
-        # the bucket strings side by side are domain points 0 .. n_padded - 1
-        # in order; point x lands on coordinate a*x + b, dropped from n on
-        vals = np.empty((N, self.n_padded), dtype=np.int64)
+    def eval_points(self, seeds, rows, coords) -> np.ndarray:
+        """Entry e: G1 under seeds[rows[e]] at coordinate coords[e] only."""
+        bits = as_bits(seeds, self.seed_bits)
+        # perm seed (a_raw, b) in the high bits, recycler seed below
+        a_raw, b = bit_fields(bits[:, :self.perm_bits], self.tlog)
+        stream = self.recycler.bitstream_batch(bits[:, self.perm_bits:])
+        # domain point x lands on coordinate a*x + b, where a = a_raw mod
+        # (q - 1) + 1 is never 0, so coordinate j reads x = a^-1 (j ^ b)
+        f = gf2(self.tlog)
+        log, exp, _ = f.tables
+        a_inv = exp[-log[a_raw % (f.q - 1) + 1] % (f.q - 1)]
+        x = f.mul_vec(a_inv[rows], coords ^ b[rows])
+        # the buckets hold domain points 0 .. n_padded - 1 in order
+        out = np.empty(len(x), dtype=np.int64)
         pos = offset = 0
         for fam, sbits in zip(self.bucket_families, self.bucket_seed_bits):
-            vals[:, pos:pos + fam.n] = fam.sample_batch(
-                stream[:, offset:offset + sbits])
+            sel = np.flatnonzero((x >= pos) & (x < pos + fam.n))
+            coeffs = fam.inner.coefficients(stream[:, offset:offset + sbits])
+            out[sel] = fam.inner.horner(
+                (c[rows[sel]] for c in coeffs[::-1]), x[sel] - pos) % self.m
             pos, offset = pos + fam.n, offset + sbits
-        coords = gf2(t).mul_vec(
-            a[:, None], np.arange(self.n_padded, dtype=np.int64)) ^ b[:, None]
-        out = np.empty_like(vals)
-        out[np.arange(N)[:, None], coords] = vals
-        return out[:, :self.n]
+        return out
 
 
 class SpreadingFamily:
@@ -129,8 +135,8 @@ class GLargePlan(Generator):
 
     Bucket j of a row reads the j-th g1_bits slice of that row's recycled
     stream. A chunk of rows stacks the seeds of only the (row, bucket)
-    pairs some coordinate hashes to, evaluates G1 once on the stack, and
-    gathers each coordinate from its own pair's G1 row."""
+    pairs some coordinate hashes to, and G1 evaluates each coordinate
+    under its own pair's seed at that coordinate alone."""
 
     m: int
     n: int
@@ -155,17 +161,14 @@ class GLargePlan(Generator):
         return out
 
     def _chunk(self, bits: np.ndarray) -> np.ndarray:
-        N = len(bits)
+        N, hbits, T = len(bits), self.spreading.seed_bits, self.spreading.T
         # hash seed in the high bits, recycler seed below
-        hbits = self.spreading.seed_bits
-        tables = np.asarray(self.spreading.family.table_batch(
-            bits[:, :hbits]), dtype=np.int64)  # (N, n)
+        tables = self.spreading.family.table_batch(bits[:, :hbits])  # (N, n)
         stream = self.recycler.bitstream_batch(bits[:, hbits:])
-        T = self.spreading.T
-        # one G1 row per (row, bucket) pair that some coordinate uses
+        # one G1 seed per (row, bucket) pair that some coordinate uses: pair
+        # key row * T + bucket is its seed's row in the (N * T, g1_bits) view
         keys, inv = np.unique(np.arange(N)[:, None] * T + tables,
                               return_inverse=True)
-        rows, buckets = np.divmod(keys, T)
-        bucket_seeds = stream.reshape(N, T, self.g1.seed_bits)[rows, buckets]
-        vals = self.g1.generate_batch(bucket_seeds)
-        return vals[inv.reshape(N, self.n), np.arange(self.n)]
+        bucket_seeds = stream.reshape(N * T, self.g1.seed_bits)[keys]
+        return self.g1.eval_points(bucket_seeds, inv.reshape(-1), np.tile(
+            np.arange(self.n), N)).reshape(N, self.n)

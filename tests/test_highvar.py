@@ -2,15 +2,19 @@
 
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierprg import highvar
 from fourierprg.bitseq import as_bits, to_ints
 from fourierprg.compose import build_generator
 from fourierprg.core import plan_to_generator, sample_seeds
+from fourierprg.families import KWiseFamily
 from fourierprg.fields import gf2
 from fourierprg.highvar import (G1Plan, GLargePlan, SeedRecycler,
                                 SpreadingFamily)
@@ -223,6 +227,116 @@ def test_g1_matches_reference(args, kwargs):
     g = G1Plan(*args, **kwargs)
     seeds = _full_width_seeds(g.seed_bits, g.n + g.p)
     assert np.array_equal(g.generate_batch(seeds), _g1_reference(g, seeds))
+
+
+def _perm_offsets(g: G1Plan, seeds) -> np.ndarray:
+    """The b of each seed's permutation x -> a*x + b: the low half of the
+    permutation bits, just above the recycler seed."""
+    return np.array([(int(s) >> g.recycler.seed_bits) & (g.n_padded - 1)
+                     for s in seeds])
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((2, 8), {"p": 2}), ((2, 16), {}), ((3, 32), {}), ((5, 12), {"p": 3}),
+    ((2, 100), {})])
+def test_g1_eval_points_matches_reference(args, kwargs):
+    # full-width random, top-bit-set, all-ones and all-zero seeds
+    g = G1Plan(*args, **kwargs)
+    seeds = np.concatenate([_full_width_seeds(g.seed_bits, g.n), [0]])
+    ref = _g1_reference(g, seeds)
+    rng = np.random.default_rng(g.n + g.p)
+    # every (row, coordinate) pair once, shuffled
+    rows, coords = np.divmod(rng.permutation(len(seeds) * g.n), g.n)
+    # coordinates j with j ^ b in {0, 1} read bucket 0's two points
+    edge = [(i, b ^ d) for i, b in enumerate(_perm_offsets(g, seeds))
+            for d in (0, 1) if b ^ d < g.n]
+    assert edge
+    erows, ecoords = np.array(edge).T
+    # one row repeated, coordinates repeated too
+    rrows = np.full(3 * g.n, len(seeds) // 2)
+    rcoords = rng.integers(0, g.n, 3 * g.n)
+    rows = np.concatenate([rows, erows, rrows])
+    coords = np.concatenate([coords, ecoords, rcoords])
+    out = g.eval_points(seeds, rows, coords)
+    assert out.dtype == np.int64 and out.shape == rows.shape
+    assert np.array_equal(out, ref[rows, coords])
+    none = np.zeros(0, dtype=np.int64)
+    empty = g.eval_points(seeds, none, none)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 7), n=st.integers(1, 40), p=st.integers(1, 4),
+       data=st.data())
+def test_g1_eval_points_property(m, n, p, data):
+    # full-width random seeds from a drawn generator seed, then the edges
+    g = G1Plan(m, n, p=p)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    seeds = np.concatenate([to_ints(sample_seeds(rng, g.seed_bits, 3)),
+                            [0, (1 << g.seed_bits) - 1]])
+    entries = data.draw(st.lists(st.tuples(
+        st.integers(0, len(seeds) - 1), st.integers(0, n - 1)), max_size=40))
+    rows, coords = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+    assert np.array_equal(g.eval_points(seeds, rows, coords),
+                          _g1_reference(g, seeds)[rows, coords])
+
+
+@pytest.mark.parametrize("build,reason", [
+    (lambda: G1Plan(2, 2 ** 17), r"g1.*GF\(2\^16\)"),
+    (lambda: GLargePlan(2, 2 ** 17, 0.1), r"g1.*GF\(2\^16\)"),
+    # the dimension step is built first and is refused by is_prime
+    (lambda: build_generator(2, 2 ** 17, 0.1), None)],
+    ids=["g1", "glarge", "build_generator"])
+def test_g1_refuses_past_the_gf2_16_tables_at_build(build, reason):
+    # G1's permutation runs on the GF(2^t) log/exp tables, which stop at
+    # t = 16; a wider G1 is refused when it is built, not at generate
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=reason):
+        build()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_g1_generates_at_the_gf2_16_limit():
+    g = G1Plan(2, 2 ** 16)
+    assert g.tlog == 16
+    seeds = np.concatenate([_full_width_seeds(g.seed_bits, 16)[:1],
+                            [0, (1 << g.seed_bits) - 1]])
+    out = g.generate_batch(seeds)
+    assert out.shape == (3, 2 ** 16) and out.dtype == np.int64
+    assert np.array_equal(out, _g1_reference(g, seeds))
+
+
+def test_glarge_memory_at_n1024():
+    # G1 runs only at the coordinates glarge reads; evaluating it in full
+    # for every (row, bucket) pair peaked at 351 MB here
+    g = build_generator(2, 1024, 0.1).left
+    seeds = sample_seeds(np.random.default_rng(8), g.seed_bits, 16)
+    tracemalloc.start()
+    try:
+        g.generate_batch(seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6
+
+
+def test_glarge_evaluates_g1_at_the_coordinates_it_reads(monkeypatch):
+    # one 4-row batch of the n = 128 tree's glarge reads 4 * 128 symbols,
+    # one per (row, coordinate); full G1 rows per pair would be ~63,500
+    g = build_generator(2, 128, 0.1).left
+    families = {id(fam.inner) for fam in g.g1.bucket_families}
+    points = []
+    horner = KWiseFamily.horner
+
+    def counted(self, coeffs, pts):
+        out = horner(self, coeffs, pts)
+        if id(self) in families:
+            points.append(out.size)
+        return out
+
+    monkeypatch.setattr(KWiseFamily, "horner", counted)
+    g.generate_batch(sample_seeds(np.random.default_rng(9), g.seed_bits, 4))
+    assert 0 < sum(points) <= 4 * 128
 
 
 def _glarge_reference(g: GLargePlan, seeds) -> np.ndarray:
