@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import as_bits, read_fields
-from .core import Generator, register_plan
+from .core import Generator, check_int64_symbols, register_plan
 from .highvar import GLargePlan
 from .reductions import DimStepPlan, alphabet_reduce, dim_step_params
 from .robp import INWGenerator
@@ -63,10 +63,8 @@ class INWBase(Generator):
     plan_info = ("inw",)
 
     def __post_init__(self):
+        check_int64_symbols(self)
         m, n = self.m, self.n
-        if m > 1 << 63:
-            raise ValueError(f"inw-base symbols are int64: m = {m} exceeds "
-                             "the limit 2^63")
         if self.state_extra < 1:
             raise ValueError(f"state_extra must be >= 1, not "
                              f"{self.state_extra!r}")

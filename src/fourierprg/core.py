@@ -23,6 +23,13 @@ class Refused(ValueError):
     error."""
 
 
+def check_int64_symbols(g) -> None:
+    """Refuse at build a node whose alphabet int64 symbols cannot hold."""
+    if g.m > 1 << 63:
+        raise ValueError(f"{g.plan_type} symbols are int64: m = {g.m} "
+                         "exceeds the limit 2^63")
+
+
 def register_plan(name: str):
     def deco(cls):
         cls.plan_type = name
@@ -182,6 +189,7 @@ class UniformStub(Generator):
     n: int
 
     def __post_init__(self):
+        check_int64_symbols(self)
         self.seed_bits = self.n * max(1, (self.m - 1).bit_length())
         self.exactly_uniform = self.m & (self.m - 1) == 0
 
@@ -203,11 +211,13 @@ class KWiseGenerator(Generator):
     delta_map: float = 1e-3
 
     def __post_init__(self):
+        check_int64_symbols(self)
         self.family = KWiseVectors(self.n, self.m, self.k, self.delta_map)
         self.seed_bits = self.family.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        return self.family.sample_batch(as_bits(seeds, self.seed_bits))
+        return self.family.sample_batch(
+            as_bits(seeds, self.seed_bits)).astype(np.int64, copy=False)
 
 
 @register_plan("small-bias-lift")

@@ -17,6 +17,7 @@ import numpy as np
 from .core import Refused
 
 _SUM_TOL = 1e-10
+GRID_CAP = 1 << 24  # d_ft's FFT grid: 256 MiB of complex128
 
 
 @dataclass(frozen=True)
@@ -144,12 +145,16 @@ def d_ft(p: IntPMF, q: IntPMF, eta: float = 1e-3) -> float:
     Each characteristic function is (2 pi N)-Lipschitz in the frequency,
     so a grid of spacing at most eta / (4 pi N) under-approximates the
     true supremum by at most eta. The grid has the least power-of-two
-    number of points above 4 pi N / eta, a fast FFT length.
+    number of points above 4 pi N / eta, a fast FFT length, refused
+    above GRID_CAP points before anything is allocated.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     N = max(p.radius, q.radius, 1)
     grid_points = 1 << math.floor(4 * math.pi * N / eta).bit_length()
+    if grid_points > GRID_CAP:
+        raise Refused(f"d_ft at N = {N}, eta = {eta} needs {grid_points} "
+                      f"grid points, cap is {GRID_CAP}")
     return float(_char_gap_on_grid(p, q, grid_points).max())
 
 

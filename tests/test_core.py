@@ -149,6 +149,34 @@ def test_uniform_stub_pmf_exactly_uniform():
     assert np.allclose(g.output_pmf(), 1 / 16)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: KWiseGenerator(1 << 63, 4, 2),
+    lambda: KWiseGenerator(1 << 40, 4, 2),  # GF(2^40): object products
+    lambda: UniformStub(1 << 63, 2),
+])
+def test_leaf_generators_return_int64_up_to_m_2_63(make):
+    # up to the widest alphabet int64 holds, on random, all-zero and
+    # all-ones seeds
+    g = make()
+    rng = np.random.default_rng(5)
+    for bits in (rng.integers(0, 2, (6, g.seed_bits), dtype=np.uint8),
+                 np.zeros((2, g.seed_bits), dtype=np.uint8),
+                 np.ones((2, g.seed_bits), dtype=np.uint8)):
+        out = g.generate_batch(bits)
+        assert out.dtype == np.int64 and out.shape == (len(bits), g.n)
+        assert out.min() >= 0
+
+
+@pytest.mark.parametrize("m", [(1 << 63) + 1, 1 << 64])
+@pytest.mark.parametrize("cls,name,args", [
+    (KWiseGenerator, "kwise", (4, 2)),
+    (UniformStub, "uniform-stub", (2,)),
+])
+def test_leaf_generators_refuse_m_above_2_63_at_build(m, cls, name, args):
+    with pytest.raises(ValueError, match=f"{name} symbols are int64"):
+        cls(m, *args)
+
+
 @pytest.mark.parametrize("g", [
     UniformStub(3, 4),
     UniformStub(4, 3),

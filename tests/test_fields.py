@@ -1,12 +1,15 @@
 """Finite-field arithmetic against independent schoolbook oracles."""
 
+import hashlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from fourierprg.fields import (MR_EXACT_BELOW, PrimeField, clmod,
-                               clmul, gf2, irreducible_modulus,
+from fourierprg.fields import (MR_EXACT_BELOW, PrimeField, _is_irreducible,
+                               clmod, clmul, gf2, irreducible_modulus,
                                is_prime, next_prime, prime_field)
 
 
@@ -26,6 +29,17 @@ def schoolbook_gf2_mul(a: int, b: int, modulus: int) -> int:
 
 def poly_divides(d: int, f: int) -> bool:
     return clmod(f, d) == 0
+
+
+def gf2_pow(f, a: int, e: int) -> int:
+    """a^e in field f by square and multiply over f.mul."""
+    r = 1
+    while e:
+        if e & 1:
+            r = f.mul(r, a)
+        a = f.mul(a, a)
+        e >>= 1
+    return r
 
 
 def test_field_mul_identity_gf8():
@@ -60,7 +74,7 @@ def test_gf2_field_axioms_exhaustive(t):
                 assert f.mul(a, f.add(b, c)) == \
                     f.add(f.mul(a, b), f.mul(a, c))
     for a in range(1, q):
-        assert f.mul(a, f.pow(a, q - 2)) == 1
+        assert f.mul(a, gf2_pow(f, a, q - 2)) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
@@ -79,7 +93,7 @@ def test_prime_field_axioms(p):
 def test_inverses_larger_fields():
     f = gf2(8)
     for a in range(1, 256):
-        assert f.mul(a, f.pow(a, 254)) == 1
+        assert f.mul(a, gf2_pow(f, a, 254)) == 1
     g = prime_field(257)
     for a in range(1, 257):
         assert g.mul(a, pow(a, 255, 257)) == 1
@@ -172,7 +186,7 @@ def test_mul_vec_big_field_fallback():
 
 
 def test_table_moduli_irreducible_by_trial_division():
-    # independent of the Rabin test used at generation time
+    # independent of the Ben-Or test used at generation time
     for t in range(2, 13):
         f = irreducible_modulus(t)
         assert f >> t == 1
@@ -201,6 +215,85 @@ def test_on_demand_modulus_above_table():
     for _ in range(65):
         h = g.mul(h, h)
     assert h == 2
+
+
+def test_ben_or_matches_trial_division_on_every_odd_candidate():
+    # every odd polynomial of degree 1..12, not only the chosen moduli
+    for t in range(1, 13):
+        for f in range((1 << t) | 1, 2 << t, 2):
+            by_division = not any(poly_divides(d, f)
+                                  for d in range(2, 1 << (t // 2 + 1)))
+            assert _is_irreducible(f, t) == by_division, (t, hex(f))
+
+
+def test_moduli_to_degree_64_pinned():
+    # the lexicographically smallest irreducible of each degree 1..64
+    text = ",".join(f"{irreducible_modulus(t):x}" for t in range(1, 65))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "64d3d06e3aca3c0cde1a74b6b9b32424f72e160dcbf47fbe806f0c4cf3571dcc")
+    assert irreducible_modulus(8) == 0x11B
+    assert irreducible_modulus(64) == 0x1000000000000001B
+
+
+@pytest.mark.parametrize("t,f", [
+    (65, 0x2000000000000001B), (66, 0x40000000000000009),
+    (67, 0x80000000000000027), (68, 0x1000000000000000A3),
+    (69, 0x200000000000000065), (70, 0x40000000000000002B),
+    (71, 0x80000000000000002B), (72, 0x100000000000000005F),
+    (73, 0x200000000000000001D), (74, 0x4000000000000000047),
+    (75, 0x800000000000000004B), (76, 0x10000000000000000035),
+    (77, 0x20000000000000000065), (78, 0x4000000000000000005F),
+    (79, 0x8000000000000000001D), (80, 0x1000000000000000000AF),
+    (126, (1 << 126) | 0x95), (256, (1 << 256) | 0x425),
+])
+def test_moduli_above_degree_64_pinned(t, f):
+    assert irreducible_modulus(t) == f
+
+
+def test_log_exp_tables_pinned():
+    # log, exp and product tables of GF(2^1) .. GF(2^16), byte for byte
+    digest = hashlib.sha256()
+    for t in range(1, 17):
+        log, exp, prod = gf2(t).tables
+        assert (log.dtype, exp.dtype) == (np.int32, np.uint16)
+        digest.update(log.tobytes())
+        digest.update(exp.tobytes())
+        if prod is not None:
+            digest.update(prod.tobytes())
+    assert digest.hexdigest() == (
+        "b5c05cee59e1cde11e18a9f6d4ebb6f9358cbff2668948a092eb655ae6b70df5")
+
+
+@pytest.mark.parametrize("t", range(1, 17))
+def test_log_exp_generator_is_the_smallest_primitive_element(t):
+    f = gf2(t)
+    log, exp, _ = f.tables
+
+    def order(a):
+        x, i = a, 1
+        while x != 1:
+            x, i = f.mul(x, a), i + 1
+        return i
+
+    g = int(exp[1])
+    assert order(g) == f.q - 1
+    assert all(order(a) < f.q - 1 for a in range(2, g))
+    assert sorted(int(x) for x in exp[:f.q - 1]) == list(range(1, f.q))
+    assert all(log[int(exp[i])] == i for i in range(f.q - 1))
+
+
+def test_degree_256_modulus_under_a_second_in_a_fresh_process():
+    code = ("import time\n"
+            "from fourierprg.fields import irreducible_modulus\n"
+            "t0 = time.perf_counter()\n"
+            "f = irreducible_modulus(256)\n"
+            "print(time.perf_counter() - t0, f)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    seconds, f = proc.stdout.split()
+    assert int(f) == (1 << 256) | 0x425
+    assert float(seconds) < 1.0
 
 
 def test_next_prime():

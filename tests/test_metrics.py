@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fourierprg import metrics
+from fourierprg.core import Refused
 from fourierprg.metrics import (IntPMF, WindowCapError, d_ft, d_k, d_tv,
                                 fourier_lemma_check, linear_pmf)
 
@@ -175,6 +176,38 @@ def test_d_ft_grid_is_a_power_of_two_within_the_spacing_bound(monkeypatch):
         assert grid & (grid - 1) == 0
         assert 1 / grid <= eta / (4 * math.pi * N)
         assert 2 / grid >= eta / (4 * math.pi * N)
+
+
+def test_d_ft_refuses_a_grid_above_the_cap(monkeypatch):
+    # two point masses 10^6 apart at eta = 1e-3 need the least power of
+    # two above 4 pi 10^6 / 1e-3 = 1.26e10, 2^34 grid points (256 GiB of
+    # complex128); refused before any window or grid is built
+    assert 1 << (math.floor(4 * math.pi * 10 ** 6 / 1e-3).bit_length()) \
+        == 1 << 34
+    p, q = IntPMF(0, [1.0]), IntPMF(10 ** 6, [1.0])
+
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(metrics, "_char_gap_on_grid", no_grid)
+    with pytest.raises(Refused, match=r"N = 1000000, eta = 0\.001 needs "
+                       r"17179869184 grid points, cap is 16777216"):
+        d_ft(p, q, 1e-3)
+    with pytest.raises(Refused):
+        fourier_lemma_check(p, q, 1e-3)
+
+
+def test_d_ft_at_the_grid_cap(monkeypatch):
+    # the largest N at eta = 1e-3 whose grid is 2^24 points still runs
+    seen = []
+    monkeypatch.setattr(metrics, "_char_gap_on_grid",
+                        lambda p, q, grid_points: seen.append(grid_points)
+                        or np.zeros(1))
+    N = math.floor((1 << 24) * 1e-3 / (4 * math.pi))
+    d_ft(IntPMF(0, [1.0]), IntPMF(N, [1.0]), 1e-3)
+    assert seen == [1 << 24]
+    with pytest.raises(Refused):
+        d_ft(IntPMF(0, [1.0]), IntPMF(N + 1, [1.0]), 1e-3)
 
 
 def test_d_ft_bounded_by_tv():
