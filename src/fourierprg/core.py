@@ -24,7 +24,9 @@ class Refused(ValueError):
 
 
 def check_int64_symbols(g) -> None:
-    """Refuse at build a node whose alphabet int64 symbols cannot hold."""
+    """Refuse a node whose alphabet int64 symbols cannot hold: the leaves
+    at build, the alphabet step when it generates, so a tree above 2^63
+    still builds and reports its seed bits."""
     if g.m > 1 << 63:
         raise ValueError(f"{g.plan_type} symbols are int64: m = {g.m} "
                          "exceeds the limit 2^63")

@@ -15,6 +15,18 @@ from .bitseq import as_bits, bit_fields
 from .fields import gf2, next_prime, prime_field
 
 
+def kwise_field(m: int, points: int, q_min: int):
+    """The one field rule of the k-wise families over [m]: GF(2^t) when m
+    is a power of two (m = 1 included), so reducing mod m is exact, with
+    at least max(m, points, 2) elements; otherwise GF(p) for the smallest
+    prime p >= max(points, q_min), where the caller's q_min bounds the
+    deviation of the reduction mod m."""
+    if m & (m - 1) == 0:
+        return gf2(max(1, (m - 1).bit_length(),
+                       (max(points, 2) - 1).bit_length()))
+    return prime_field(next_prime(max(points, q_min)))
+
+
 class KWiseFamily:
     """k-wise independent vectors over [q]: seed-decoded polynomial of
     degree < k evaluated at the first n field elements."""
@@ -71,14 +83,8 @@ class KWiseVectors:
         self.n = n
         self.m = m
         self.k = k
-        if m >= 2 and m & (m - 1) == 0:
-            t = max(m.bit_length() - 1, max(1, (max(n, 2) - 1).bit_length()))
-            f = gf2(t)
-            self.delta_map_actual = 0.0
-        else:
-            q = next_prime(max(n, m * max(1, math.ceil(4 * n / delta_map))))
-            f = prime_field(q)
-            self.delta_map_actual = n * m / q
+        f = kwise_field(m, n, m * max(1, math.ceil(4 * n / delta_map)))
+        self.delta_map_actual = 0.0 if f.q % m == 0 else n * m / f.q
         self.inner = KWiseFamily(f, n, k)
         self.seed_bits = self.inner.seed_bits
 
@@ -146,13 +152,7 @@ class CombinedHashFamily:
         self.n = n
         self.t = t
         self.k = k
-        if t & (t - 1) == 0:
-            s = max(max(1, t.bit_length() - 1),
-                    max(1, (max(n, 2) - 1).bit_length()))
-            self.kwise = KWiseFamily(gf2(s), n, k)
-        else:
-            q = next_prime(max(n, t * t, 2 * t))
-            self.kwise = KWiseFamily(prime_field(q), n, k)
+        self.kwise = KWiseFamily(kwise_field(t, n, t * t), n, k)
         self.seed_bits = self.kwise.seed_bits
 
     def table_batch(self, seeds) -> np.ndarray:

@@ -12,7 +12,7 @@ walk finds itself, give log and exp; with log(0) = 2(q - 1) and exp
 padded with zeros, exp[log a + log b] is the product even when a or b
 is 0, and for t <= 8 a flat uint8 q x q product table built from these
 is one lookup. Products of uint8/uint16 operands stay uint8/uint16; any
-other operand gives int64.
+other operand gives int64. Wider fields give object arrays of python ints.
 """
 
 from __future__ import annotations
@@ -119,16 +119,12 @@ class GF2Field:
         return log, exp, prod
 
     def mul_vec(self, a, b):
-        """Elementwise product of int arrays (values in [0, q)): uint8 or
-        uint16 if both operands are, wide enough for q - 1, else int64."""
+        """Elementwise product of int arrays (values in [0, q)). For t <= 16
+        uint8 or uint16 if both operands are, wide enough for q - 1, else
+        int64; for t > 16 an object array of python ints, one scalar
+        product each."""
         if self.t > 16:
-            aa, bb = np.broadcast_arrays(np.asarray(a, dtype=object),
-                                         np.asarray(b, dtype=object))
-            out = np.empty(aa.shape, dtype=object)
-            flat = out.reshape(-1)
-            for i, (x, y) in enumerate(zip(aa.reshape(-1), bb.reshape(-1))):
-                flat[i] = self.mul(int(x), int(y))
-            return out
+            return np.frompyfunc(self.mul, 2, 1)(a, b)
         a, b = np.asarray(a), np.asarray(b)
         dtype = np.promote_types(np.result_type(a, b),
                                  np.min_scalar_type(self.q - 1))

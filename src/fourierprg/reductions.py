@@ -17,17 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import as_bits
-from .core import Generator, register_plan
-from .families import CombinedHashFamily, KWiseFamily, KWiseVectors
-from .fields import gf2, next_prime, prime_field
-
-
-def _column_field(m: int):
-    """Field with >= max(m, D) points whose reduction mod m is exact for
-    powers of two."""
-    if m & (m - 1) == 0:
-        return gf2(max(1, m.bit_length() - 1))
-    return prime_field(next_prime(max(m, 3)))
+from .core import Generator, check_int64_symbols, register_plan
+from .families import (CombinedHashFamily, KWiseFamily, KWiseVectors,
+                       kwise_field)
+# next_prime stays importable here: perfbench/spans.py patches it by
+# module name
+from .fields import next_prime  # noqa: F401
 
 
 @register_plan("alphabet-step")
@@ -51,8 +46,7 @@ class AlphabetStepPlan(Generator):
             raise ValueError(f"inner generator must produce [{self.D}]^{n}")
         self.k = max(1, math.ceil(
             self.C * math.log2(1 / self.delta) / math.log2(m)))
-        self.col_field = _column_field(m)
-        self.col_family = KWiseFamily(self.col_field, max(self.D, 1), 2)
+        self.col_family = KWiseFamily(kwise_field(m, self.D, m), self.D, 2)
         self.col_seed_bits = self.col_family.seed_bits
         # column seeds drawn k-wise from their own (power-of-two) space
         self.cross_family = KWiseVectors(n, 1 << self.col_seed_bits, self.k)
@@ -60,6 +54,7 @@ class AlphabetStepPlan(Generator):
         self.seed_bits = self.local_bits + inner.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
+        check_int64_symbols(self)
         bits = as_bits(seeds, self.seed_bits)
         # column seeds from the high (local) bits, inner seed below
         col_seeds = self.cross_family.sample_batch(

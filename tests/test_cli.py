@@ -167,6 +167,18 @@ def test_verify_all_refused_exit_code(capsys):
     assert summary["pass"] is False
 
 
+def test_verify_tree_above_int64_symbols_is_a_usage_error(capsys):
+    # the n = 256 tree's alphabet step runs over [2^64]: exit 2 with the
+    # reason, not 1 (a measured failure) with an OverflowError traceback
+    code, out, err = run_main(capsys, "verify", "--family", "shapes",
+                              "--m", "2", "--n", "256", "--eps", "0.1",
+                              "--mode", "sample", "--samples", "16",
+                              "--count", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: alphabet-step symbols are int64: "
+                          "m = 18446744073709551616 exceeds the limit 2^63")
+
+
 def test_only_cap_refusals_are_recorded(monkeypatch):
     # the three exact-evaluation caps raise Refused, which a campaign
     # records; any other ValueError is a usage error and propagates

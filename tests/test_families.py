@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierprg.core import plan_to_generator
+from fourierprg.core import UniformStub, plan_to_generator
 from fourierprg.families import (CombinedHashFamily, KWiseFamily,
-                                 KWiseVectors, SmallBiasFamily)
+                                 KWiseVectors, SmallBiasFamily, kwise_field)
 from fourierprg.bitseq import as_bits, bit_fields
 from fourierprg.fields import PrimeField, gf2, next_prime, prime_field
+from fourierprg.reductions import AlphabetStepPlan
 from test_robp import edge_seeds
 
 
@@ -370,3 +371,73 @@ def test_load_balancing_tail():
     for t0 in (1.0, 2.0, 3.0):
         tail = float(np.mean(np.abs(mass - l1 / t) >= t0))
         assert tail <= (4 * math.sqrt(p) * l2 / t0) ** p
+
+
+# ---------------------------------------------------------------------------
+# the field rule: kwise_field against the three rules it replaced, copied
+# from KWiseVectors, CombinedHashFamily and reductions._column_field as
+# they stood before it
+
+
+def old_vectors_field(n: int, m: int, delta_map: float):
+    if m >= 2 and m & (m - 1) == 0:
+        t = max(m.bit_length() - 1, max(1, (max(n, 2) - 1).bit_length()))
+        return gf2(t)
+    return prime_field(
+        next_prime(max(n, m * max(1, math.ceil(4 * n / delta_map)))))
+
+
+def old_hash_field(n: int, t: int):
+    if t & (t - 1) == 0:
+        s = max(max(1, t.bit_length() - 1),
+                max(1, (max(n, 2) - 1).bit_length()))
+        return gf2(s)
+    return prime_field(next_prime(max(n, t * t, 2 * t)))
+
+
+def old_column_field(m: int):
+    if m & (m - 1) == 0:
+        return gf2(max(1, m.bit_length() - 1))
+    return prime_field(next_prime(max(m, 3)))
+
+
+def check_field_rule(m: int, n: int, delta_map: float) -> None:
+    """The fields each k-wise user picks over [m] with n points are the
+    old rules' objects; KWiseVectors over [1] alone moves, from a prime
+    field to GF(2^t), and its output is all zeros either way."""
+    vec = KWiseVectors(n, m, 2, delta_map)
+    f = vec.inner.field
+    if m == 1:
+        assert f is gf2(max(1, (max(n, 2) - 1).bit_length()))
+    else:
+        assert f is old_vectors_field(n, m, delta_map)
+    assert vec.delta_map_actual == (0.0 if m & (m - 1) == 0
+                                    else n * m / f.q)
+    assert CombinedHashFamily(n, m, 2).kwise.field is old_hash_field(n, m)
+    if m > n ** 4:
+        D = math.isqrt(m)
+        step = AlphabetStepPlan(m, n, 0.1, UniformStub(D, n))
+        assert step.col_family.field is old_column_field(m)
+        assert step.col_family.q >= D
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 12, 1965, 55108, 3037000499,
+                               1 << 63, 1 << 64, 1 << 126])
+def test_kwise_field_is_the_old_rule_on_the_grid(m):
+    for n in (1, 2, 5, 12, 128, 4096):
+        for delta_map in (1e-3, 0.3):
+            check_field_rule(m, n, delta_map)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 300),
+       st.sampled_from([1e-3, 0.05, 0.3, 1.0]))
+def test_kwise_field_property(m, points, delta_map):
+    check_field_rule(m, points, delta_map)
+    q_min = m * max(1, math.ceil(4 * points / delta_map))
+    f = kwise_field(m, points, q_min)
+    assert f.q >= max(points, m)
+    if m & (m - 1) == 0:
+        assert f is gf2(f.t) and f.q % m == 0
+    else:
+        assert f is prime_field(f.q) and f.q >= q_min

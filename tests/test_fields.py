@@ -1,6 +1,7 @@
 """Finite-field arithmetic against independent schoolbook oracles."""
 
 import hashlib
+import random
 import subprocess
 import sys
 import time
@@ -183,6 +184,30 @@ def test_mul_vec_big_field_fallback():
     for i in range(20):
         assert out[i] == f.mul(a[i], b[i])
         assert out[i] == clmod(clmul(a[i], b[i]), f.modulus)
+
+
+@pytest.mark.parametrize("t", [17, 24, 31, 32, 33, 62, 63, 64])
+def test_mul_vec_above_the_tables_matches_clmul(t):
+    # the one-product-at-a-time object path against clmul/clmod: random
+    # operands with 0, 1 and q - 1, in both orders, as int64 operands
+    # where they fit, as object operands, and broadcast (N, 1) x (1, M)
+    f = gf2(t)
+    rng = random.Random(t)
+    a = [rng.getrandbits(t) for _ in range(40)] + [0, 1, f.q - 1]
+    b = a[::-1]
+    want = [clmod(clmul(x, y), f.modulus) for x, y in zip(a, b)]
+    operands = [(np.array(a, dtype=object), np.array(b, dtype=object))]
+    if t <= 62:
+        operands.append((np.array(a, dtype=np.int64),
+                         np.array(b, dtype=np.int64)))
+    for x, y in operands:
+        for out in (f.mul_vec(x, y), f.mul_vec(y, x)):
+            assert out.dtype == object and out.tolist() == want
+            assert all(type(v) is int for v in out.tolist())
+        outer = f.mul_vec(x[:, None], y[None, :8])
+        assert outer.shape == (len(a), 8)
+        assert outer.tolist() == [[clmod(clmul(u, v), f.modulus)
+                                   for v in b[:8]] for u in a]
 
 
 def test_table_moduli_irreducible_by_trial_division():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fourierprg.bitseq import as_bits
+from fourierprg.compose import build_generator
 from fourierprg.core import (UniformStub, plan_to_generator, sample_seeds)
 from fourierprg.families import CombinedHashFamily
 from fourierprg.fields import prime_field
@@ -73,6 +74,34 @@ def test_alphabet_reduce_chains_down_to_small_alphabet():
     seeds = sample_seeds(np.random.default_rng(1), g.seed_bits, 5)
     out = g.generate_batch(seeds)
     assert out.min() >= 0 and out.max() < 1 << 16
+
+
+def _random_zero_and_ones_bits(seed_bits: int, rng):
+    return (rng.integers(0, 2, (4, seed_bits), dtype=np.uint8),
+            np.zeros((2, seed_bits), dtype=np.uint8),
+            np.ones((2, seed_bits), dtype=np.uint8))
+
+
+def test_alphabet_step_at_2_63_generates_int64():
+    g = AlphabetStepPlan(1 << 63, 2, 0.1, UniformStub(3037000499, 2))
+    for bits in _random_zero_and_ones_bits(g.seed_bits,
+                                           np.random.default_rng(63)):
+        out = g.generate_batch(bits)
+        assert out.dtype == np.int64 and out.min() >= 0
+
+
+def test_alphabet_step_above_2_63_builds_then_refuses_every_seed():
+    # the n = 256 tree builds and reports its seed bits; its alphabet
+    # step over [2^64] refuses to generate, with the reason, on every
+    # seed, where its int64 cast used to overflow on most of them
+    g = build_generator(2, 256, 0.1)
+    assert g.seed_bits == 1060
+    for bits in _random_zero_and_ones_bits(g.seed_bits,
+                                           np.random.default_rng(64)):
+        with pytest.raises(ValueError, match=r"alphabet-step symbols are "
+                           r"int64: m = 18446744073709551616 exceeds the "
+                           r"limit 2\^63"):
+            g.generate_batch(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@ is unreferenced too. Attributes are matched by name alone, so a method
 still shares its references with every other method or attribute of the
 same name. A class registered with @register_plan is referenced through
 its plan type. No name may be left over.
+
+Imports are guarded too: a name a src/ module imports but never uses
+stays only when perfbench/spans.py patches it by name in that module.
 """
 
 import ast
+import importlib.util
 import pathlib
 from collections import Counter
 
@@ -101,3 +105,34 @@ def unreferenced(root: pathlib.Path = ROOT) -> set:
 
 def test_every_definition_has_a_caller():
     assert unreferenced() == set(), "definitions no caller reaches"
+
+
+def unused_imports(root: pathlib.Path = ROOT) -> set:
+    """(module, name) of each name a src/ module imports and never uses;
+    the package __init__ imports only to re-export."""
+    out = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        out |= {(path.stem, name) for name in imported - used}
+    return out
+
+
+def test_unused_imports_are_only_those_perfbench_patches():
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    patched = {(module, attr) for _, module, owner, attrs, _ in spans.POINTS
+               if owner is None for attr in attrs}
+    kept = unused_imports()
+    assert kept == {("apps", "sample_seeds"), ("reductions", "next_prime")}
+    assert kept <= patched
