@@ -131,8 +131,10 @@ class XorCompose(Generator):
     def generate_batch(self, seeds) -> np.ndarray:
         bits = as_bits(seeds, self.seed_bits)
         lbits = self.left.seed_bits
-        return (self.left.generate_batch(bits[:, :lbits])
-                + self.right.generate_batch(bits[:, lbits:])) % self.m
+        # the right child (the tree's dimension step) first: a tree whose
+        # alphabet step refuses its symbols refuses before glarge runs
+        right = self.right.generate_batch(bits[:, lbits:])
+        return (self.left.generate_batch(bits[:, :lbits]) + right) % self.m
 
 
 def _delta_schedule(n: int, eps: float) -> float:

@@ -32,6 +32,15 @@ def check_int64_symbols(g) -> None:
                          "exceeds the limit 2^63")
 
 
+def unique_keys(keys, size: int):
+    """(distinct values, ascending, and each key's index among them) of an
+    int array keys with values in [0, size): np.unique's answer from a
+    flag array, without its sort or its lazy import of numpy.ma."""
+    used = np.zeros(size, dtype=bool)
+    used[keys] = True
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[keys]
+
+
 def register_plan(name: str):
     def deco(cls):
         cls.plan_type = name
@@ -154,6 +163,7 @@ class Generator:
         weights = self.m ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
         for out in self.enumerate_outputs(seed_cap):
             codes = np.asarray(out, dtype=np.int64) @ weights
+            del out  # else it lives on while the next chunk is generated
             counts += np.bincount(codes, minlength=npat)
         pmf = counts / (1 << self.seed_bits)
         self._pmf_cache = pmf

@@ -23,13 +23,15 @@ import numpy as np
 
 
 def clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)[x]) product."""
+    """Carry-less (GF(2)[x]) product: one shifted copy of the larger
+    operand per set bit of the smaller, highest bit first."""
+    if a > b:
+        a, b = b, a
     r = 0
     while a:
-        if a & 1:
-            r ^= b
-        a >>= 1
-        b <<= 1
+        i = a.bit_length() - 1
+        r ^= b << i
+        a ^= 1 << i
     return r
 
 
@@ -88,7 +90,13 @@ class GF2Field:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        return clmod(clmul(a, b), self.modulus)
+        # x^t = low (mod modulus) with low = modulus ^ x^t, so r = H x^t + L
+        # folds to L ^ H * low: low is short, so each fold is a few shifts
+        # where clmod shifts once per bit of r above t
+        r, t, low = clmul(a, b), self.t, self.modulus ^ self.q
+        while r >> t:
+            r = (r & (self.q - 1)) ^ clmul(r >> t, low)
+        return r
 
     @cached_property
     def tables(self):

@@ -14,15 +14,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitseq import as_bits, bit_fields
-from .core import Generator, register_plan
+from .core import Generator, register_plan, unique_keys
 from .families import CombinedHashFamily, KWiseVectors
 from .fields import gf2
 from .robp import INWGenerator
 
-# GLargePlan runs chunks of 16 MB of its own recycled stream bits (68 rows
-# of the n = 128 tree's 243,660 bits); G1 adds only the symbols a chunk reads
+# GLargePlan runs chunks of rows whose recycled streams hold 16 MB of bits
+# (68 rows of the n = 128 tree's 243,660 bits), the most a chunk unpacks when
+# its windows are dense enough to expand the streams whole; G1 adds only the
+# symbols a chunk reads
 _CHUNK_BYTES = 1 << 24
 
 
@@ -43,6 +46,36 @@ class SeedRecycler:
         # the C-order copy transposes the (T, N) states into rows
         raw = blocks.astype(np.uint8, order="C")
         return np.unpackbits(raw, axis=1, count=self.total_bits)
+
+    def bits_at(self, seeds, rows, start, width: int) -> np.ndarray:
+        """(len(rows), width) bit matrix: row e holds bits [start[e],
+        start[e] + width) of seed seeds[rows[e]]'s stream, each window
+        inside total_bits.
+
+        Only the blocks the windows cover are expanded, by
+        `INWGenerator.expand_at`, unless the windows hold a quarter of the
+        streams' bits or more: from about there on, the group walks,
+        gathers and unpacking of the covered blocks cost more than
+        expanding the streams whole."""
+        bits = as_bits(seeds, self.seed_bits)
+        start = np.asarray(start, dtype=np.intp)
+        if not len(start):
+            return np.zeros((0, width), dtype=np.uint8)
+        if 4 * len(start) * width >= len(bits) * self.total_bits:
+            stream = self.bitstream_batch(bits).reshape(-1)
+            at = np.asarray(rows, dtype=np.intp) * self.total_bits + start
+        else:
+            first, last = start >> 3, start + width - 1 >> 3
+            # span blocks per window; a shorter window repeats its last
+            span = int((last - first).max()) + 1
+            blocks = np.minimum(first[:, None] + np.arange(span),
+                                last[:, None])
+            raw = self.inw.expand_at(bits, np.repeat(rows, span),
+                                     blocks.reshape(-1))
+            stream = np.unpackbits(raw.astype(np.uint8))
+            at = np.arange(len(start)) * 8 * span + (start & 7)
+        # one row gather of the width-bit windows starting at each offset
+        return sliding_window_view(stream, width)[at]
 
     def config(self) -> dict:
         return {**self.inw.config(), "seed_bits": self.seed_bits}
@@ -164,11 +197,14 @@ class GLargePlan(Generator):
         N, hbits, T = len(bits), self.spreading.seed_bits, self.spreading.T
         # hash seed in the high bits, recycler seed below
         tables = self.spreading.family.table_batch(bits[:, :hbits])  # (N, n)
-        stream = self.recycler.bitstream_batch(bits[:, hbits:])
-        # one G1 seed per (row, bucket) pair that some coordinate uses: pair
-        # key row * T + bucket is its seed's row in the (N * T, g1_bits) view
-        keys, inv = np.unique(np.arange(N)[:, None] * T + tables,
-                              return_inverse=True)
-        bucket_seeds = stream.reshape(N * T, self.g1.seed_bits)[keys]
-        return self.g1.eval_points(bucket_seeds, inv.reshape(-1), np.tile(
+        # one G1 seed per (row, bucket) pair that some coordinate uses: the
+        # bucket's window of the row's recycled stream, pairs in key order
+        # row * T + bucket
+        pairs, index = unique_keys(
+            (np.arange(N)[:, None] * T + tables).reshape(-1), N * T)
+        rows, buckets = np.divmod(pairs, T)
+        g1_bits = self.g1.seed_bits
+        bucket_seeds = self.recycler.bits_at(
+            bits[:, hbits:], rows, buckets * g1_bits, g1_bits)
+        return self.g1.eval_points(bucket_seeds, index, np.tile(
             np.arange(self.n), N)).reshape(N, self.n)

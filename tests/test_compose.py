@@ -369,6 +369,37 @@ def test_n128_tree_finds_no_modulus_above_degree_64():
     assert int(proc.stdout) == 64
 
 
+def test_n128_tree_never_imports_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma on first use,
+    # about 35 ms of a fresh process's set-up
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from fourierprg.compose import build_generator\n"
+            "from fourierprg.core import sample_seeds\n"
+            "g = build_generator(2, 128, 0.1)\n"
+            "g.generate_batch(sample_seeds(np.random.default_rng(0), "
+            "g.seed_bits, 1))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_tree_refuses_before_glarge_runs(monkeypatch, n):
+    # the dimension step's alphabet step refuses m > 2^63 on every seed,
+    # and xor-compose generates that child first, so glarge never runs
+    g = build_generator(2, n, 0.1)
+    calls = []
+    monkeypatch.setattr(GLargePlan, "generate_batch",
+                        lambda self, seeds: calls.append(len(seeds)))
+    seeds = sample_seeds(np.random.default_rng(n), g.seed_bits, 16)
+    with pytest.raises(ValueError, match="exceeds the limit 2\\^63"):
+        g.generate_batch(seeds)
+    assert calls == []
+
+
 def test_build_generator_plan_replay():
     g = build_generator(2, 128, 0.2)
     d = json.loads(json.dumps(g.plan()))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,22 @@ def test_output_pmf_refusals():
     g2.seed_bits = 40  # simulate an over-cap seed
     with pytest.raises(ValueError):
         g2.output_pmf(seed_cap=26)
+
+
+def test_output_pmf_holds_one_chunk_at_a_time():
+    # a 2^18-row int64 chunk of n = 16 symbols is 32 MiB; holding the
+    # previous chunk while the next is generated peaked at 80 MB
+    g = plan_to_generator({"type": "small-bias-lift", "n": 16,
+                           "delta": 1 / 64})
+    assert g.seed_bits == 22
+    tracemalloc.start()
+    try:
+        pmf = g.output_pmf()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pmf.shape == (1 << 16,) and abs(pmf.sum() - 1) < 1e-9
+    assert peak < 64 * 2 ** 20
 
 
 def reference_sample_seeds(rng: np.random.Generator, nbits: int,

@@ -210,6 +210,46 @@ def test_mul_vec_above_the_tables_matches_clmul(t):
                                    for v in b[:8]] for u in a]
 
 
+def textbook_clmul(a: int, b: int) -> int:
+    """The carry-less product as first written: one shift of each
+    operand per bit of a."""
+    r = 0
+    while a:
+        if a & 1:
+            r ^= b
+        a >>= 1
+        b <<= 1
+    return r
+
+
+def test_clmul_matches_textbook_loop():
+    for a in range(256):
+        for b in range(256):
+            assert clmul(a, b) == textbook_clmul(a, b)
+    rng = random.Random(130)
+    for _ in range(2000):
+        a = rng.getrandbits(rng.randint(1, 130))
+        b = rng.getrandbits(rng.randint(1, 130))
+        assert clmul(a, b) == clmul(b, a) == textbook_clmul(a, b)
+
+
+@pytest.mark.parametrize("t", [17, 24, 31, 32, 33, 62, 63, 64, 126, 256])
+def test_scalar_mul_fold_matches_clmod(t):
+    # the fold by modulus ^ 2^t against clmod's bit-by-bit reduction, on
+    # random and short operands (Horner's points), with 0, 1 and q - 1,
+    # in both orders
+    f = gf2(t)
+    rng = random.Random(t)
+    a = [rng.getrandbits(t) for _ in range(60)] + [0, 1, f.q - 1]
+    b = a[::-1] + [rng.getrandbits(8) for _ in range(60)] + [2, f.q - 1, 0]
+    for x in a:
+        for y in b[:8] + b[-8:]:
+            want = clmod(clmul(x, y), f.modulus)
+            assert f.mul(x, y) == f.mul(y, x) == want < f.q
+    for x, y in zip(a + a, b):
+        assert f.mul(x, y) == clmod(clmul(x, y), f.modulus)
+
+
 def test_table_moduli_irreducible_by_trial_division():
     # independent of the Ben-Or test used at generation time
     for t in range(2, 13):

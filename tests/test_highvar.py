@@ -18,8 +18,10 @@ from fourierprg.families import KWiseFamily
 from fourierprg.fields import gf2
 from fourierprg.highvar import (G1Plan, GLargePlan, SeedRecycler,
                                 SpreadingFamily)
+from fourierprg.robp import INWGenerator
 from fourierprg.shapes import (EnumerateMode, SampleMode, fooling_error,
                                random_shape, scale_toward_mean, tvar)
+from test_robp import edge_seeds
 
 
 def test_dyadic_buckets_sizes():
@@ -337,6 +339,85 @@ def test_glarge_evaluates_g1_at_the_coordinates_it_reads(monkeypatch):
     monkeypatch.setattr(KWiseFamily, "horner", counted)
     g.generate_batch(sample_seeds(np.random.default_rng(9), g.seed_bits, 4))
     assert 0 < sum(points) <= 4 * 128
+
+
+def test_glarge_expands_only_the_recycled_blocks_its_buckets_read(
+        monkeypatch):
+    # a 4-row batch of the n = 128 tree's glarge reads 123-128 of 1965
+    # buckets per row, so its recycler computes the states of the
+    # 32-block groups those buckets cover, not all N * T of them
+    g = build_generator(2, 128, 0.1).left
+    inw = g.recycler.inw
+    states = []
+    descend, bitstream = INWGenerator._descend, SeedRecycler.bitstream_batch
+
+    def counted(self, st, fields):
+        if self is inw:
+            states.append(st.size)
+        return descend(self, st, fields)
+
+    def whole(self, seeds):
+        assert self is not g.recycler, "glarge expanded its streams whole"
+        return bitstream(self, seeds)
+
+    monkeypatch.setattr(INWGenerator, "_descend", counted)
+    monkeypatch.setattr(SeedRecycler, "bitstream_batch", whole)
+    g.generate_batch(sample_seeds(np.random.default_rng(9), g.seed_bits, 4))
+    assert len(states) == 1 and 0 < states[0] <= 4 * inw.T // 4
+
+
+def _bits_at_reference(r: SeedRecycler, seeds, rows, start, width):
+    """bitstream_batch's rows, sliced window by window."""
+    stream = r.bitstream_batch(seeds)
+    return np.array([stream[i, s:s + width] for i, s in zip(rows, start)],
+                    dtype=np.uint8).reshape(len(rows), width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(total_bits=st.integers(9, 8 << 12), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_recycler_bits_at_matches_bitstream_slices(total_bits, data, seed):
+    # T from 2 to 2^12; random, all-zero, all-ones and top-bit seeds;
+    # windows at the stream's start and end and anywhere across blocks,
+    # with repeated rows; the empty request, sparse requests and requests
+    # dense enough to expand the streams whole
+    r = SeedRecycler(total_bits)
+    assert 2 <= r.inw.T <= 1 << 12
+    rng = np.random.default_rng(seed)
+    seeds = edge_seeds(r.seed_bits, data.draw(st.integers(1, 4)), rng)
+    width = data.draw(st.integers(1, min(total_bits, 300)))
+    dense = -(-len(seeds) * total_bits // (4 * width))
+    count = data.draw(st.sampled_from([0, 1, 2, 9, dense - 1, dense]))
+    rows = rng.integers(0, len(seeds), size=count)
+    start = rng.integers(0, total_bits - width + 1, size=count)
+    start[:count // 4] = 0
+    start[count // 4:count // 2] = total_bits - width
+    got = r.bits_at(seeds, rows, start, width)
+    assert got.dtype == np.uint8 and got.shape == (count, width)
+    assert np.array_equal(got, _bits_at_reference(r, seeds, rows, start,
+                                                  width))
+
+
+@pytest.mark.parametrize("count,path", [(40, "expand_at"),
+                                        (2400, "bitstream_batch")])
+def test_recycler_bits_at_takes_both_paths(monkeypatch, count, path):
+    # 40 windows of 124 bits hold 0.5% of four 243,660-bit streams and are
+    # point-evaluated; 2400 hold 31% and expand the streams whole
+    r = SeedRecycler(243660)
+    seeds = edge_seeds(r.seed_bits, 1, np.random.default_rng(count))[:4]
+    rng = np.random.default_rng(count + 1)
+    rows = rng.integers(0, len(seeds), size=count)
+    start = rng.integers(0, r.total_bits - 124 + 1, size=count)
+    want = _bits_at_reference(r, seeds, rows, start, 124)
+    calls = []
+    for owner, name in ((INWGenerator, "expand_at"),
+                        (SeedRecycler, "bitstream_batch")):
+        def spy(self, *args, _f=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _f(self, *args)
+        monkeypatch.setattr(owner, name, spy)
+    assert np.array_equal(r.bits_at(seeds, rows, start, 124), want)
+    assert calls == [path]
 
 
 def _glarge_reference(g: GLargePlan, seeds) -> np.ndarray:
