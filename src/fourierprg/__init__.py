@@ -14,8 +14,7 @@ from .apps import (ChernoffSampler, CombinatorialShape, GeneralizedHalfspace,
 from .compose import ComposePlan, build_generator
 from .core import (Generator, UniformStub, plan_seed_bits, plan_to_generator,
                    sample_seeds)
-from .families import (CombinedHashFamily, KWiseFamily, KWiseVectors,
-                       SmallBiasFamily)
+from .families import CombinedHashFamily, KWiseFamily, SmallBiasFamily
 from .metrics import IntPMF, d_ft, d_k, d_tv, fourier_lemma_check, linear_pmf
 from .robp import INWGenerator, ROBP, inw_for_robp
 from .shapes import (EnumerateMode, FourierShape, SampleMode, fooling_error,
@@ -25,7 +24,7 @@ __all__ = [
     "ChernoffSampler", "CombinatorialShape", "CombinedHashFamily",
     "ComposePlan", "EnumerateMode", "FourierShape",
     "GeneralizedHalfspace", "Generator", "Halfspace", "INWGenerator",
-    "IntPMF", "KWiseFamily", "KWiseVectors", "ModularTest",
+    "IntPMF", "KWiseFamily", "ModularTest",
     "ROBP", "SampleMode", "SmallBiasFamily",
     "UniformStub", "build_generator", "chernoff_tail_check",
     "comb_shape_error", "d_ft", "d_k", "d_tv",

@@ -19,7 +19,7 @@ import numpy as np
 # sample_seeds stays importable here: perfbench/spans.py patches it by
 # module name
 from .core import Generator, sample_seeds  # noqa: F401
-from .metrics import IntPMF, WindowCapError, linear_pmf
+from .metrics import IntPMF, WindowCapError, int_weights, linear_pmf
 from .shapes import EnumerateMode, SampleMode, expectation
 
 _DEFAULT_WINDOW_CAP = 10 ** 6
@@ -51,8 +51,7 @@ class Halfspace:
     theta: int
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.int64)
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", int_weights(self.w))
         object.__setattr__(self, "theta", int(self.theta))
 
     @property
@@ -107,7 +106,7 @@ class ModularTest:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError("modulus must be >= 2")
-        a = np.asarray(self.a, dtype=np.int64) % self.M
+        a = int_weights(self.a, "a") % self.M
         S = frozenset(int(s) % self.M for s in self.S)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "S", S)

@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .bitseq import as_bits, check_seed, to_ints
-from .families import KWiseVectors, SmallBiasFamily
+from .families import KWiseFamily, SmallBiasFamily, deviation_q_min
 
 PLAN_REGISTRY: dict[str, type] = {}
 
@@ -156,12 +156,13 @@ class Generator:
             raise Refused(f"{npat} patterns exceed cap {pattern_cap}")
         if self.exactly_uniform:
             return np.full(npat, 1.0 / npat)
+        outputs = self.enumerate_outputs(seed_cap)  # refuses above the cap
         cached = getattr(self, "_pmf_cache", None)
         if cached is not None:
             return cached
         counts = np.zeros(npat, dtype=np.int64)
         weights = self.m ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        for out in self.enumerate_outputs(seed_cap):
+        for out in outputs:
             codes = np.asarray(out, dtype=np.int64) @ weights
             del out  # else it lives on while the next chunk is generated
             counts += np.bincount(codes, minlength=npat)
@@ -224,12 +225,12 @@ class KWiseGenerator(Generator):
 
     def __post_init__(self):
         check_int64_symbols(self)
-        self.family = KWiseVectors(self.n, self.m, self.k, self.delta_map)
+        q_min = deviation_q_min(self.m, self.n, self.delta_map)
+        self.family = KWiseFamily(self.m, self.n, self.k, q_min)
         self.seed_bits = self.family.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        return self.family.sample_batch(
-            as_bits(seeds, self.seed_bits)).astype(np.int64, copy=False)
+        return self.family.sample_batch(seeds)
 
 
 @register_plan("small-bias-lift")

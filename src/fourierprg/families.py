@@ -27,21 +27,31 @@ def kwise_field(m: int, points: int, q_min: int):
     return prime_field(next_prime(max(points, q_min)))
 
 
-class KWiseFamily:
-    """k-wise independent vectors over [q]: seed-decoded polynomial of
-    degree < k evaluated at the first n field elements."""
+def deviation_q_min(m: int, n: int, delta_map: float = 1e-3) -> int:
+    """q_min for a k-wise family of n symbols over [m] within delta_map of
+    k-wise uniform: reducing a field of size q >= m * ceil(4n / delta_map)
+    mod m moves each string by at most n * m / q <= delta_map / 4, and by
+    nothing when m divides q."""
+    return m * max(1, math.ceil(4 * n / delta_map))
 
-    def __init__(self, field, n: int, k: int):
-        if n > field.q:
-            raise ValueError(f"n={n} exceeds field size {field.q}: "
-                             "not enough evaluation points")
+
+class KWiseFamily:
+    """k-wise independent vectors over [m]: a seed-decoded polynomial of
+    degree < k over kwise_field(m, n, q_min), evaluated at the first n
+    field elements and reduced mod m. Exactly uniform marginals when m
+    divides q. Values are int64, or python ints when m > 2^63."""
+
+    def __init__(self, m: int, n: int, k: int, q_min: int):
+        if m < 1:
+            raise ValueError("range must be nonempty")
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.field = field
+        self.m = m
         self.n = n
         self.k = k
-        self.q = field.q
-        self.coeff_bits = max(1, (field.q - 1).bit_length())
+        self.field = kwise_field(m, n, q_min)
+        self.q = self.field.q
+        self.coeff_bits = max(1, (self.q - 1).bit_length())
         self.seed_bits = k * self.coeff_bits
 
     def coefficients(self, seeds) -> np.ndarray:
@@ -52,15 +62,16 @@ class KWiseFamily:
         return bit_fields(bits, self.coeff_bits) % self.q
 
     def horner(self, coeffs, points) -> np.ndarray:
-        """sum_j c_j * points^j over the field, elementwise, in k - 1
-        products: coeffs is any iterable, highest degree first, so a caller
-        can gather each coefficient when it is needed."""
+        """sum_j c_j * points^j over the field, elementwise and reduced mod
+        m, in k - 1 products: coeffs is any iterable, highest degree first,
+        so a caller can gather each coefficient when it is needed."""
         f, coeffs = self.field, iter(coeffs)
         acc = next(coeffs)  # one name only, so the first step frees it
         acc = np.broadcast_to(acc, np.broadcast(acc, points).shape)
         for c in coeffs:
             acc = f.add(f.mul_vec(acc, points), c)
-        return acc if acc.flags.writeable else acc.copy()  # k = 1
+        acc = acc % self.m
+        return acc if self.m > 1 << 63 else acc.astype(np.int64, copy=False)
 
     def eval_points_batch(self, seeds, points) -> np.ndarray:
         """Value at points[i] under seed seeds[i], one output per row;
@@ -69,27 +80,9 @@ class KWiseFamily:
                            np.asarray(points, dtype=np.int64))
 
     def sample_batch(self, seeds) -> np.ndarray:
-        """(len(seeds), n) array of values in [q]."""
+        """(len(seeds), n) array of values in [m]."""
         return self.horner(self.coefficients(seeds)[::-1, :, None],
                            np.arange(self.n, dtype=np.int64))
-
-
-class KWiseVectors:
-    """k-wise independent vectors over [m], built over a field of size q
-    and reduced mod m. Exactly uniform marginals when m divides q;
-    otherwise the per-string deviation is at most n*m/q (delta_map)."""
-
-    def __init__(self, n: int, m: int, k: int, delta_map: float = 1e-3):
-        self.n = n
-        self.m = m
-        self.k = k
-        f = kwise_field(m, n, m * max(1, math.ceil(4 * n / delta_map)))
-        self.delta_map_actual = 0.0 if f.q % m == 0 else n * m / f.q
-        self.inner = KWiseFamily(f, n, k)
-        self.seed_bits = self.inner.seed_bits
-
-    def sample_batch(self, seeds: np.ndarray) -> np.ndarray:
-        return self.inner.sample_batch(seeds) % self.m
 
 
 class SmallBiasFamily:
@@ -141,20 +134,17 @@ class SmallBiasFamily:
         return out
 
 
-class CombinedHashFamily:
+class CombinedHashFamily(KWiseFamily):
     """Hash functions [n] -> [t] read from a k-wise independent family;
     with t a power of two the joint distribution of any <= k point
     evaluations is exactly uniform."""
 
     def __init__(self, n: int, t: int, k: int):
-        if t < 1:
-            raise ValueError("range must be nonempty")
-        self.n = n
+        super().__init__(t, n, k, t * t)
         self.t = t
-        self.k = k
-        self.kwise = KWiseFamily(kwise_field(t, n, t * t), n, k)
-        self.seed_bits = self.kwise.seed_bits
 
     def table_batch(self, seeds) -> np.ndarray:
-        """(len(seeds), n) tables of values in [t]."""
-        return self.kwise.sample_batch(seeds) % self.t
+        """(len(seeds), n) tables of values in [t]: sample_batch under its
+        own name, so perfbench traces hash tables apart from the other
+        k-wise samples."""
+        return self.sample_batch(seeds)

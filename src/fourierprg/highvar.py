@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitseq import as_bits, bit_fields
 from .core import Generator, register_plan, unique_keys
-from .families import CombinedHashFamily, KWiseVectors
+from .families import CombinedHashFamily, KWiseFamily, deviation_q_min
 from .fields import gf2
 from .robp import INWGenerator
 
@@ -100,8 +100,9 @@ class G1Plan(Generator):
         self.tlog = self.n_padded.bit_length() - 1
         self.perm_bits = 2 * self.tlog
         sizes = [2] + [1 << j for j in range(1, self.tlog)]
-        self.bucket_families = [
-            KWiseVectors(sz, self.m, self.p, self.delta_map) for sz in sizes]
+        self.bucket_families = [KWiseFamily(
+            self.m, sz, self.p, deviation_q_min(self.m, sz, self.delta_map))
+            for sz in sizes]
         self.bucket_seed_bits = [fam.seed_bits for fam in self.bucket_families]
         self.recycler = SeedRecycler(sum(self.bucket_seed_bits))
         self.seed_bits = self.perm_bits + self.recycler.seed_bits
@@ -127,14 +128,14 @@ class G1Plan(Generator):
         pos = offset = 0
         for fam, sbits in zip(self.bucket_families, self.bucket_seed_bits):
             sel = np.flatnonzero((x >= pos) & (x < pos + fam.n))
-            coeffs = fam.inner.coefficients(stream[:, offset:offset + sbits])
-            out[sel] = fam.inner.horner(
-                (c[rows[sel]] for c in coeffs[::-1]), x[sel] - pos) % self.m
+            coeffs = fam.coefficients(stream[:, offset:offset + sbits])
+            out[sel] = fam.horner(
+                (c[rows[sel]] for c in coeffs[::-1]), x[sel] - pos)
             pos, offset = pos + fam.n, offset + sbits
         return out
 
 
-class SpreadingFamily:
+class SpreadingFamily(CombinedHashFamily):
     """Hash family [n] -> [T] meant to spread any heavy vector's squared
     mass over at least ell buckets with probability 1 - delta.
 
@@ -145,15 +146,12 @@ class SpreadingFamily:
     """
 
     def __init__(self, n: int, delta: float, c_T: float = 0.125):
-        self.n = n
         self.delta = delta
         log1d = max(1.0, math.log2(1 / delta))
         self.T = max(16, math.ceil(c_T * log1d ** 5))
         self.B = 2 * self.T
         self.ell = math.ceil(2 * log1d)
-        self.k = min(n, 2 + math.ceil(2 * log1d))
-        self.family = CombinedHashFamily(n, self.T, self.k)
-        self.seed_bits = self.family.seed_bits
+        super().__init__(n, self.T, min(n, 2 + math.ceil(2 * log1d)))
 
     def config(self) -> dict:
         return {"n": self.n, "delta": self.delta, "T": self.T, "B": self.B,
@@ -196,7 +194,7 @@ class GLargePlan(Generator):
     def _chunk(self, bits: np.ndarray) -> np.ndarray:
         N, hbits, T = len(bits), self.spreading.seed_bits, self.spreading.T
         # hash seed in the high bits, recycler seed below
-        tables = self.spreading.family.table_batch(bits[:, :hbits])  # (N, n)
+        tables = self.spreading.table_batch(bits[:, :hbits])  # (N, n)
         # one G1 seed per (row, bucket) pair that some coordinate uses: the
         # bucket's window of the row's recycled stream, pairs in key order
         # row * T + bucket

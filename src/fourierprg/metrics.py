@@ -77,6 +77,18 @@ class WindowCapError(Refused):
             f"linear-form support needs {needed} states, cap is {cap}")
 
 
+def int_weights(w, name: str = "w") -> np.ndarray:
+    """w as an int64 array; a weight that is not a whole number is
+    refused, not truncated."""
+    w = np.asarray(w)
+    ints = w.astype(np.int64)
+    bad = np.flatnonzero(ints != w)
+    if len(bad):
+        raise ValueError(f"weight {name}[{bad[0]}] = {w.flat[bad[0]]} "
+                         "is not a whole number")
+    return ints
+
+
 def linear_pmf(w, base, window_cap: int = 10 ** 6) -> IntPMF:
     """Exact pmf of sum_i w_i * X_i by coordinatewise convolution.
 
@@ -84,7 +96,7 @@ def linear_pmf(w, base, window_cap: int = 10 ** 6) -> IntPMF:
     per-coordinate IntPMFs. Refuses instances whose support window would
     exceed window_cap states.
     """
-    w = [int(v) for v in np.asarray(w, dtype=np.int64)]
+    w = [int(v) for v in int_weights(w)]
     if isinstance(base, int):
         if base < 1:
             raise ValueError("alphabet must be nonempty")

@@ -18,8 +18,7 @@ import numpy as np
 
 from .bitseq import as_bits
 from .core import Generator, check_int64_symbols, register_plan
-from .families import (CombinedHashFamily, KWiseFamily, KWiseVectors,
-                       kwise_field)
+from .families import CombinedHashFamily, KWiseFamily, deviation_q_min
 # next_prime stays importable here: perfbench/spans.py patches it by
 # module name
 from .fields import next_prime  # noqa: F401
@@ -46,10 +45,11 @@ class AlphabetStepPlan(Generator):
             raise ValueError(f"inner generator must produce [{self.D}]^{n}")
         self.k = max(1, math.ceil(
             self.C * math.log2(1 / self.delta) / math.log2(m)))
-        self.col_family = KWiseFamily(kwise_field(m, self.D, m), self.D, 2)
+        self.col_family = KWiseFamily(m, self.D, 2, m)
         self.col_seed_bits = self.col_family.seed_bits
-        # column seeds drawn k-wise from their own (power-of-two) space
-        self.cross_family = KWiseVectors(n, 1 << self.col_seed_bits, self.k)
+        # column seeds drawn k-wise from their own power-of-two space: the
+        # field is GF(2^t) whatever q_min says
+        self.cross_family = KWiseFamily(1 << self.col_seed_bits, n, self.k, 0)
         self.local_bits = self.cross_family.seed_bits
         self.seed_bits = self.local_bits + inner.seed_bits
 
@@ -62,9 +62,8 @@ class AlphabetStepPlan(Generator):
         Y = self.inner.generate_batch(bits[:, self.local_bits:])  # over [D]
         # evaluate each column polynomial only at the selected row, never
         # materializing the D x n lookup matrix: one call for all columns
-        vals = self.col_family.eval_points_batch(col_seeds.reshape(-1),
-                                                 Y.reshape(-1))
-        return np.asarray(vals % self.m, dtype=np.int64).reshape(Y.shape)
+        return self.col_family.eval_points_batch(
+            col_seeds.reshape(-1), Y.reshape(-1)).reshape(Y.shape)
 
 
 def alphabet_reduce(m: int, n: int, delta: float, base_factory,
@@ -92,7 +91,7 @@ def dim_step_params(m: int, n: int, delta: float, C: float = 4.0):
     t = math.isqrt(n) if math.isqrt(n) ** 2 == n else math.isqrt(n) + 1
     k = max(1, math.ceil(
         C * math.log2(max(n, 2) / delta) / math.log2(max(n, 2))))
-    r0 = KWiseVectors(n, m, k).seed_bits
+    r0 = KWiseFamily(m, n, k, deviation_q_min(m, n)).seed_bits
     return t, k, r0
 
 
@@ -115,7 +114,7 @@ class DimStepPlan(Generator):
             raise ValueError("dimension step requires m <= n^4")
         self.t, self.k, self.r0 = dim_step_params(m, n, self.delta, self.C)
         self.bucket_hash = CombinedHashFamily(n, self.t, self.k)
-        self.within = KWiseVectors(n, m, self.k)
+        self.within = KWiseFamily(m, n, self.k, deviation_q_min(m, n))
         self.m_inner = 1 << self.r0
         if inner.m != self.m_inner or inner.n != self.t:
             raise ValueError(
@@ -132,9 +131,8 @@ class DimStepPlan(Generator):
             bits[:, self.local_bits:])  # (N, t) in [2^r0]
         # each inner symbol seeds one bucket's polynomial; evaluate each
         # coordinate at its bucket's, gathering one coefficient per step
-        fam = self.within.inner
-        coeffs = fam.coefficients(blocks.ravel()).reshape(-1, *blocks.shape)
-        vals = fam.horner(
+        coeffs = self.within.coefficients(blocks.ravel()).reshape(
+            -1, *blocks.shape)
+        return self.within.horner(
             (np.take_along_axis(c, tables, axis=1) for c in coeffs[::-1]),
             np.arange(self.n, dtype=np.int64))
-        return np.asarray(vals % self.m, dtype=np.int64)

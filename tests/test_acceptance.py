@@ -36,7 +36,8 @@ def marginal_counts(samples, coords, q):
 def test_01_kwise_marginals_exactly_uniform():
     for q, n, kmax in ((8, 8, 3), (16, 16, 2)):
         for k in range(1, kmax + 1):
-            fam = KWiseFamily(gf2(q.bit_length() - 1), n, k)
+            fam = KWiseFamily(q, n, k, q)
+            assert fam.field is gf2(q.bit_length() - 1)
             samples = fam.sample_batch(
                 np.arange(1 << fam.seed_bits, dtype=np.int64))
             expected = (1 << fam.seed_bits) // q ** k

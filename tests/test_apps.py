@@ -18,7 +18,7 @@ from fourierprg.apps import (ChernoffSampler, CombinatorialShape,
 from fourierprg.bitseq import as_bits
 from fourierprg.compose import build_generator
 from fourierprg.core import Generator, KWiseGenerator, UniformStub
-from fourierprg.metrics import WindowCapError
+from fourierprg.metrics import WindowCapError, linear_pmf
 from fourierprg.shapes import (EnumerateMode, SampleMode, eval_shape_batch,
                                random_shape)
 from test_estimator import chernoff_tail_check_reference
@@ -96,6 +96,20 @@ def test_modular_test_normalization():
     t = ModularTest([7, -1], 5, frozenset({6, -1}))
     assert np.array_equal(t.a, [2, 4])
     assert t.S == frozenset({1, 4})
+
+
+@pytest.mark.parametrize("make", [
+    lambda w: linear_pmf(w, 2).probs,
+    lambda w: Halfspace(w, 0).w,
+    lambda w: ModularTest(w, 5, frozenset({0})).a,
+], ids=["linear_pmf", "Halfspace", "ModularTest"])
+def test_non_integral_weights_refused(make):
+    # a cast to int64 would read 0.5 as 0 and 1.5 as 1
+    with pytest.raises(ValueError, match=r"\[1\] = 1\.5 is not a whole"):
+        make([2.0, 1.5])
+    with pytest.raises(ValueError, match=r"\[0\] = 0\.5 is not a whole"):
+        make(np.array([0.5, 0.5]))
+    assert np.array_equal(make([2.0, 3.0]), make([2, 3]))
 
 
 def test_modular_test_invalid_modulus():

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from fourierprg.bitseq import (as_bits, bit_fields, check_seed, read_fields,
                                to_ints)
-from fourierprg.core import (KWiseGenerator, SmallBiasLift, UniformStub,
-                             plan_seed_bits, plan_to_generator, sample_seeds)
+from fourierprg.core import (KWiseGenerator, Refused, SmallBiasLift,
+                             UniformStub, plan_seed_bits, plan_to_generator,
+                             sample_seeds)
 
 
 def bit_slice(seed, nbits, start, stop):
@@ -212,6 +213,17 @@ def test_output_pmf_refusals():
     g2.seed_bits = 40  # simulate an over-cap seed
     with pytest.raises(ValueError):
         g2.output_pmf(seed_cap=26)
+
+
+def test_output_pmf_cache_keeps_the_seed_cap():
+    # a fresh 12-bit generator refuses seed_cap = 10; one that has
+    # already enumerated its pmf must refuse it too
+    g = SmallBiasLift(8, 0.25)
+    assert g.seed_bits == 12
+    g.output_pmf()
+    with pytest.raises(Refused):
+        g.output_pmf(seed_cap=10)
+    assert g.output_pmf(seed_cap=12) is g.output_pmf()
 
 
 def test_output_pmf_holds_one_chunk_at_a_time():

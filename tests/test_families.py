@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fourierprg.core import UniformStub, plan_to_generator
 from fourierprg.families import (CombinedHashFamily, KWiseFamily,
-                                 KWiseVectors, SmallBiasFamily, kwise_field)
+                                 SmallBiasFamily, deviation_q_min,
+                                 kwise_field)
 from fourierprg.bitseq import as_bits, bit_fields
 from fourierprg.fields import PrimeField, gf2, next_prime, prime_field
 from fourierprg.reductions import AlphabetStepPlan
@@ -26,19 +27,14 @@ def all_seeds(nbits: int) -> np.ndarray:
 
 
 def test_kwise_degree_zero_constant():
-    fam = KWiseFamily(gf2(3), 5, 1)
+    fam = KWiseFamily(8, 5, 1, 8)
     out = fam.sample_batch(all_seeds(3))
     assert np.array_equal(out, np.repeat(np.arange(8)[:, None], 5, axis=1))
 
 
 def test_kwise_zero_seed_zero_vector():
-    fam = KWiseFamily(gf2(4), 8, 3)
+    fam = KWiseFamily(16, 8, 3, 16)
     assert np.all(fam.sample_batch(0) == 0)
-
-
-def test_kwise_insufficient_points():
-    with pytest.raises(ValueError):
-        KWiseFamily(gf2(2), 5, 2)
 
 
 def marginal_counts(samples: np.ndarray, coords, q: int) -> np.ndarray:
@@ -51,7 +47,8 @@ def marginal_counts(samples: np.ndarray, coords, q: int) -> np.ndarray:
 
 @pytest.mark.parametrize("q,n,k", [(8, 8, 2), (8, 8, 3), (16, 16, 2)])
 def test_kwise_exact_marginals(q, n, k):
-    fam = KWiseFamily(gf2(q.bit_length() - 1), n, k)
+    fam = KWiseFamily(q, n, k, q)
+    assert fam.field is gf2(q.bit_length() - 1)
     samples = fam.sample_batch(all_seeds(fam.seed_bits))
     expected = (1 << fam.seed_bits) // q ** k
     for coords in itertools.combinations(range(n), k):
@@ -61,7 +58,7 @@ def test_kwise_exact_marginals(q, n, k):
 
 def test_kwise_eval_points_batch_matches_sample():
     rng = np.random.default_rng(7)
-    for fam in (KWiseFamily(gf2(3), 8, 3), KWiseFamily(gf2(40), 4, 2)):
+    for fam in (KWiseFamily(8, 8, 3, 8), KWiseFamily(1 << 40, 4, 2, 1 << 40)):
         seeds = rng.integers(0, 1 << min(fam.seed_bits, 30), 25)
         points = rng.integers(0, fam.n, 25)
         out = fam.eval_points_batch(seeds, points)
@@ -71,20 +68,21 @@ def test_kwise_eval_points_batch_matches_sample():
 
 
 def test_kwise_sample_wrapper_deterministic():
-    fam = KWiseFamily(gf2(3), 4, 2)
+    fam = KWiseFamily(8, 4, 2, 8)
     assert np.array_equal(fam.sample_batch([37]), fam.sample_batch([37]))
 
 
 def test_kwise_vectors_nonpow2_deviation_budget():
-    fam = KWiseVectors(6, 3, 2, delta_map=0.01)
-    assert fam.delta_map_actual <= 0.01
+    fam = KWiseFamily(3, 6, 2, deviation_q_min(3, 6, 0.01))
+    deviation = 6 * 3 / fam.q  # n * m / q
+    assert deviation <= 0.01
     samples = fam.sample_batch(all_seeds(min(fam.seed_bits, 24)))
     freqs = np.bincount(samples[:, 0], minlength=3) / len(samples)
-    assert np.abs(freqs - 1 / 3).max() <= fam.delta_map_actual
+    assert np.abs(freqs - 1 / 3).max() <= deviation
 
 
 def test_kwise_big_field_scalar_path_matches_eval_at():
-    fam = KWiseFamily(gf2(40), 4, 2)
+    fam = KWiseFamily(1 << 40, 4, 2, 1 << 40)
     seeds = np.array([123456789012345678901, 1, (1 << 80) - 1], dtype=object)
     out = fam.sample_batch(seeds)
     for x in range(4):
@@ -120,7 +118,9 @@ def kwise_reference(fam: KWiseFamily, seeds) -> np.ndarray:
     (prime_field(next_prime(1 << 64)), 4, 3),
 ])
 def test_kwise_matches_wide_seed_reference(field, n, k):
-    fam = KWiseFamily(field, n, k)
+    # m = q: the field itself, and the reduction mod m changes nothing
+    fam = KWiseFamily(field.q, n, k, field.q)
+    assert fam.field is field
     rng = np.random.default_rng(n * k)
     seeds = edge_seeds(fam.seed_bits, 6, rng)
     want = kwise_reference(fam, seeds)
@@ -135,6 +135,34 @@ def test_kwise_matches_wide_seed_reference(field, n, k):
     if field.q <= 1 << 16 or (isinstance(field, PrimeField)
                               and field.q <= 1 << 62):
         assert got.dtype == np.int64
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.integers(1, 5000),
+                 st.sampled_from([3037000499, (1 << 62) - 1, 1 << 62,
+                                  (1 << 62) + 1, 1 << 63, 1 << 64,
+                                  1 << 126])),
+       st.integers(1, 64), st.integers(1, 4),
+       st.sampled_from([1e-3, 0.3]), st.integers(0, 1 << 32))
+def test_kwise_family_over_m_property(m, n, k, delta_map, rng_seed):
+    # every m the families meet: powers of two up to the n = 128 tree's
+    # [2^126] cross family, whose k is 1, and non-powers on either side of
+    # the int64 limits
+    k = 1 if m == 1 << 126 else k
+    fam = KWiseFamily(m, n, k, deviation_q_min(m, n, delta_map))
+    assert fam.q >= n
+    rng = np.random.default_rng(rng_seed)
+    seeds = edge_seeds(fam.seed_bits, 4, rng)
+    want = kwise_reference(fam, seeds) % m
+    got = fam.sample_batch(seeds)
+    assert got.shape == want.shape
+    assert [[int(v) for v in row] for row in got] == want.tolist()
+    points = rng.integers(0, n, len(seeds))
+    at = fam.eval_points_batch(seeds, points)
+    assert [int(v) for v in at] == [want[i, x] for i, x in enumerate(points)]
+    int64 = m <= 1 << 63
+    assert (got.dtype == np.int64) == int64
+    assert (at.dtype == np.int64) == int64
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +314,7 @@ def test_hash_exact_pair_marginals():
 def test_hash_eval_matches_table():
     fam = CombinedHashFamily(6, 4, 2)
     table = fam.table_batch(45)[0]
-    at = fam.kwise.eval_points_batch(np.full(6, 45), np.arange(6)) % fam.t
+    at = fam.eval_points_batch(np.full(6, 45), np.arange(6))
     assert np.array_equal(at, table)
 
 
@@ -375,8 +403,8 @@ def test_load_balancing_tail():
 
 # ---------------------------------------------------------------------------
 # the field rule: kwise_field against the three rules it replaced, copied
-# from KWiseVectors, CombinedHashFamily and reductions._column_field as
-# they stood before it
+# from the k-wise vectors over [m], CombinedHashFamily and
+# reductions._column_field as they stood before it
 
 
 def old_vectors_field(n: int, m: int, delta_map: float):
@@ -403,17 +431,16 @@ def old_column_field(m: int):
 
 def check_field_rule(m: int, n: int, delta_map: float) -> None:
     """The fields each k-wise user picks over [m] with n points are the
-    old rules' objects; KWiseVectors over [1] alone moves, from a prime
-    field to GF(2^t), and its output is all zeros either way."""
-    vec = KWiseVectors(n, m, 2, delta_map)
-    f = vec.inner.field
+    old rules' objects; the vectors over [1] alone move, from a prime
+    field to GF(2^t), and their output is all zeros either way."""
+    f = KWiseFamily(m, n, 2, deviation_q_min(m, n, delta_map)).field
     if m == 1:
         assert f is gf2(max(1, (max(n, 2) - 1).bit_length()))
     else:
         assert f is old_vectors_field(n, m, delta_map)
-    assert vec.delta_map_actual == (0.0 if m & (m - 1) == 0
-                                    else n * m / f.q)
-    assert CombinedHashFamily(n, m, 2).kwise.field is old_hash_field(n, m)
+    # the deviation of the reduction mod m: none when m divides q
+    assert f.q % m == 0 if m & (m - 1) == 0 else n * m / f.q <= delta_map
+    assert CombinedHashFamily(n, m, 2).field is old_hash_field(n, m)
     if m > n ** 4:
         D = math.isqrt(m)
         step = AlphabetStepPlan(m, n, 0.1, UniformStub(D, n))

@@ -111,7 +111,7 @@ def spot_check(s: SpreadingFamily, v: np.ndarray, rng, trials=2000):
     if float(np.sum(v2)) < s.B:
         raise ValueError("vector too light for the spreading property")
     tables = np.asarray(
-        s.family.table_batch(sample_seeds(rng, s.seed_bits, trials)),
+        s.table_batch(sample_seeds(rng, s.seed_bits, trials)),
         dtype=np.int64)
     thresh = s.B / (2 * s.T)
     bad = sum(int(np.sum(np.bincount(h, weights=v2, minlength=s.T)
@@ -136,13 +136,13 @@ def test_spreading_spot_check_draws_full_width_seeds():
     s = SpreadingFamily(128, 0.1 / 12)
     assert s.seed_bits == 352
     drawn = []
-    table_batch = s.family.table_batch
+    table_batch = s.table_batch
 
     def record(seeds):
         drawn.extend(to_ints(as_bits(seeds, s.seed_bits)))
         return table_batch(seeds)
 
-    s.family.table_batch = record
+    s.table_batch = record
     spot_check(s, np.full(128, math.sqrt(s.B / 128) + 0.01),
                np.random.default_rng(0), trials=64)
     assert len(drawn) == 64
@@ -326,7 +326,7 @@ def test_glarge_evaluates_g1_at_the_coordinates_it_reads(monkeypatch):
     # one 4-row batch of the n = 128 tree's glarge reads 4 * 128 symbols,
     # one per (row, coordinate); full G1 rows per pair would be ~63,500
     g = build_generator(2, 128, 0.1).left
-    families = {id(fam.inner) for fam in g.g1.bucket_families}
+    families = {id(fam) for fam in g.g1.bucket_families}
     points = []
     horner = KWiseFamily.horner
 
@@ -428,7 +428,7 @@ def _glarge_reference(g: GLargePlan, seeds) -> np.ndarray:
     if g.spreading.seed_bits <= 62:
         hseed = hseed.astype(np.int64)
     rec_seed = seeds & ((1 << g.recycler.seed_bits) - 1)
-    tables = g.spreading.family.table_batch(hseed)
+    tables = g.spreading.table_batch(hseed)
     stream = _bitstream_reference(g.recycler, rec_seed)
     g1_bits = g.g1.seed_bits
     out = np.zeros((N, g.n), dtype=np.int64)

@@ -199,10 +199,10 @@ def test_dim_step_matches_per_bucket_reference(m, n, delta, C):
 
 def test_dim_step_cases_cover_the_tree_and_a_prime_field():
     g = DimStepPlan(2, 128, 0.1 / 24, UniformStub(1 << 63, 12))
-    assert (g.t, g.k, g.r0, g.bucket_hash.kwise.q) == (12, 9, 63, 149)
+    assert (g.t, g.k, g.r0, g.bucket_hash.q) == (12, 9, 63, 149)
     t, _, r0 = dim_step_params(3, 10, 0.5, 2.0)
     g = DimStepPlan(3, 10, 0.5, UniformStub(1 << r0, t), 2.0)
-    assert g.within.inner.field is prime_field(g.within.inner.q)
+    assert g.within.field is prime_field(g.within.q)
 
 
 def test_dim_step_memory_at_most_the_per_bucket_loop():
