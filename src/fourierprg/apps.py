@@ -52,7 +52,8 @@ class Halfspace:
 
     def __post_init__(self):
         object.__setattr__(self, "w", int_weights(self.w))
-        object.__setattr__(self, "theta", int(self.theta))
+        object.__setattr__(self, "theta",
+                           int(int_weights(self.theta, "theta")))
 
     @property
     def n(self) -> int:
@@ -107,7 +108,7 @@ class ModularTest:
         if self.M < 2:
             raise ValueError("modulus must be >= 2")
         a = int_weights(self.a, "a") % self.M
-        S = frozenset(int(s) % self.M for s in self.S)
+        S = frozenset((int_weights(list(self.S), "S") % self.M).tolist())
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "S", S)
 

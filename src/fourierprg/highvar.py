@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitseq import as_bits, bit_fields
 from .core import Generator, register_plan, unique_keys
@@ -22,10 +21,11 @@ from .families import CombinedHashFamily, KWiseFamily, deviation_q_min
 from .fields import gf2
 from .robp import INWGenerator
 
-# GLargePlan runs chunks of rows whose recycled streams hold 16 MB of bits
-# (68 rows of the n = 128 tree's 243,660 bits), the most a chunk unpacks when
-# its windows are dense enough to expand the streams whole; G1 adds only the
-# symbols a chunk reads
+# GLargePlan runs chunks of _CHUNK_BYTES // (8 * stream bits) rows (132 rows
+# of the n = 128 tree's 15,872-bit recycled streams): a chunk unpacks its
+# streams at a byte per bit, and the bucket seeds it gathers, G1's own streams
+# and the int64 coordinates come to about as much again, so a chunk peaks
+# near half the budget (7.6 MB under tracemalloc for 1024 rows at n = 128)
 _CHUNK_BYTES = 1 << 24
 
 
@@ -46,36 +46,6 @@ class SeedRecycler:
         # the C-order copy transposes the (T, N) states into rows
         raw = blocks.astype(np.uint8, order="C")
         return np.unpackbits(raw, axis=1, count=self.total_bits)
-
-    def bits_at(self, seeds, rows, start, width: int) -> np.ndarray:
-        """(len(rows), width) bit matrix: row e holds bits [start[e],
-        start[e] + width) of seed seeds[rows[e]]'s stream, each window
-        inside total_bits.
-
-        Only the blocks the windows cover are expanded, by
-        `INWGenerator.expand_at`, unless the windows hold a quarter of the
-        streams' bits or more: from about there on, the group walks,
-        gathers and unpacking of the covered blocks cost more than
-        expanding the streams whole."""
-        bits = as_bits(seeds, self.seed_bits)
-        start = np.asarray(start, dtype=np.intp)
-        if not len(start):
-            return np.zeros((0, width), dtype=np.uint8)
-        if 4 * len(start) * width >= len(bits) * self.total_bits:
-            stream = self.bitstream_batch(bits).reshape(-1)
-            at = np.asarray(rows, dtype=np.intp) * self.total_bits + start
-        else:
-            first, last = start >> 3, start + width - 1 >> 3
-            # span blocks per window; a shorter window repeats its last
-            span = int((last - first).max()) + 1
-            blocks = np.minimum(first[:, None] + np.arange(span),
-                                last[:, None])
-            raw = self.inw.expand_at(bits, np.repeat(rows, span),
-                                     blocks.reshape(-1))
-            stream = np.unpackbits(raw.astype(np.uint8))
-            at = np.arange(len(start)) * 8 * span + (start & 7)
-        # one row gather of the width-bit windows starting at each offset
-        return sliding_window_view(stream, width)[at]
 
     def config(self) -> dict:
         return {**self.inw.config(), "seed_bits": self.seed_bits}
@@ -139,16 +109,21 @@ class SpreadingFamily(CombinedHashFamily):
     """Hash family [n] -> [T] meant to spread any heavy vector's squared
     mass over at least ell buckets with probability 1 - delta.
 
-    T = max(16, ceil(c_T * log2(1/delta)^5)), threshold B = 2T,
-    ell = ceil(2 * log2(1/delta)); the constants are knobs validated
-    empirically (the spreading spot check in the tests), not derived
+    T = min(max(16, ceil(c_T * log2(1/delta)^5)), n_padded), n_padded the
+    least power of two >= max(n, 2) (G1's padding); threshold B = 2T,
+    ell = ceil(2 * log2(1/delta)). n coordinates hashed into T <= n_padded
+    buckets fill about 1 - e^(-n/T) >= 39% of them; past n_padded most
+    buckets stay empty, and a larger T only lengthens the recycled stream
+    glarge cuts its bucket seeds from. The constants are knobs validated
+    empirically (the spreading spot checks in the tests), not derived
     values.
     """
 
     def __init__(self, n: int, delta: float, c_T: float = 0.125):
         self.delta = delta
         log1d = max(1.0, math.log2(1 / delta))
-        self.T = max(16, math.ceil(c_T * log1d ** 5))
+        self.T = min(max(16, math.ceil(c_T * log1d ** 5)),
+                     1 << max(1, (n - 1).bit_length()))
         self.B = 2 * self.T
         self.ell = math.ceil(2 * log1d)
         super().__init__(n, self.T, min(n, 2 + math.ceil(2 * log1d)))
@@ -165,9 +140,10 @@ class GLargePlan(Generator):
     bucket seeds recycled.
 
     Bucket j of a row reads the j-th g1_bits slice of that row's recycled
-    stream. A chunk of rows stacks the seeds of only the (row, bucket)
-    pairs some coordinate hashes to, and G1 evaluates each coordinate
-    under its own pair's seed at that coordinate alone."""
+    stream. A chunk of rows expands its streams whole and gathers the
+    seeds of only the (row, bucket) pairs some coordinate hashes to, and
+    G1 evaluates each coordinate under its own pair's seed at that
+    coordinate alone."""
 
     m: int
     n: int
@@ -186,7 +162,7 @@ class GLargePlan(Generator):
     def generate_batch(self, seeds) -> np.ndarray:
         bits = as_bits(seeds, self.seed_bits)
         out = np.empty((len(bits), self.n), dtype=np.int64)
-        step = max(1, _CHUNK_BYTES // self.recycler.total_bits)
+        step = max(1, _CHUNK_BYTES // (8 * self.recycler.total_bits))
         for lo in range(0, len(bits), step):
             out[lo:lo + step] = self._chunk(bits[lo:lo + step])
         return out
@@ -196,13 +172,12 @@ class GLargePlan(Generator):
         # hash seed in the high bits, recycler seed below
         tables = self.spreading.table_batch(bits[:, :hbits])  # (N, n)
         # one G1 seed per (row, bucket) pair that some coordinate uses: the
-        # bucket's window of the row's recycled stream, pairs in key order
+        # bucket's slice of the row's recycled stream, pairs in key order
         # row * T + bucket
         pairs, index = unique_keys(
             (np.arange(N)[:, None] * T + tables).reshape(-1), N * T)
         rows, buckets = np.divmod(pairs, T)
-        g1_bits = self.g1.seed_bits
-        bucket_seeds = self.recycler.bits_at(
-            bits[:, hbits:], rows, buckets * g1_bits, g1_bits)
+        bucket_seeds = self.recycler.bitstream_batch(bits[:, hbits:]).reshape(
+            N, T, self.g1.seed_bits)[rows, buckets]
         return self.g1.eval_points(bucket_seeds, index, np.tile(
             np.arange(self.n), N)).reshape(N, self.n)

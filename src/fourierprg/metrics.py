@@ -78,14 +78,15 @@ class WindowCapError(Refused):
 
 
 def int_weights(w, name: str = "w") -> np.ndarray:
-    """w as an int64 array; a weight that is not a whole number is
-    refused, not truncated."""
+    """w as an int64 array, 0-d for a scalar; a value that is not a whole
+    number is refused, not truncated."""
     w = np.asarray(w)
     ints = w.astype(np.int64)
     bad = np.flatnonzero(ints != w)
     if len(bad):
-        raise ValueError(f"weight {name}[{bad[0]}] = {w.flat[bad[0]]} "
-                         "is not a whole number")
+        at = f"[{bad[0]}]" if w.ndim else ""
+        raise ValueError(f"{name}{at} = {w.flat[bad[0]]} is not a whole "
+                         "number")
     return ints
 
 

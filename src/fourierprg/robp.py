@@ -9,11 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitseq import as_bits, bit_fields
-from .core import Generator, register_plan, unique_keys
+from .core import Generator, register_plan
 from .fields import gf2
-
-# expand_at computes blocks in aligned groups of 2^5
-_GROUP_LOG = 5
 
 
 class ROBP:
@@ -94,56 +91,18 @@ class INWGenerator(Generator):
 
     def expand_batch(self, seeds) -> np.ndarray:
         """(len(seeds), T) blocks of D bits, in the state dtype."""
-        fields = self._seed_fields(seeds)
+        # x, then (a, b) per level: one row per w-bit seed field, MSB first
+        w = self.state_bits
+        fields = bit_fields(as_bits(seeds, self.seed_bits), w).astype(
+            self._dtype, copy=False)
         states = np.empty((self.T, fields.shape[1]), dtype=self._dtype)
         states[0] = fields[0]
-        return self._descend(states, fields).T
-
-    def expand_at(self, seeds, rows, blocks) -> np.ndarray:
-        """Entry e: block blocks[e] of seed seeds[rows[e]] only, in the
-        state dtype.
-
-        Blocks are computed in aligned groups of G = min(T, 32): each
-        (row, group) pair asked for walks the top levels - log2 G levels
-        once, from x through the hashes its group index selects to the
-        group's first state, and expand_batch's level loop fills the
-        group from there."""
-        fields = self._seed_fields(seeds)
-        lg = min(self.levels, _GROUP_LOG)
-        top = self.levels - lg
-        blocks = np.asarray(blocks, dtype=np.intp)
-        # (row, group) pairs in key order row << top | group
-        groups, index = unique_keys(
-            np.asarray(rows, dtype=np.intp) << top | blocks >> lg,
-            fields.shape[1] << top)
-        fields = fields[:, groups >> top]
-        state = fields[0]
-        for lvl in range(top):
-            hashed = self.field.mul_vec(fields[1 + 2 * lvl], state) \
-                ^ fields[2 + 2 * lvl]
-            state = np.where(groups >> (top - 1 - lvl) & 1, hashed, state)
-        states = np.empty((1 << lg, len(groups)), dtype=self._dtype)
-        states[0] = state
-        # the (G, K) states read flat, block within group major
-        at = (blocks & (1 << lg) - 1) * len(groups) + index
-        return self._descend(states, fields).reshape(-1).take(at)
-
-    def _seed_fields(self, seeds) -> np.ndarray:
-        # x, then (a, b) per level: one row per w-bit seed field, MSB first
-        return bit_fields(as_bits(seeds, self.seed_bits),
-                          self.state_bits).astype(self._dtype, copy=False)
-
-    def _descend(self, states, fields) -> np.ndarray:
-        """Fills the (S, K) states, S a power of two up to T, from their
-        first row down the last log2 S levels, with the (a, b) rows of the
-        K seed columns of fields, and keeps each state's D block bits."""
-        for lvl in range(self.levels - (len(states).bit_length() - 1),
-                         self.levels):
+        for lvl in range(self.levels):
             s = self.T >> (lvl + 1)
             a, b = fields[1 + 2 * lvl], fields[2 + 2 * lvl]
             states[s::2 * s] = self.field.mul_vec(a, states[::2 * s]) ^ b
-        states >>= self.state_bits - self.D
-        return states
+        states >>= w - self.D
+        return states.T
 
     def generate_batch(self, seeds) -> np.ndarray:
         return self.expand_batch(seeds).astype(np.int64)

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,16 +99,22 @@ def test_modular_test_normalization():
     assert t.S == frozenset({1, 4})
 
 
-@pytest.mark.parametrize("make", [
-    lambda w: linear_pmf(w, 2).probs,
-    lambda w: Halfspace(w, 0).w,
-    lambda w: ModularTest(w, 5, frozenset({0})).a,
-], ids=["linear_pmf", "Halfspace", "ModularTest"])
-def test_non_integral_weights_refused(make):
+@pytest.mark.parametrize("make,name", [
+    (lambda v: linear_pmf(v, 2).probs, "w[{}]"),
+    (lambda v: Halfspace(v, 0).w, "w[{}]"),
+    (lambda v: ModularTest(v, 5, frozenset({0})).a, "a[{}]"),
+    # one threshold per halfspace; the residues in the order given
+    (lambda v: [Halfspace([1], t).theta for t in v], "theta"),
+    (lambda v: ModularTest([1], 5, v).S, "S[{}]"),
+], ids=["linear_pmf", "Halfspace", "ModularTest", "Halfspace.theta",
+        "ModularTest.S"])
+def test_non_integral_weights_refused(make, name):
     # a cast to int64 would read 0.5 as 0 and 1.5 as 1
-    with pytest.raises(ValueError, match=r"\[1\] = 1\.5 is not a whole"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name.format(1)} = 1.5 is not a whole")):
         make([2.0, 1.5])
-    with pytest.raises(ValueError, match=r"\[0\] = 0\.5 is not a whole"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name.format(0)} = 0.5 is not a whole")):
         make(np.array([0.5, 0.5]))
     assert np.array_equal(make([2.0, 3.0]), make([2, 3]))
 

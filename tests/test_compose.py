@@ -332,24 +332,28 @@ def test_n128_tree_products_per_batch(monkeypatch):
     # 205 vectorized and 384 scalar GF(2^t) products when the dimension
     # step evaluated every bucket's polynomial at every coordinate, G1
     # ran its permutation once per bucket and Horner began by multiplying
-    # zero
+    # zero. Vectorized products are pinned over both field kinds, so a
+    # family that moves from one kind to the other shows here too
     g = build_generator(2, 128, 0.1)
     seeds = sample_seeds(np.random.default_rng(4), g.seed_bits, 4)
     g.generate_batch(seeds)  # field tables outside the count
-    calls = {"mul_vec": 0, "mul": 0}
+    calls = {(fields.GF2Field, "mul_vec"): 0, (fields.GF2Field, "mul"): 0,
+             (fields.PrimeField, "mul_vec"): 0}
 
-    def counting(name):
-        product = getattr(fields.GF2Field, name)
+    def counting(owner, name):
+        product = getattr(owner, name)
 
         def wrapper(self, a, b):
-            calls[name] += 1
+            calls[owner, name] += 1
             return product(self, a, b)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(fields.GF2Field, name, counting(name))
+    for owner, name in calls:
+        monkeypatch.setattr(owner, name, counting(owner, name))
     g.generate_batch(seeds)
-    assert calls["mul_vec"] <= 88 and calls["mul"] <= 192
+    assert calls[fields.GF2Field, "mul_vec"] == 99
+    assert calls[fields.PrimeField, "mul_vec"] == 10
+    assert calls[fields.GF2Field, "mul"] <= 192
 
 
 def test_n128_tree_finds_no_modulus_above_degree_64():

@@ -18,10 +18,8 @@ from fourierprg.families import KWiseFamily
 from fourierprg.fields import gf2
 from fourierprg.highvar import (G1Plan, GLargePlan, SeedRecycler,
                                 SpreadingFamily)
-from fourierprg.robp import INWGenerator
 from fourierprg.shapes import (EnumerateMode, SampleMode, fooling_error,
                                random_shape, scale_toward_mean, tvar)
-from test_robp import edge_seeds
 
 
 def test_dyadic_buckets_sizes():
@@ -131,10 +129,20 @@ def test_spreading_spot_check_within_budget():
     assert frac <= 2 * s.delta
 
 
-def test_spreading_spot_check_draws_full_width_seeds():
-    # the n = 128 tree's hash: 16 coefficients of 22 bits
+def test_spreading_spot_check_capped_n128_tree_hash():
+    # the n = 128 tree's hash, T capped at n_padded = 128, on a flat
+    # vector of squared norm B
     s = SpreadingFamily(128, 0.1 / 12)
-    assert s.seed_bits == 352
+    assert s.T == 128
+    frac = spot_check(s, np.full(128, math.sqrt(s.B / 128)),
+                      np.random.default_rng(12), trials=500)
+    assert frac <= 2 * s.delta
+
+
+def test_spreading_spot_check_draws_full_width_seeds():
+    # the n = 128 tree's hash: 16 coefficients of 7 bits
+    s = SpreadingFamily(128, 0.1 / 12)
+    assert s.seed_bits == 112
     drawn = []
     table_batch = s.table_batch
 
@@ -147,9 +155,9 @@ def test_spreading_spot_check_draws_full_width_seeds():
                np.random.default_rng(0), trials=64)
     assert len(drawn) == 64
     # bits above position 62 are set, so every coefficient is random,
-    # the constant term (the top 22 bits) included
+    # the constant term (the top 7 bits) included
     assert any(v >> 62 for v in drawn)
-    assert len({v >> (352 - 22) for v in drawn}) > 1
+    assert len({v >> (112 - 7) for v in drawn}) > 1
 
 
 def test_glarge_plan_roundtrip_and_scalar():
@@ -341,85 +349,6 @@ def test_glarge_evaluates_g1_at_the_coordinates_it_reads(monkeypatch):
     assert 0 < sum(points) <= 4 * 128
 
 
-def test_glarge_expands_only_the_recycled_blocks_its_buckets_read(
-        monkeypatch):
-    # a 4-row batch of the n = 128 tree's glarge reads 123-128 of 1965
-    # buckets per row, so its recycler computes the states of the
-    # 32-block groups those buckets cover, not all N * T of them
-    g = build_generator(2, 128, 0.1).left
-    inw = g.recycler.inw
-    states = []
-    descend, bitstream = INWGenerator._descend, SeedRecycler.bitstream_batch
-
-    def counted(self, st, fields):
-        if self is inw:
-            states.append(st.size)
-        return descend(self, st, fields)
-
-    def whole(self, seeds):
-        assert self is not g.recycler, "glarge expanded its streams whole"
-        return bitstream(self, seeds)
-
-    monkeypatch.setattr(INWGenerator, "_descend", counted)
-    monkeypatch.setattr(SeedRecycler, "bitstream_batch", whole)
-    g.generate_batch(sample_seeds(np.random.default_rng(9), g.seed_bits, 4))
-    assert len(states) == 1 and 0 < states[0] <= 4 * inw.T // 4
-
-
-def _bits_at_reference(r: SeedRecycler, seeds, rows, start, width):
-    """bitstream_batch's rows, sliced window by window."""
-    stream = r.bitstream_batch(seeds)
-    return np.array([stream[i, s:s + width] for i, s in zip(rows, start)],
-                    dtype=np.uint8).reshape(len(rows), width)
-
-
-@settings(max_examples=60, deadline=None)
-@given(total_bits=st.integers(9, 8 << 12), data=st.data(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_recycler_bits_at_matches_bitstream_slices(total_bits, data, seed):
-    # T from 2 to 2^12; random, all-zero, all-ones and top-bit seeds;
-    # windows at the stream's start and end and anywhere across blocks,
-    # with repeated rows; the empty request, sparse requests and requests
-    # dense enough to expand the streams whole
-    r = SeedRecycler(total_bits)
-    assert 2 <= r.inw.T <= 1 << 12
-    rng = np.random.default_rng(seed)
-    seeds = edge_seeds(r.seed_bits, data.draw(st.integers(1, 4)), rng)
-    width = data.draw(st.integers(1, min(total_bits, 300)))
-    dense = -(-len(seeds) * total_bits // (4 * width))
-    count = data.draw(st.sampled_from([0, 1, 2, 9, dense - 1, dense]))
-    rows = rng.integers(0, len(seeds), size=count)
-    start = rng.integers(0, total_bits - width + 1, size=count)
-    start[:count // 4] = 0
-    start[count // 4:count // 2] = total_bits - width
-    got = r.bits_at(seeds, rows, start, width)
-    assert got.dtype == np.uint8 and got.shape == (count, width)
-    assert np.array_equal(got, _bits_at_reference(r, seeds, rows, start,
-                                                  width))
-
-
-@pytest.mark.parametrize("count,path", [(40, "expand_at"),
-                                        (2400, "bitstream_batch")])
-def test_recycler_bits_at_takes_both_paths(monkeypatch, count, path):
-    # 40 windows of 124 bits hold 0.5% of four 243,660-bit streams and are
-    # point-evaluated; 2400 hold 31% and expand the streams whole
-    r = SeedRecycler(243660)
-    seeds = edge_seeds(r.seed_bits, 1, np.random.default_rng(count))[:4]
-    rng = np.random.default_rng(count + 1)
-    rows = rng.integers(0, len(seeds), size=count)
-    start = rng.integers(0, r.total_bits - 124 + 1, size=count)
-    want = _bits_at_reference(r, seeds, rows, start, 124)
-    calls = []
-    for owner, name in ((INWGenerator, "expand_at"),
-                        (SeedRecycler, "bitstream_batch")):
-        def spy(self, *args, _f=getattr(owner, name), _name=name):
-            calls.append(_name)
-            return _f(self, *args)
-        monkeypatch.setattr(owner, name, spy)
-    assert np.array_equal(r.bits_at(seeds, rows, start, 124), want)
-    assert calls == [path]
-
-
 def _glarge_reference(g: GLargePlan, seeds) -> np.ndarray:
     seeds = np.asarray(seeds)
     N = len(seeds)
@@ -486,7 +415,9 @@ def test_recycler_batch_sizes_match_reference(block_bits, state_extra):
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((2, 16, 0.2), {"p": 2}), ((3, 32, 0.2), {})])
+    ((2, 16, 0.2), {"p": 2}), ((3, 32, 0.2), {}),
+    # the n = 128 tree's glarge, whose T is capped at n_padded
+    ((2, 128, 0.1 / 12), {})])
 def test_glarge_matches_per_bucket_reference(args, kwargs):
     g = GLargePlan(*args, **kwargs)
     seeds = _full_width_seeds(g.seed_bits, g.n)
@@ -499,11 +430,27 @@ def test_glarge_matches_per_bucket_reference(args, kwargs):
             _bitstream_reference(r, rs)
 
 
+@pytest.mark.parametrize("delta", [0.1 / 12, 1e-3])
+@pytest.mark.parametrize("n", [1, 8, 100, 128, 129, 1024, 4096])
+def test_glarge_buckets_fill_a_quarter_of_the_stream(n, delta):
+    # T <= n_padded, so the (row, bucket) pairs a 4-row batch hashes to
+    # hold a quarter of its recycled streams or more: glarge expands the
+    # streams whole and wastes at most three quarters of them
+    g = GLargePlan(2, n, delta)
+    assert g.spreading.T <= g.g1.n_padded
+    tables = g.spreading.table_batch(sample_seeds(
+        np.random.default_rng(n), g.spreading.seed_bits, 4))
+    used = sum(len(np.unique(row)) for row in tables) * g.g1.seed_bits
+    streams = 4 * g.recycler.total_bits
+    assert 4 * used >= streams
+
+
 def test_glarge_chunks_match_rows_one_at_a_time(monkeypatch):
     # a 3-row budget puts chunk edges inside the 10-row batch of random,
     # top-bit-set and all-ones seeds
     g = GLargePlan(3, 32, 0.2)
-    monkeypatch.setattr(highvar, "_CHUNK_BYTES", 3 * g.recycler.total_bits)
+    monkeypatch.setattr(highvar, "_CHUNK_BYTES",
+                        3 * 8 * g.recycler.total_bits)
     seeds = _full_width_seeds(g.seed_bits, 3)
     out = g.generate_batch(seeds)
     assert out.shape == (10, g.n) and out.dtype == np.int64
@@ -528,14 +475,16 @@ def test_glarge_batch_memory_is_bounded():
 
 
 def test_recursive_build_output_pinned():
-    # sha256 of build_generator(2, 128, 0.1) outputs, computed with the
-    # per-block recycler and per-bucket GLarge loops
+    # sha256 of build_generator(2, 128, 0.1) outputs, computed as
+    # (_glarge_reference, the per-block recycler and per-bucket GLarge
+    # loops, on the left seed slice + the dimension step on the right
+    # slice) mod 2
     g = build_generator(2, 128, 0.1)
-    assert g.seed_bits == 1175
+    assert g.seed_bits == 855
     seeds = np.empty(4, dtype=object)
     seeds[:] = list(to_ints(sample_seeds(np.random.default_rng(20260),
                                          g.seed_bits, 3))) \
         + [(1 << g.seed_bits) - 1]
     out = np.ascontiguousarray(g.generate_batch(seeds), dtype="<i8")
     assert hashlib.sha256(out.tobytes()).hexdigest() == \
-        "e4321aa29856811e305d8c359f54b52dafdc72a24a8ed583e81ea199439e846e"
+        "d4450be8664592ffa49c04c4325fd307cbf7a0965e5d21aba48c9fe77dd739c1"

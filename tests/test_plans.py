@@ -48,7 +48,7 @@ EXAMPLES = {
         "17bb59d9ed1b46d9973f8acbc107cef441fef894d5af5b4514e184305ca4b2e6"),
     "glarge": (
         lambda: GLargePlan(2, 8, 0.25, 2),
-        "f6c03ad5edbb020c727e605733166fe2db29bf55a82f57e6fae34c302e0c6425"),
+        "08147c4571d1768f317584908dab319124d2fe8b735b94ae0395c4a993a35197"),
     "alphabet-step": (
         lambda: AlphabetStepPlan(17, 2, 0.1, UniformStub(4, 2), 4.0),
         "7cb786a6ebe94ad73afac3d619de88c011662b574fb8006778c67d497f33a5f9"),
@@ -63,13 +63,13 @@ BUILT = {
     (2, 64, 0.1, 64):
         "9d3e517559f61865dd118fb40e25ef9b85b31a1d9c3e54b188ccb44fba362231",
     (2, 128, 0.1, 64):
-        "447f725694eadda78bc602e345812ec849f422da9afc70ff97d7f2587d086962",
+        "7ee5e91854ae414c470444b8c77b9c71423254f92be9d75a53b4770a0c808837",
     (4096, 64, 0.05, 64):
         "6c43ae0a611233cfb5cf7530fd4510e757ca0c67c68df2238e78299f393ce637",
     (2 ** 40, 16, 0.1, 64):
         "21b4c25f935ad0d477a8ee33091d057ae17d0d7361b847e3523ba8b5262d8e3a",
     (2, 32, 0.1, 8):
-        "39933278763387853ba2a8ebf19ee0df89ba9d0d418301b18271db247453f510",
+        "7fdd052d7639a4beeaff616851b16ca58aabc8cac8f7579d012a01cd3270f5f0",
 }
 
 

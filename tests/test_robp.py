@@ -152,36 +152,6 @@ def test_inw_expand_reads_low_seed_bits_only():
                               reference_expand_batch(g, seeds))
 
 
-@settings(max_examples=60, deadline=None)
-@given(w=st.integers(1, 16), data=st.data(), log_T=st.integers(1, 12),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_inw_expand_at_matches_expand_batch_gather(w, data, log_T, seed):
-    # random, all-zero, all-ones and top-bit seeds; requests with repeated
-    # rows and blocks, the first and last block, and the empty request
-    D = data.draw(st.integers(1, w))
-    g = INWGenerator(D, 1 << log_T, w)
-    rng = np.random.default_rng(seed)
-    seeds = edge_seeds(g.seed_bits, data.draw(st.integers(1, 6)), rng)
-    full = g.expand_batch(seeds)
-    count = data.draw(st.sampled_from([0, 1, 7, 64, 300]))
-    rows = rng.integers(0, len(seeds), size=count)
-    blocks = rng.integers(0, g.T, size=count)
-    blocks[:count // 4] = 0
-    blocks[count // 4:count // 2] = g.T - 1
-    got = g.expand_at(seeds, rows, blocks)
-    assert got.dtype == full.dtype and got.shape == (count,)
-    assert np.array_equal(got, full[rows, blocks])
-
-
-def test_inw_expand_at_whole_streams():
-    # every block of every row, asked for out of order, is expand_batch
-    g = INWGenerator(8, 1 << 10, 10)
-    seeds = edge_seeds(g.seed_bits, 3, np.random.default_rng(10))
-    rows, blocks = np.divmod(np.arange(len(seeds) * g.T)[::-1], g.T)
-    assert np.array_equal(g.expand_at(seeds, rows, blocks).reshape(
-        len(seeds), g.T)[::-1, ::-1], g.expand_batch(seeds))
-
-
 def test_inw_block_marginals_exactly_uniform():
     g = INWGenerator(2, 4, 3)
     seeds = np.arange(1 << g.seed_bits, dtype=np.int64)

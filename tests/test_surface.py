@@ -16,11 +16,17 @@ its plan type. No name may be left over.
 
 Imports are guarded too: a name a src/ module imports but never uses
 stays only when perfbench/spans.py patches it by name in that module.
+
+So are module constants: an UPPER_CASE name assigned at the top level of
+a src/ module needs a use in the same files, by name, as an attribute,
+as an imported name or as a perfbench list string, outside its own
+assignment.
 """
 
 import ast
 import importlib.util
 import pathlib
+import re
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -69,6 +75,14 @@ def _names(node: ast.AST, strings: bool = False) -> Counter:
     return out
 
 
+def _uses(refs) -> Counter:
+    """_names over every file whose uses count; perfbench's list strings
+    count too."""
+    return sum((_names(ast.parse(p.read_text(), str(p)),
+                       strings=p.parent.name == "perfbench") for p in refs),
+               Counter())
+
+
 def _refs(names: Counter, name: str, owner) -> int:
     """References to a definition: attributes only for a method."""
     return names["." + name] + (0 if owner else names[name])
@@ -83,9 +97,7 @@ def _registered(node) -> bool:
 def unreferenced(root: pathlib.Path = ROOT) -> set:
     """Qualified names of the definitions in src/ with no reference."""
     src, refs = _sources(root)
-    used = sum((_names(ast.parse(p.read_text(), str(p)),
-                       strings=p.parent.name == "perfbench") for p in refs),
-               Counter())
+    used = _uses(refs)
     defs = [(qual, name, _names(node), owner)
             for path in src
             for qual, name, node, owner in _definitions(ast.parse(
@@ -105,6 +117,31 @@ def unreferenced(root: pathlib.Path = ROOT) -> set:
 
 def test_every_definition_has_a_caller():
     assert unreferenced() == set(), "definitions no caller reaches"
+
+
+def unused_constants(root: pathlib.Path = ROOT) -> set:
+    """(module, name) of each UPPER_CASE module-level constant in src/
+    that nothing reads."""
+    src, refs = _sources(root)
+    used = _uses(refs)
+    out = set()
+    for path in src:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            # uses in its own assignment count only where uses are read
+            own = _names(node) if path in refs else Counter()
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out |= {(path.stem, t.id) for target in targets
+                    for t in ast.walk(target) if isinstance(t, ast.Name)
+                    and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+                    and used[t.id] + used["." + t.id] <= own[t.id]}
+    return out
+
+
+def test_every_module_constant_is_read():
+    assert unused_constants() == set(), "constants nothing reads"
 
 
 def unused_imports(root: pathlib.Path = ROOT) -> set:
