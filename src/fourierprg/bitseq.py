@@ -11,7 +11,8 @@ point: it turns an int, a list or 1-D array of ints (int64 or python
 ints) or a bit matrix into one. A plan node hands each child its own
 column slice of the matrix, and `to_ints` reads whole rows back as
 python ints. `read_fields` is the one reader of fixed-width fields: the
-INW base case cuts its symbols with it, and `bit_fields` its seeds.
+INW base case cuts its symbols with it, G1 all its buckets' coefficients
+of mixed widths in one call, and `bit_fields` its seeds.
 """
 
 from __future__ import annotations
@@ -67,50 +68,58 @@ def to_ints(bits: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _schedule(count: int, width: int, D: int):
-    """read_fields' (dtype, block, up, down) for count fields of width
-    <= 62 bits out of D-bit blocks, cast and shaped for a (B, N) batch;
-    read-only, since every caller shares them."""
+def _schedule(widths: tuple, D: int):
+    """read_fields' (dtype, block, up, down) for consecutive fields of the
+    given widths, each <= 62 bits, out of D-bit blocks, cast and shaped for
+    a (B, N) batch; read-only, since every caller shares them."""
+    width = max(widths, default=1)
     dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
                  if max(D, width) <= np.iinfo(d).bits)
     bits = np.iinfo(dtype).bits
-    start = np.arange(count) * width
+    widths = np.array(widths, dtype=np.int64)
+    start = np.cumsum(widths) - widths
     first = start // D
-    npieces = ((start + width - 1) // D - first).max(initial=0) + 1
+    npieces = ((start + widths - 1) // D - first).max(initial=0) + 1
     block = first + np.arange(npieces)[:, None]
-    block = np.where(block * D < start + width, block, first)
+    block = np.where(block * D < start + widths, block, first)
     lo = np.maximum(start, block * D)  # the piece's first stream bit
     up = (bits - D + lo - block * D).astype(dtype)[..., None]
-    down = (bits - width - start + lo).astype(dtype)[..., None]
+    down = (bits - widths - start + lo).astype(dtype)[..., None]
     for a in (block, up, down):
         a.flags.writeable = False
     return dtype, block, up, down
 
 
-def read_fields(blocks: np.ndarray, D: int, width: int,
-                count: int) -> np.ndarray:
+def read_fields(blocks: np.ndarray, D: int, width, count: int | None = None
+                ) -> np.ndarray:
     """(count, N) array of the first count width-bit fields, MSB first, of
     N streams held coordinate-major: column i of the (B, N) array blocks
-    holds stream i as B blocks of D bits.
+    holds stream i as B blocks of D bits. With width a tuple and no count,
+    the fields are consecutive ones of those widths, one row each.
 
-    Up to 62 bits, field j (bits [j*width, (j+1)*width)) comes back in
-    the least unsigned dtype that holds a block and a field, as the OR
-    over the <= ceil(width/D) + 1 blocks it overlaps of (blocks[block[k,
-    j]] << up[k, j]) >> down[k, j]: the left shift drops the bits before
-    the piece, the right shift moves it into place and drops the bits
-    after the field; a field with fewer pieces repeats its first. Wider
-    fields come back as python ints, each stream read whole with
-    `to_ints` and cut by shift and mask."""
+    When every field has at most 62 bits, field j comes back in the least
+    unsigned dtype that holds a block and the widest field, as the OR over
+    the <= ceil(width_j/D) + 1 blocks it overlaps of (blocks[block[k, j]]
+    << up[k, j]) >> down[k, j]: the left shift drops the bits before the
+    piece, the right shift moves it into place and drops the bits after
+    the field; a field with fewer pieces repeats its first. Otherwise all
+    fields come back as python ints, each stream read whole with `to_ints`
+    and cut by shift and mask."""
     nstreams = blocks.shape[1]
-    if width >= 63:
-        stop, mask = len(blocks) * D, (1 << width) - 1
+    if count is None:
+        widths, widest = width, max(width, default=0)
+    else:  # a read of no fields still keeps its width's dtype
+        widths, widest = (width,) * count, width
+    if widest >= 63:
+        stop = len(blocks) * D
         shifts = np.arange(D, dtype=blocks.dtype)[::-1]
         rows = to_ints((blocks.T[:, :, None] >> shifts & 1).reshape(-1, stop))
-        out = np.empty((count, nstreams), dtype=object)
-        for j in range(count):
-            out[j] = [(v >> (stop - (j + 1) * width)) & mask for v in rows]
+        out = np.empty((len(widths), nstreams), dtype=object)
+        for j, (w, end) in enumerate(zip(widths, np.cumsum(widths))):
+            mask, shift = (1 << int(w)) - 1, stop - int(end)
+            out[j] = [(v >> shift) & mask for v in rows]
         return out
-    dtype, block, up, down = _schedule(count, width, D)
+    dtype, block, up, down = _schedule(widths, D)
     # int64 indices and mode="clip" keep take off its checked path
     pieces = np.ascontiguousarray(blocks, dtype=dtype).take(block, axis=0,
                                                             mode="clip")

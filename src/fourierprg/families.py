@@ -7,12 +7,13 @@ MSB-first in declaration order.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .bitseq import as_bits, bit_fields
-from .fields import gf2, next_prime, prime_field
+from .fields import GF2Field, gf2, next_prime, prime_field
 
 
 def kwise_field(m: int, points: int, q_min: int):
@@ -33,6 +34,37 @@ def deviation_q_min(m: int, n: int, delta_map: float = 1e-3) -> int:
     mod m moves each string by at most n * m / q <= delta_map / 4, and by
     nothing when m divides q."""
     return m * max(1, math.ceil(4 * n / delta_map))
+
+
+def log_step(acc, log_points, c, log, exp):
+    """One Horner step over GF(2^t <= 16) in the log domain, acc * x + c as
+    exp[log[acc] + log x] ^ c, on a field's `tables` or on
+    `stacked_tables`; log(0) indexes exp's zero padding, so zero points
+    and zero values need no masks. take, not fancy indexing: it skips the
+    index checks."""
+    return exp.take(log.take(acc) + log_points) ^ c
+
+
+@functools.lru_cache(maxsize=None)
+def stacked_tables(fields: tuple):
+    """(log, exp, tag, start): the `tables` of GF(2^t <= 16) fields stacked
+    for `log_step` on values of several fields at once, Q the largest q.
+    Field e's log sits at tag[e] + a, tag[e] = e * Q, and its exp from
+    start[e] on, each value plus tag[e]: so a value tagged tag[e] stays
+    in field e step after step, and the tag drops out mod any m that
+    divides Q. The log of point x of field e is log[tag[e] + x] + start[e]."""
+    Q = max(f.q for f in fields)
+    log = np.zeros((len(fields), Q), dtype=np.int32)
+    exp = []
+    for e, f in enumerate(fields):
+        log[e, :f.q] = f.tables[0]
+        exp.append(f.tables[1] + np.int64(e * Q))
+    start = np.cumsum([0] + [len(x) for x in exp[:-1]])
+    out = (log.reshape(-1), np.concatenate(exp), np.arange(len(fields)) * Q,
+           start)
+    for a in out:  # read-only, since every caller shares them
+        a.flags.writeable = False
+    return out
 
 
 class KWiseFamily:
@@ -63,13 +95,21 @@ class KWiseFamily:
 
     def horner(self, coeffs, points) -> np.ndarray:
         """sum_j c_j * points^j over the field, elementwise and reduced mod
-        m, in k - 1 products: coeffs is any iterable, highest degree first,
-        so a caller can gather each coefficient when it is needed."""
+        m, in k - 1 steps: coeffs is any iterable, highest degree first,
+        so a caller can gather each coefficient when it is needed. Over
+        GF(2^t <= 16) each step is one `log_step`, with the points' logs
+        looked up once; other fields make one `mul_vec` product a step."""
         f, coeffs = self.field, iter(coeffs)
         acc = next(coeffs)  # one name only, so the first step frees it
         acc = np.broadcast_to(acc, np.broadcast(acc, points).shape)
-        for c in coeffs:
-            acc = f.add(f.mul_vec(acc, points), c)
+        if isinstance(f, GF2Field) and f.t <= 16:
+            log, exp, _ = f.tables
+            log_points = log.take(points)
+            for c in coeffs:
+                acc = log_step(acc, log_points, c, log, exp)
+        else:  # prime fields and t > 16: one product a step
+            for c in coeffs:
+                acc = f.add(f.mul_vec(acc, points), c)
         acc = acc % self.m
         return acc if self.m > 1 << 63 else acc.astype(np.int64, copy=False)
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import as_bits, bit_fields
+from .bitseq import as_bits, bit_fields, read_fields
 from .core import Generator, register_plan, unique_keys
-from .families import CombinedHashFamily, KWiseFamily, deviation_q_min
+from .families import (CombinedHashFamily, KWiseFamily, deviation_q_min,
+                       log_step, stacked_tables)
 from .fields import gf2
 from .robp import INWGenerator
 
@@ -76,33 +77,54 @@ class G1Plan(Generator):
         self.bucket_seed_bits = [fam.seed_bits for fam in self.bucket_families]
         self.recycler = SeedRecycler(sum(self.bucket_seed_bits))
         self.seed_bits = self.perm_bits + self.recycler.seed_bits
+        # the recycled stream's coefficient widths, and the buckets' first
+        # domain points
+        self._widths = tuple(fam.coeff_bits for fam in self.bucket_families
+                             for _ in range(self.p))
+        self._starts = np.cumsum([0] + sizes[:-1])
 
     def generate_batch(self, seeds) -> np.ndarray:
         rows, coords = np.divmod(np.arange(len(seeds) * self.n), self.n)
         return self.eval_points(seeds, rows, coords).reshape(-1, self.n)
 
     def eval_points(self, seeds, rows, coords) -> np.ndarray:
-        """Entry e: G1 under seeds[rows[e]] at coordinate coords[e] only."""
+        """Entry e: G1 under seeds[rows[e]] at coordinate coords[e] only.
+        One Horner pass over all entries: each gathers its bucket's
+        coefficients, read for every bucket by one `read_fields` call."""
         bits = as_bits(seeds, self.seed_bits)
         # perm seed (a_raw, b) in the high bits, recycler seed below
         a_raw, b = bit_fields(bits[:, :self.perm_bits], self.tlog)
-        stream = self.recycler.bitstream_batch(bits[:, self.perm_bits:])
+        inw = self.recycler.inw
+        coeffs = read_fields(inw.expand_batch(bits[:, self.perm_bits:]).T,
+                             inw.D, self._widths).reshape(-1)
         # domain point x lands on coordinate a*x + b, where a = a_raw mod
         # (q - 1) + 1 is never 0, so coordinate j reads x = a^-1 (j ^ b)
         f = gf2(self.tlog)
         log, exp, _ = f.tables
         a_inv = exp[-log[a_raw % (f.q - 1) + 1] % (f.q - 1)]
         x = f.mul_vec(a_inv[rows], coords ^ b[rows])
-        # the buckets hold domain points 0 .. n_padded - 1 in order
-        out = np.empty(len(x), dtype=np.int64)
-        pos = offset = 0
-        for fam, sbits in zip(self.bucket_families, self.bucket_seed_bits):
-            sel = np.flatnonzero((x >= pos) & (x < pos + fam.n))
-            coeffs = fam.coefficients(stream[:, offset:offset + sbits])
-            out[sel] = fam.horner(
-                (c[rows[sel]] for c in coeffs[::-1]), x[sel] - pos)
-            pos, offset = pos + fam.n, offset + sbits
-        return out
+        # x's bucket, its point in it, and its coefficients highest first:
+        # coefficient j of bucket e under seed i is at (e * p + j) * N + i
+        fam = np.searchsorted(self._starts, x, side="right") - 1
+        pts, fams, N = x - self._starts[fam], self.bucket_families, len(bits)
+        at = fam * (self.p * N) + rows
+        gathered = (coeffs.take(at + j * N) for j in reversed(range(self.p)))
+        if self.m & (self.m - 1):  # GF(p_e): int64 while p_e^2 < 2^63
+            q = [bucket.q for bucket in fams]
+            acc, q = 0, np.array(q, dtype=object if max(q) ** 2 >= 1 << 63
+                                 else np.int64)[fam]
+            for c in gathered:
+                acc = (acc * pts + c.astype(q.dtype)) % q
+        elif fams[-1].field.t <= 16:
+            log, exp, tag, start = stacked_tables(
+                tuple(bucket.field for bucket in fams))
+            tag, start = tag[fam], start[fam]
+            acc, lx = next(gathered) | tag, log.take(pts + tag) + start
+            for c in gathered:
+                acc = log_step(acc, lx, c, log, exp)
+        else:  # m > 2^16: every bucket's field is GF(m)
+            return fams[0].horner(gathered, pts)
+        return (acc % self.m).astype(np.int64)
 
 
 class SpreadingFamily(CombinedHashFamily):

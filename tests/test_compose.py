@@ -16,6 +16,7 @@ from fourierprg.compose import (ComposePlan, INWBase, XorCompose,
 from fourierprg.core import (PLAN_REGISTRY, KWiseGenerator, SmallBiasLift,
                              UniformStub, plan_seed_bits, plan_to_generator,
                              sample_seeds)
+from fourierprg.families import KWiseFamily
 from fourierprg.highvar import G1Plan, GLargePlan
 from fourierprg.reductions import (AlphabetStepPlan, DimStepPlan,
                                    dim_step_params)
@@ -196,7 +197,7 @@ def test_inw_base_case_shapes():
     spans = {}
     for m, n, block_bits in INW_BASE_CASES:
         g = INWBase(m, n, 0.1, block_bits)
-        _, block, _, _ = _schedule(n, g.bits_per_symbol, g.inw.D)
+        _, block, _, _ = _schedule((g.bits_per_symbol,) * n, g.inw.D)
         spans[(m, n)] = (g.bits_per_symbol, g.inw.D, g.inw.T, len(block))
     assert spans[(2, 8)][2] == spans[(3, 1)][2] == 2
     assert spans[(2, 64)][0] < spans[(2, 64)][1]
@@ -210,7 +211,7 @@ def test_symbol_pieces_cover_stream():
     # the symbol schedule of bitseq.read_fields: every stream bit a symbol
     # needs comes from exactly one piece, placed at its bit of the symbol
     for n, b, D in ((5, 3, 4), (7, 17, 6), (4, 6, 6), (3, 44, 6), (9, 1, 5)):
-        dtype, block, up, down = _schedule(n, b, D)
+        dtype, block, up, down = _schedule((b,) * n, D)
         bits = np.iinfo(dtype).bits
         assert len(block) <= -(-b // D) + 1
         for j in range(n):
@@ -328,31 +329,36 @@ def test_build_generator_recursive_case():
 
 
 def test_n128_tree_products_per_batch(monkeypatch):
-    # each symbol computed once: one 4-row batch of the n = 128 tree made
-    # 205 vectorized and 384 scalar GF(2^t) products when the dimension
-    # step evaluated every bucket's polynomial at every coordinate, G1
-    # ran its permutation once per bucket and Horner began by multiplying
-    # zero. Vectorized products are pinned over both field kinds, so a
-    # family that moves from one kind to the other shows here too
+    # each symbol computed once and each GF(2^t <= 16) Horner step one
+    # log/exp lookup: one 4-row batch of the n = 128 tree made 205
+    # vectorized and 384 scalar GF(2^t) products when the dimension step
+    # evaluated every bucket's polynomial at every coordinate, G1 ran its
+    # permutation once per bucket and Horner began by multiplying zero,
+    # and 99 vectorized products and 16 Horner calls while those steps
+    # were products and G1 ran one Horner per bucket. Vectorized products
+    # are pinned over both field kinds, so a family that moves from one
+    # kind to the other shows here too; the t > 16 scalar products are
+    # only bounded
     g = build_generator(2, 128, 0.1)
     seeds = sample_seeds(np.random.default_rng(4), g.seed_bits, 4)
     g.generate_batch(seeds)  # field tables outside the count
     calls = {(fields.GF2Field, "mul_vec"): 0, (fields.GF2Field, "mul"): 0,
-             (fields.PrimeField, "mul_vec"): 0}
+             (fields.PrimeField, "mul_vec"): 0, (KWiseFamily, "horner"): 0}
 
     def counting(owner, name):
-        product = getattr(owner, name)
+        method = getattr(owner, name)
 
         def wrapper(self, a, b):
             calls[owner, name] += 1
-            return product(self, a, b)
+            return method(self, a, b)
         return wrapper
 
     for owner, name in calls:
         monkeypatch.setattr(owner, name, counting(owner, name))
     g.generate_batch(seeds)
-    assert calls[fields.GF2Field, "mul_vec"] == 99
+    assert calls[fields.GF2Field, "mul_vec"] == 27
     assert calls[fields.PrimeField, "mul_vec"] == 10
+    assert calls[KWiseFamily, "horner"] == 9
     assert calls[fields.GF2Field, "mul"] <= 192
 
 

@@ -57,6 +57,31 @@ def test_bit_matrix_and_fields_match_bit_slice():
                  for i in range(k)]
 
 
+def test_read_fields_mixed_widths_match_bit_fields():
+    # widths 1 to 16 in one read, as G1 reads its buckets' coefficients;
+    # the 16-bit field starts at bit 4 of a byte and spans 3 blocks
+    widths = (3, 1, 16, *range(1, 17), 7, 16)
+    assert sum(widths[:2]) % 8 == 4
+    rng = np.random.default_rng(28)
+    nbits = sum(widths) + 5
+    bits = np.concatenate([np.zeros((1, nbits)), np.ones((1, nbits)),
+                           rng.integers(0, 2, (6, nbits))]).astype(np.uint8)
+    blocks = np.packbits(bits, axis=1).T
+    got = read_fields(blocks, 8, widths)
+    assert got.shape == (len(widths), len(bits)) and got.dtype == np.uint16
+    start = 0
+    for j, w in enumerate(widths):
+        assert np.array_equal(got[j], bit_fields(bits[:, start:start + w],
+                                                 w)[0])
+        start += w
+    # a field of 63 bits or more turns the whole read into python ints
+    wide = read_fields(blocks, 8, (5, 70, 3))
+    assert wide.dtype == object
+    assert [[int(v) for v in row] for row in wide] == \
+        [[int(v) for v in bit_fields(bits[:, lo:lo + w], w)[0]]
+         for lo, w in ((0, 5), (5, 70), (75, 3))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(D=st.sampled_from([*range(1, 17), 64]), data=st.data())
 def test_read_fields_matches_int_slicing(D, data):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fourierprg.core import UniformStub, plan_to_generator
 from fourierprg.families import (CombinedHashFamily, KWiseFamily,
                                  SmallBiasFamily, deviation_q_min,
-                                 kwise_field)
+                                 kwise_field, log_step)
 from fourierprg.bitseq import as_bits, bit_fields
 from fourierprg.fields import PrimeField, gf2, next_prime, prime_field
 from fourierprg.reductions import AlphabetStepPlan
@@ -105,6 +105,51 @@ def kwise_reference(fam: KWiseFamily, seeds) -> np.ndarray:
                 acc = fam.field.add(fam.field.mul(acc, x), cj)
             out[i, x] = acc
     return out
+
+
+def mul_vec_horner(field, coeffs, points):
+    """Horner with one `GF2Field.mul_vec` product a step, highest degree
+    first: the reference for `log_step` and `KWiseFamily.horner`."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = field.mul_vec(acc, points) ^ c
+    return acc
+
+
+@pytest.mark.parametrize("t", range(1, 6))
+def test_log_step_matches_products_exhaustively(t):
+    # every (acc, x, c) of GF(2^t), zeros included
+    f = gf2(t)
+    log, exp, _ = f.tables
+    acc, x, c = (v.reshape(-1) for v in np.meshgrid(
+        *[np.arange(f.q)] * 3, indexing="ij"))
+    want = mul_vec_horner(f, [acc, c], x)
+    assert np.array_equal(log_step(acc, log.take(x), c, log, exp), want)
+
+
+@pytest.mark.parametrize("t", range(6, 17))
+def test_log_step_and_horner_match_products(t):
+    # random operands plus 0, 1 and q - 1: every pair of them as (acc, x),
+    # then whole Horner evaluations with zero points and zero coefficients
+    f = gf2(t)
+    log, exp, _ = f.tables
+    rng = np.random.default_rng(t)
+    vals = np.concatenate([[0, 1, f.q - 1], rng.integers(0, f.q, 150)])
+    acc, x = (v.reshape(-1) for v in np.meshgrid(vals, vals, indexing="ij"))
+    c = rng.permutation(np.resize(vals, acc.size))
+    want = mul_vec_horner(f, [acc, c], x)
+    assert np.array_equal(log_step(acc, log.take(x), c, log, exp), want)
+    fam = KWiseFamily(f.q, f.q, 6, f.q)
+    assert fam.field is f
+    coeffs = rng.choice(vals, (fam.k, 400))
+    coeffs[:, :3] = 0                         # the zero polynomial
+    coeffs[rng.integers(0, fam.k, 100), rng.integers(0, 400, 100)] = 0
+    coeffs[-1, 3:6] = 0                       # a zero leading coefficient
+    points = rng.choice(vals, 400)
+    points[::7] = 0
+    got = fam.horner(coeffs[::-1], points)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, mul_vec_horner(f, coeffs[::-1], points))
 
 
 @pytest.mark.parametrize("field,n,k", [

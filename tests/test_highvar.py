@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourierprg import highvar
-from fourierprg.bitseq import as_bits, to_ints
+from fourierprg.bitseq import as_bits, bit_fields, to_ints
 from fourierprg.compose import build_generator
 from fourierprg.core import plan_to_generator, sample_seeds
-from fourierprg.families import KWiseFamily
 from fourierprg.fields import gf2
 from fourierprg.highvar import (G1Plan, GLargePlan, SeedRecycler,
                                 SpreadingFamily)
@@ -275,6 +274,59 @@ def test_g1_eval_points_matches_reference(args, kwargs):
     assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
+def _g1_per_family_reference(g: G1Plan, seeds, rows, coords) -> np.ndarray:
+    """G1Plan.eval_points as one Horner per bucket family: the recycled
+    stream unpacked to bits, each family's coefficients decoded on their
+    own, and each bucket's entries evaluated by its `KWiseFamily.horner`."""
+    bits = as_bits(seeds, g.seed_bits)
+    a_raw, b = bit_fields(bits[:, :g.perm_bits], g.tlog)
+    stream = g.recycler.bitstream_batch(bits[:, g.perm_bits:])
+    f = gf2(g.tlog)
+    log, exp, _ = f.tables
+    a_inv = exp[-log[a_raw % (f.q - 1) + 1] % (f.q - 1)]
+    x = f.mul_vec(a_inv[rows], coords ^ b[rows])
+    out = np.empty(len(x), dtype=np.int64)
+    pos = offset = 0
+    for fam, sbits in zip(g.bucket_families, g.bucket_seed_bits):
+        sel = np.flatnonzero((x >= pos) & (x < pos + fam.n))
+        coeffs = fam.coefficients(stream[:, offset:offset + sbits])
+        out[sel] = fam.horner(
+            (c[rows[sel]] for c in coeffs[::-1]), x[sel] - pos)
+        pos, offset = pos + fam.n, offset + sbits
+    return out
+
+
+@pytest.mark.parametrize("args,kwargs,top", [
+    ((2, 2 ** 16), {}, 1 << 15),         # bucket fields up to GF(2^15)
+    ((3, 32), {}, 192007),              # int64 primes
+    ((5, 12), {"p": 3}, 160001),
+    ((30000, 64), {"p": 3}, 3840000041)],  # top p^2 >= 2^63: python ints
+    ids=["gf2-15", "m3", "m5-p3", "m30000-p3"])
+def test_g1_one_pass_matches_per_family_reference(args, kwargs, top):
+    g = G1Plan(*args, **kwargs)
+    assert g.bucket_families[-1].q == top
+    # full-width random, top-bit-set, all-ones and all-zero seeds
+    seeds = np.concatenate([_full_width_seeds(g.seed_bits, g.n % 997), [0]])
+    rng = np.random.default_rng(g.n + g.p)
+    N = len(seeds)
+    if N * g.n <= 1 << 12:  # every (row, coordinate) once, shuffled
+        rows, coords = np.divmod(rng.permutation(N * g.n), g.n)
+    else:
+        rows = rng.integers(0, N, 1 << 12)
+        coords = rng.integers(0, g.n, 1 << 12)
+    none = np.zeros(0, dtype=np.int64)
+    requests = [
+        (rows, coords), (none, none),
+        # the zero and the all-ones seed, one coordinate repeated
+        (np.repeat([N - 1, N - 2], 50), np.full(100, g.n - 1)),
+        (rows[::-1], coords[::-1])]
+    for rows, coords in requests:
+        got = g.eval_points(seeds, rows, coords)
+        assert got.dtype == np.int64 and got.shape == rows.shape
+        assert np.array_equal(got,
+                              _g1_per_family_reference(g, seeds, rows, coords))
+
+
 @settings(max_examples=30, deadline=None)
 @given(m=st.integers(2, 7), n=st.integers(1, 40), p=st.integers(1, 4),
        data=st.data())
@@ -332,19 +384,19 @@ def test_glarge_memory_at_n1024():
 
 def test_glarge_evaluates_g1_at_the_coordinates_it_reads(monkeypatch):
     # one 4-row batch of the n = 128 tree's glarge reads 4 * 128 symbols,
-    # one per (row, coordinate); full G1 rows per pair would be ~63,500
+    # one per (row, coordinate); full G1 rows per pair would be ~63,500.
+    # G1's one Horner pass evaluates exactly the entries it is asked for
     g = build_generator(2, 128, 0.1).left
-    families = {id(fam) for fam in g.g1.bucket_families}
     points = []
-    horner = KWiseFamily.horner
+    eval_points = G1Plan.eval_points
 
-    def counted(self, coeffs, pts):
-        out = horner(self, coeffs, pts)
-        if id(self) in families:
+    def counted(self, seeds, rows, coords):
+        out = eval_points(self, seeds, rows, coords)
+        if self is g.g1:
             points.append(out.size)
         return out
 
-    monkeypatch.setattr(KWiseFamily, "horner", counted)
+    monkeypatch.setattr(G1Plan, "eval_points", counted)
     g.generate_batch(sample_seeds(np.random.default_rng(9), g.seed_bits, 4))
     assert 0 < sum(points) <= 4 * 128
 
