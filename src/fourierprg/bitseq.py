@@ -70,7 +70,7 @@ def to_ints(bits: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1024)
 def _schedule(widths: tuple, D: int):
     """read_fields' (dtype, block, up, down) for consecutive fields of the
-    given widths, each <= 62 bits, out of D-bit blocks, cast and shaped for
+    given widths, each <= 64 bits, out of D-bit blocks, cast and shaped for
     a (B, N) batch; read-only, since every caller shares them."""
     width = max(widths, default=1)
     dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
@@ -97,7 +97,7 @@ def read_fields(blocks: np.ndarray, D: int, width, count: int | None = None
     holds stream i as B blocks of D bits. With width a tuple and no count,
     the fields are consecutive ones of those widths, one row each.
 
-    When every field has at most 62 bits, field j comes back in the least
+    When every field has at most 64 bits, field j comes back in the least
     unsigned dtype that holds a block and the widest field, as the OR over
     the <= ceil(width_j/D) + 1 blocks it overlaps of (blocks[block[k, j]]
     << up[k, j]) >> down[k, j]: the left shift drops the bits before the
@@ -110,7 +110,7 @@ def read_fields(blocks: np.ndarray, D: int, width, count: int | None = None
         widths, widest = width, max(width, default=0)
     else:  # a read of no fields still keeps its width's dtype
         widths, widest = (width,) * count, width
-    if widest >= 63:
+    if widest > 64:
         stop = len(blocks) * D
         shifts = np.arange(D, dtype=blocks.dtype)[::-1]
         rows = to_ints((blocks.T[:, :, None] >> shifts & 1).reshape(-1, stop))
@@ -131,7 +131,7 @@ def read_fields(blocks: np.ndarray, D: int, width, count: int | None = None
 def bit_fields(bits: np.ndarray, width: int) -> np.ndarray:
     """(k, N) values of the k = ncols // width consecutive width-bit
     fields of each of the N rows of a bit matrix, MSB first: int64 up to
-    62 bits, python ints from 63."""
+    63 bits, uint64 at 64 and python ints above, as GF(2^t) products."""
     n, ncols = bits.shape
     if ncols % 8:  # one flat packbits of padded rows beats axis=1
         padded = np.zeros((n, ncols - ncols % 8 + 8), dtype=np.uint8)
@@ -140,4 +140,4 @@ def bit_fields(bits: np.ndarray, width: int) -> np.ndarray:
     packed = np.packbits(np.ascontiguousarray(bits).reshape(-1))
     packed = packed.reshape(n, bits.shape[1] // 8).T
     fields = read_fields(packed, 8, width, ncols // width)
-    return fields if width >= 63 else fields.astype(np.int64)
+    return fields if width >= 64 else fields.astype(np.int64)

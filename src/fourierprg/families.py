@@ -71,7 +71,8 @@ class KWiseFamily:
     """k-wise independent vectors over [m]: a seed-decoded polynomial of
     degree < k over kwise_field(m, n, q_min), evaluated at the first n
     field elements and reduced mod m. Exactly uniform marginals when m
-    divides q. Values are int64, or python ints when m > 2^63."""
+    divides q. Values are int64 up to m = 2^63, uint64 at m = 2^64 and
+    python ints above."""
 
     def __init__(self, m: int, n: int, k: int, q_min: int):
         if m < 1:
@@ -88,21 +89,24 @@ class KWiseFamily:
 
     def coefficients(self, seeds) -> np.ndarray:
         """(k, N) coefficients, constant term first: the coeff_bits-wide
-        seed fields MSB first, reduced mod q; python ints from 63 bits,
-        which is exactly when q > 2^62."""
-        bits = as_bits(seeds, self.seed_bits)
-        return bit_fields(bits, self.coeff_bits) % self.q
+        seed fields MSB first, reduced mod q (over GF(2^t) coeff_bits = t,
+        so they already are), in `bit_fields`' dtype."""
+        coeffs = bit_fields(as_bits(seeds, self.seed_bits), self.coeff_bits)
+        return coeffs if isinstance(self.field, GF2Field) else coeffs % self.q
 
     def horner(self, coeffs, points) -> np.ndarray:
         """sum_j c_j * points^j over the field, elementwise and reduced mod
         m, in k - 1 steps: coeffs is any iterable, highest degree first,
         so a caller can gather each coefficient when it is needed. Over
         GF(2^t <= 16) each step is one `log_step`, with the points' logs
-        looked up once; other fields make one `mul_vec` product a step."""
+        looked up once; other fields make one `mul_vec` product a step.
+        Reducing mod m is skipped when m >= q, which leaves every value
+        as it is."""
         f, coeffs = self.field, iter(coeffs)
         acc = next(coeffs)  # one name only, so the first step frees it
-        acc = np.broadcast_to(acc, np.broadcast(acc, points).shape)
-        if isinstance(f, GF2Field) and f.t <= 16:
+        if self.k == 1:  # no step broadcasts it against the points
+            acc = np.broadcast_to(acc, np.broadcast(acc, points).shape).copy()
+        elif isinstance(f, GF2Field) and f.t <= 16:
             log, exp, _ = f.tables
             log_points = log.take(points)
             for c in coeffs:
@@ -110,7 +114,8 @@ class KWiseFamily:
         else:  # prime fields and t > 16: one product a step
             for c in coeffs:
                 acc = f.add(f.mul_vec(acc, points), c)
-        acc = acc % self.m
+        if self.m < self.q:
+            acc = acc % self.m
         return acc if self.m > 1 << 63 else acc.astype(np.int64, copy=False)
 
     def eval_points_batch(self, seeds, points) -> np.ndarray:

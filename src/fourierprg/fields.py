@@ -12,7 +12,11 @@ walk finds itself, give log and exp; with log(0) = 2(q - 1) and exp
 padded with zeros, exp[log a + log b] is the product even when a or b
 is 0, and for t <= 8 a flat uint8 q x q product table built from these
 is one lookup. Products of uint8/uint16 operands stay uint8/uint16; any
-other operand gives int64. Wider fields give object arrays of python ints.
+other operand gives int64. For 16 < t <= 64 products are words: one
+carry-less kernel on 64-bit lanes multiplies byte by byte through a
+shared 256 x 256 table and folds by the modulus through per-field byte
+tables, giving int64 up to t = 63 and uint64 at t = 64. Wider fields
+multiply only one pair at a time, through `mul`.
 """
 
 from __future__ import annotations
@@ -62,6 +66,38 @@ def _is_irreducible(f: int, t: int) -> bool:
 
 _MODULI: dict[int, int] = {}
 
+_BYTE_SHIFTS = np.arange(0, 64, 8)
+_FOLD_OFFSETS = np.arange(0, 256 * 16, 256, dtype=np.uint16)
+
+
+@lru_cache(maxsize=None)
+def clmul8_table() -> np.ndarray:
+    """uint16 carry-less products of two bytes, a * b at (a << 8) | b:
+    built by doubling, the rows of the a with bit i set are the rows
+    below them XOR b << i."""
+    b = np.arange(256, dtype=np.uint16)
+    table = np.zeros((1, 256), dtype=np.uint16)
+    for i in range(8):
+        table = np.concatenate([table, table ^ (b << i)])
+    table = table.reshape(-1)
+    table.flags.writeable = False  # shared by every field
+    return table
+
+
+def _words(a) -> np.ndarray:
+    """int64 view of elements of GF(2^t <= 64): the same 64 bits, with
+    values from 2^63 on read as negative."""
+    a = np.asarray(a)
+    if a.dtype.kind == "O":
+        a = a.astype(np.uint64)
+    return a.view(np.int64) if a.dtype.itemsize == 8 else a.astype(np.int64)
+
+
+def _nbytes(words: np.ndarray) -> int:
+    """Low bytes, at least one, that hold every word of an int64 array."""
+    top = int(np.bitwise_or.reduce(words, axis=None))
+    return 8 if top < 0 else max(1, (top.bit_length() + 7) // 8)
+
 
 def irreducible_modulus(t: int) -> int:
     """Fixed modulus per degree t >= 1: the lexicographically smallest
@@ -99,6 +135,27 @@ class GF2Field:
         return r
 
     @cached_property
+    def fold_table(self) -> np.ndarray:
+        """uint64 table, t <= 64: v * x^(8k) mod modulus at 256k + v, for
+        each byte position k < 2 ceil(t/8) of a carry-less product. Each
+        position's entries are XORs of its 8 powers x^(8k + i) mod
+        modulus, built by doubling as in `clmul8_table`."""
+        nbytes, t = 2 * -(-self.t // 8), self.t
+        powers, x = [], 1
+        for _ in range(8 * nbytes):
+            powers.append(x)
+            x <<= 1
+            if x >> t:
+                x ^= self.modulus
+        basis = np.array(powers, dtype=np.uint64).reshape(nbytes, 8)
+        table = np.zeros((nbytes, 1), dtype=np.uint64)
+        for i in range(8):
+            table = np.concatenate([table, table ^ basis[:, i:i + 1]], axis=1)
+        table = table.reshape(-1)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def tables(self):
         """(log, exp, prod) over a multiplicative generator g, t <= 16:
         int32 log with log(0) = 2(q - 1), uint16 exp of length 4q - 3
@@ -127,12 +184,12 @@ class GF2Field:
         return log, exp, prod
 
     def mul_vec(self, a, b):
-        """Elementwise product of int arrays (values in [0, q)). For t <= 16
-        uint8 or uint16 if both operands are, wide enough for q - 1, else
-        int64; for t > 16 an object array of python ints, one scalar
-        product each."""
+        """Elementwise product of int arrays (values in [0, q)), broadcast.
+        For t <= 16 uint8 or uint16 if both operands are, wide enough for
+        q - 1, else int64; for 16 < t <= 64 `_mul_words`, int64 up to
+        t = 63 and uint64 at t = 64. Wider fields are refused."""
         if self.t > 16:
-            return np.frompyfunc(self.mul, 2, 1)(a, b)
+            return self._mul_words(a, b)
         a, b = np.asarray(a), np.asarray(b)
         dtype = np.promote_types(np.result_type(a, b),
                                  np.min_scalar_type(self.q - 1))
@@ -144,6 +201,37 @@ class GF2Field:
             idx = (a.astype(np.uint16, copy=False) << self.t) | b
             return np.take(prod, idx).astype(dtype, copy=False)
         return np.take(exp, log[a] + log[b]).astype(dtype, copy=False)
+
+    def _mul_words(self, a, b):
+        """Product on 64-bit words for t <= 64. Byte i of a times byte j of
+        b is one `clmul8_table` lookup of 16 bits at bit 8(i + j); the
+        lookups are summed per byte position, looping only over the bytes
+        the shorter operand uses, and each byte k of the sum folds by one
+        `fold_table` lookup, all XORed together."""
+        if self.t > 64:
+            raise ValueError(f"GF(2^{self.t}) products are limited to "
+                             "t <= 64")
+        a, b = _words(a), _words(b)
+        nd = max(a.ndim, b.ndim)
+        a, b = (x.reshape((1,) * (nd - x.ndim) + x.shape) for x in (a, b))
+        na, nb = _nbytes(a), _nbytes(b)
+        if na < nb:
+            a, b, na, nb = b, a, nb, na
+        lanes = (-1,) + (1,) * nd
+        a = a >> _BYTE_SHIFTS[:na].reshape(lanes) & 255
+        b = b >> _BYTE_SHIFTS[:nb].reshape(lanes) & 255
+        pieces = clmul8_table().take((a[:, None] << 8) | b)
+        prod = np.zeros((na + nb,) + pieces.shape[2:], dtype=np.uint16)
+        for j in range(nb):
+            prod[j:j + na] ^= pieces[:, j]
+        # carry each position's high byte into the next, then offset each
+        # byte to its position's fold entries
+        high = prod >> 8
+        prod &= 255
+        prod[1:] ^= high[:-1]
+        prod += _FOLD_OFFSETS[:na + nb].reshape(lanes)
+        out = np.bitwise_xor.reduce(self.fold_table.take(prod), axis=0)
+        return out if self.t == 64 else out.view(np.int64)
 
 
 class PrimeField:
@@ -164,11 +252,23 @@ class PrimeField:
         return (a * b) % self.p
 
     def mul_vec(self, a, b):
-        if self._exact:
-            prod = (np.asarray(a, dtype=object)
-                    * np.asarray(b, dtype=object)) % self.p
-            return prod.astype(np.int64) if self.p <= 1 << 63 else prod
-        return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
+        """Elementwise product mod p, in int64 for p <= 2^62 when the
+        operands' largest values multiply below 2^63, as they always do
+        for (p - 1)^2 < 2^63; otherwise through python ints, and int64
+        again for p <= 2^62, whose residues add without wrapping."""
+        a, b = np.asarray(a), np.asarray(b)
+        if self._exact and (self.p > 1 << 62
+                            or not _products_fit_int64(a, b)):
+            prod = (a.astype(object) * b.astype(object)) % self.p
+            return prod.astype(np.int64) if self.p <= 1 << 62 else prod
+        return (a.astype(np.int64, copy=False)
+                * b.astype(np.int64, copy=False)) % self.p
+
+
+def _products_fit_int64(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every product of the nonnegative ints a and b is < 2^63."""
+    return (a.dtype.kind in "iu" and b.dtype.kind in "iu"
+            and int(a.max(initial=0)) * int(b.max(initial=0)) < 1 << 63)
 
 
 @lru_cache(maxsize=None)

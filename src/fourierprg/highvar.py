@@ -82,6 +82,12 @@ class G1Plan(Generator):
         self._widths = tuple(fam.coeff_bits for fam in self.bucket_families
                              for _ in range(self.p))
         self._starts = np.cumsum([0] + sizes[:-1])
+        # GF(p_e) buckets' moduli: Horner's acc * x + c stays below
+        # p_e (|bucket| + 1), since x < |bucket| and c < 2^coeff_bits <
+        # 2 p_e, so int64 is exact unless that bound passes 2^63
+        q = [fam.q for fam in self.bucket_families]
+        wide = max(p * (sz + 1) for p, sz in zip(q, sizes)) > 1 << 63
+        self._moduli = np.array(q, dtype=object if wide else np.int64)
 
     def generate_batch(self, seeds) -> np.ndarray:
         rows, coords = np.divmod(np.arange(len(seeds) * self.n), self.n)
@@ -109,10 +115,8 @@ class G1Plan(Generator):
         pts, fams, N = x - self._starts[fam], self.bucket_families, len(bits)
         at = fam * (self.p * N) + rows
         gathered = (coeffs.take(at + j * N) for j in reversed(range(self.p)))
-        if self.m & (self.m - 1):  # GF(p_e): int64 while p_e^2 < 2^63
-            q = [bucket.q for bucket in fams]
-            acc, q = 0, np.array(q, dtype=object if max(q) ** 2 >= 1 << 63
-                                 else np.int64)[fam]
+        if self.m & (self.m - 1):  # GF(p_e)
+            acc, q = 0, self._moduli[fam]
             for c in gathered:
                 acc = (acc * pts + c.astype(q.dtype)) % q
         elif fams[-1].field.t <= 16:
@@ -122,8 +126,10 @@ class G1Plan(Generator):
             acc, lx = next(gathered) | tag, log.take(pts + tag) + start
             for c in gathered:
                 acc = log_step(acc, lx, c, log, exp)
-        else:  # m > 2^16: every bucket's field is GF(m)
-            return fams[0].horner(gathered, pts)
+        else:  # m > 2^16: every bucket's field is GF(m), whose products
+            # are int64 up to m = 2^63
+            return fams[0].horner((c.astype(np.int64) for c in gathered),
+                                  pts)
         return (acc % self.m).astype(np.int64)
 
 

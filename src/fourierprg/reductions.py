@@ -131,8 +131,9 @@ class DimStepPlan(Generator):
             bits[:, self.local_bits:])  # (N, t) in [2^r0]
         # each inner symbol seeds one bucket's polynomial; evaluate each
         # coordinate at its bucket's, gathering one coefficient per step
+        # from the flat (N, t) coefficients: row i's bucket j is at i t + j
         coeffs = self.within.coefficients(blocks.ravel()).reshape(
             -1, *blocks.shape)
-        return self.within.horner(
-            (np.take_along_axis(c, tables, axis=1) for c in coeffs[::-1]),
-            np.arange(self.n, dtype=np.int64))
+        tables += np.arange(len(tables))[:, None] * self.t
+        return self.within.horner((c.take(tables) for c in coeffs[::-1]),
+                                  np.arange(self.n, dtype=np.int64))

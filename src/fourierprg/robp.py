@@ -10,6 +10,7 @@ import numpy as np
 
 from .bitseq import as_bits, bit_fields
 from .core import Generator, register_plan
+from .families import log_step
 from .fields import gf2
 
 
@@ -67,7 +68,10 @@ class INWGenerator(Generator):
     (l + 1), level l maps the rows so far, at the multiples of 2s, to the
     odd multiples of s, each seed's (a, b) a row broadcast down them. It
     returns the transposed (N, T) view. States, and so the blocks, are
-    uint8 for state_bits <= 8, uint16 to 16 and int64 beyond.
+    uint8 for state_bits <= 8, uint16 to 16 and int64 beyond. A level
+    multiplies through `mul_vec` (one product-table lookup for t <= 8,
+    the word kernel above 16), and for 8 < t <= 16 is one `log_step`
+    with each seed's log a looked up once.
     """
 
     D: int
@@ -97,10 +101,17 @@ class INWGenerator(Generator):
             self._dtype, copy=False)
         states = np.empty((self.T, fields.shape[1]), dtype=self._dtype)
         states[0] = fields[0]
+        f, log_domain = self.field, 8 < w <= 16
+        if log_domain:
+            log, exp, _ = f.tables
         for lvl in range(self.levels):
             s = self.T >> (lvl + 1)
             a, b = fields[1 + 2 * lvl], fields[2 + 2 * lvl]
-            states[s::2 * s] = self.field.mul_vec(a, states[::2 * s]) ^ b
+            if log_domain:
+                states[s::2 * s] = log_step(states[::2 * s], log.take(a), b,
+                                            log, exp)
+            else:
+                states[s::2 * s] = f.mul_vec(a, states[::2 * s]) ^ b
         states >>= w - self.D
         return states.T
 

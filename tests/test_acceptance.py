@@ -5,8 +5,6 @@ the instance is small enough, with Monte-Carlo 3-sigma slack elsewhere."""
 import itertools
 import math
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -222,16 +220,14 @@ def test_11_inw_fools_robps():
         assert abs(pmf @ vals - vals.mean()) <= delta
 
 
-def test_12_reproducibility_golden_file(tmp_path):
+def test_12_reproducibility_golden_file(tmp_path, run_python):
     campaign = REPO / "campaigns" / "golden.json"
     golden = REPO / "campaigns" / "golden.expected.jsonl"
     outputs = []
     for i in range(2):
         out = tmp_path / f"run{i}.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fourierprg.cli", "verify",
-             "--campaign", str(campaign), "--out", str(out)],
-            capture_output=True, text=True)
+        proc = run_python("-m", "fourierprg.cli", "verify",
+                          "--campaign", str(campaign), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

@@ -1,8 +1,6 @@
 """Composed generator: base case, xor composition, recursive build."""
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -335,10 +333,11 @@ def test_n128_tree_products_per_batch(monkeypatch):
     # evaluated every bucket's polynomial at every coordinate, G1 ran its
     # permutation once per bucket and Horner began by multiplying zero,
     # and 99 vectorized products and 16 Horner calls while those steps
-    # were products and G1 ran one Horner per bucket. Vectorized products
-    # are pinned over both field kinds, so a family that moves from one
-    # kind to the other shows here too; the t > 16 scalar products are
-    # only bounded
+    # were products and G1 ran one Horner per bucket, and 27 vectorized
+    # and 192 scalar products while the INW levels over GF(2^10) were
+    # products and the GF(2^t > 16) products one python product each.
+    # Vectorized products are pinned over both field kinds, so a family
+    # that moves from one kind to the other shows here too
     g = build_generator(2, 128, 0.1)
     seeds = sample_seeds(np.random.default_rng(4), g.seed_bits, 4)
     g.generate_batch(seeds)  # field tables outside the count
@@ -356,13 +355,13 @@ def test_n128_tree_products_per_batch(monkeypatch):
     for owner, name in calls:
         monkeypatch.setattr(owner, name, counting(owner, name))
     g.generate_batch(seeds)
-    assert calls[fields.GF2Field, "mul_vec"] == 27
+    assert calls[fields.GF2Field, "mul_vec"] == 11
     assert calls[fields.PrimeField, "mul_vec"] == 10
     assert calls[KWiseFamily, "horner"] == 9
-    assert calls[fields.GF2Field, "mul"] <= 192
+    assert calls[fields.GF2Field, "mul"] == 0
 
 
-def test_n128_tree_finds_no_modulus_above_degree_64():
+def test_n128_tree_finds_no_modulus_above_degree_64(run_python):
     # the tree's only GF(2^126) family has k = 1 and never multiplies, so
     # its modulus (a search of about 10 ms) is never looked for
     code = ("import numpy as np\n"
@@ -373,13 +372,12 @@ def test_n128_tree_finds_no_modulus_above_degree_64():
             "g.generate_batch(sample_seeds(np.random.default_rng(0), "
             "g.seed_bits, 4))\n"
             "print(max(fields._MODULI))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == 64
 
 
-def test_n128_tree_never_imports_numpy_ma():
+def test_n128_tree_never_imports_numpy_ma(run_python):
     # np.unique without return_inverse imports numpy.ma on first use,
     # about 35 ms of a fresh process's set-up
     code = ("import sys\n"
@@ -390,8 +388,7 @@ def test_n128_tree_never_imports_numpy_ma():
             "g.generate_batch(sample_seeds(np.random.default_rng(0), "
             "g.seed_bits, 1))\n"
             "print('numpy.ma' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -106,13 +106,13 @@ def test_read_fields_matches_int_slicing(D, data):
     blocks = blocks.reshape(B, N).astype(dtype)
     got = read_fields(blocks, D, width, count)
     assert got.shape == (count, N)
-    assert got.dtype == object if width >= 63 else got.dtype.kind == "u"
+    assert got.dtype == object if width > 64 else got.dtype.kind == "u"
 
     def field(v, j, nbits):
         return (v >> (nbits - (j + 1) * width)) & ((1 << width) - 1)
     assert [[int(x) for x in r] for r in got] == \
         [[field(v, j, total) for v in rows] for j in range(count)]
-    if width >= 63:
+    if width > 64:
         assert all(type(x) is int for x in got.reshape(-1))
     # bit_fields reads all total // width fields of the same bits
     bits = np.array([[(v >> (total - 1 - i)) & 1 for i in range(total)]
@@ -178,7 +178,7 @@ def test_uniform_stub_pmf_exactly_uniform():
 
 @pytest.mark.parametrize("make", [
     lambda: KWiseGenerator(1 << 63, 4, 2),
-    lambda: KWiseGenerator(1 << 40, 4, 2),  # GF(2^40): object products
+    lambda: KWiseGenerator(1 << 40, 4, 2),  # GF(2^40): word products
     lambda: UniformStub(1 << 63, 2),
 ])
 def test_leaf_generators_return_int64_up_to_m_2_63(make):

@@ -159,7 +159,8 @@ def test_log_step_and_horner_match_products(t):
     (prime_field(149), 128, 9),  # 72-bit seed: the dim-step bucket hash
     (prime_field(next_prime(1965 ** 2)), 128, 16),  # the 352-bit spreading
     (prime_field(next_prime(3037000499)), 6, 2),     # products need 64 bits
-    (gf2(63), 4, 2), (gf2(70), 4, 2),                # q > 2^62
+    # q > 2^62; GF(2^70) only at k = 1, as products stop at t = 64
+    (gf2(63), 4, 2), (gf2(70), 4, 1),
     (prime_field(next_prime(1 << 64)), 4, 3),
 ])
 def test_kwise_matches_wide_seed_reference(field, n, k):
@@ -180,6 +181,38 @@ def test_kwise_matches_wide_seed_reference(field, n, k):
     if field.q <= 1 << 16 or (isinstance(field, PrimeField)
                               and field.q <= 1 << 62):
         assert got.dtype == np.int64
+
+
+@pytest.mark.parametrize("p", [next_prime(3 << 61), next_prime(3 << 62)])
+def test_kwise_prime_fields_with_word_coefficients_match_reference(p):
+    # 63- and 64-bit coefficients decode as words; residues of p > 2^62
+    # would wrap int64 when Horner adds them, so the sums stay exact
+    field = prime_field(p)
+    fam = KWiseFamily(p, 4, 3, p)
+    assert fam.field is field and fam.coeff_bits in (63, 64)
+    seeds = edge_seeds(fam.seed_bits, 6, np.random.default_rng(p % 997))
+    want = kwise_reference(fam, seeds)
+    assert [[int(v) for v in row] for row in fam.sample_batch(seeds)] == \
+        want.tolist()
+
+
+@pytest.mark.parametrize("t,k", [(32, 3), (63, 2), (64, 2), (64, 1)])
+def test_kwise_word_fields_stay_words(t, k):
+    # the alphabet steps' GF(2^t) families: word coefficients and values,
+    # int64 up to m = 2^63 and uint64 at m = 2^64, on edge seeds
+    fam = KWiseFamily(1 << t, 12, k, 0)
+    assert fam.field is gf2(t)
+    seeds = edge_seeds(fam.seed_bits, 6, np.random.default_rng(t + k))
+    want = kwise_reference(fam, seeds)
+    dtype = np.uint64 if t == 64 else np.int64
+    assert fam.coefficients(seeds).dtype == dtype
+    got = fam.sample_batch(seeds)
+    assert got.dtype == dtype and got.flags.writeable
+    assert got.tolist() == want.tolist()
+    points = np.arange(len(seeds)) % fam.n
+    at = fam.eval_points_batch(seeds, points)
+    assert at.dtype == dtype
+    assert at.tolist() == [want[i, x] for i, x in enumerate(points)]
 
 
 @settings(max_examples=120, deadline=None)

@@ -2,16 +2,18 @@
 
 import hashlib
 import random
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fourierprg.fields import (MR_EXACT_BELOW, PrimeField, _is_irreducible,
-                               clmod, clmul, gf2, irreducible_modulus,
-                               is_prime, next_prime, prime_field)
+from fourierprg.families import KWiseFamily
+from fourierprg.fields import (MR_EXACT_BELOW, GF2Field, PrimeField,
+                               _is_irreducible, clmod, clmul, clmul8_table,
+                               gf2, irreducible_modulus, is_prime,
+                               next_prime, prime_field)
 
 
 def schoolbook_gf2_mul(a: int, b: int, modulus: int) -> int:
@@ -174,23 +176,95 @@ def test_mul_vec_sentinel_tables(t):
         assert out.dtype == I64 and out.tolist() == want
 
 
-def test_mul_vec_big_field_fallback():
+def test_mul_vec_refuses_products_above_degree_64():
+    # vectorized products stop at word size, before any modulus search;
+    # the scalar product still serves every degree
+    for t in (65, 78, 126):
+        f = GF2Field(t)
+        with pytest.raises(ValueError, match="limited to t <= 64"):
+            f.mul_vec(np.array([1, 2]), np.array([3, 4]))
+        assert "modulus" not in vars(f)
+    with pytest.raises(ValueError, match="limited to t <= 64"):
+        KWiseFamily(1 << 70, 4, 2, 1 << 70).sample_batch(5)
     f = gf2(78)
     rng = np.random.default_rng(0)
     a = [int(x) << 30 | int(y) for x, y in
          zip(rng.integers(0, 1 << 48, 20), rng.integers(0, 1 << 30, 20))]
-    b = list(reversed(a))
-    out = f.mul_vec(np.array(a, dtype=object), np.array(b, dtype=object))
-    for i in range(20):
-        assert out[i] == f.mul(a[i], b[i])
-        assert out[i] == clmod(clmul(a[i], b[i]), f.modulus)
+    for x, y in zip(a, reversed(a)):
+        assert f.mul(x, y) == clmod(clmul(x, y), f.modulus)
+
+
+def test_clmul8_table_exhaustive():
+    table = clmul8_table()
+    assert table.dtype == np.uint16 and table.shape == (1 << 16,)
+    assert not table.flags.writeable
+    assert table.tolist() == [clmul(a, b) for a in range(256)
+                              for b in range(256)]
+
+
+@pytest.mark.parametrize("t", [17, 24, 31, 32, 33, 40, 62, 63, 64])
+def test_fold_table_matches_clmod(t):
+    # entry 256 k + v is v x^(8k) reduced, for every byte position of a
+    # product of two t-bit operands
+    f = gf2(t)
+    table = f.fold_table
+    assert table.dtype == np.uint64 and not table.flags.writeable
+    assert len(table) == 256 * 2 * -(-t // 8)
+    assert table.tolist() == [clmod(v << 8 * k, f.modulus)
+                              for k in range(len(table) // 256)
+                              for v in range(256)]
+
+
+def _word_operands(t: int, bits: int):
+    """Operands of GF(2^t): uniform below 2^bits, 0, 1, q - 1 and the
+    all-ones fields of whole bytes."""
+    q = 1 << t
+    return st.one_of(st.integers(0, (1 << min(bits, t)) - 1),
+                     st.sampled_from([0, 1, q - 1]),
+                     st.sampled_from([(1 << 8 * j) - 1
+                                      for j in range(1, t // 8 + 1)]))
+
+
+def _carriers(values, t: int):
+    """values as object, uint64 and (where they fit) int64 arrays."""
+    out = [np.array(values, dtype=object).reshape(np.shape(values)),
+           np.array(values, dtype=np.uint64).reshape(np.shape(values))]
+    if t < 64 or all(v < 1 << 63 for v in np.ravel(values)):
+        out.append(np.array(values, dtype=np.int64).reshape(np.shape(values)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.integers(17, 64), data=st.data())
+def test_mul_vec_words_match_clmul_property(t, data):
+    # the word kernel against clmod(clmul(a, b)) on flat, broadcast
+    # (N, 1) x (1, M) and empty operands, each side short or full width
+    f = gf2(t)
+    want_dtype = np.uint64 if t == 64 else np.int64
+    bits_a, bits_b = (data.draw(st.sampled_from([8, 32, t]))
+                      for _ in range(2))
+    n = data.draw(st.integers(0, 12))
+    a = data.draw(st.lists(_word_operands(t, bits_a), min_size=n,
+                           max_size=n))
+    b = data.draw(st.lists(_word_operands(t, bits_b), min_size=n,
+                           max_size=n))
+    m = data.draw(st.integers(0, 5))
+    for x, y in zip(_carriers(a, t), _carriers(b, t)):
+        out = f.mul_vec(x, y)
+        assert out.dtype == want_dtype and out.shape == (n,)
+        assert out.tolist() == [clmod(clmul(u, v), f.modulus)
+                                for u, v in zip(a, b)]
+        outer = f.mul_vec(x[:, None], y[None, :m])
+        assert outer.dtype == want_dtype and outer.shape == (n, min(m, n))
+        assert outer.tolist() == [[clmod(clmul(u, v), f.modulus)
+                                   for v in b[:m]] for u in a]
 
 
 @pytest.mark.parametrize("t", [17, 24, 31, 32, 33, 62, 63, 64])
 def test_mul_vec_above_the_tables_matches_clmul(t):
-    # the one-product-at-a-time object path against clmul/clmod: random
-    # operands with 0, 1 and q - 1, in both orders, as int64 operands
-    # where they fit, as object operands, and broadcast (N, 1) x (1, M)
+    # the word kernel against clmul/clmod: random operands with 0, 1 and
+    # q - 1, in both orders, as int64 operands where they fit, as object
+    # operands, and broadcast (N, 1) x (1, M)
     f = gf2(t)
     rng = random.Random(t)
     a = [rng.getrandbits(t) for _ in range(40)] + [0, 1, f.q - 1]
@@ -202,7 +276,8 @@ def test_mul_vec_above_the_tables_matches_clmul(t):
                          np.array(b, dtype=np.int64)))
     for x, y in operands:
         for out in (f.mul_vec(x, y), f.mul_vec(y, x)):
-            assert out.dtype == object and out.tolist() == want
+            assert out.dtype == (np.uint64 if t == 64 else np.int64) \
+                and out.tolist() == want
             assert all(type(v) is int for v in out.tolist())
         outer = f.mul_vec(x[:, None], y[None, :8])
         assert outer.shape == (len(a), 8)
@@ -347,14 +422,13 @@ def test_log_exp_generator_is_the_smallest_primitive_element(t):
     assert all(log[int(exp[i])] == i for i in range(f.q - 1))
 
 
-def test_degree_256_modulus_under_a_second_in_a_fresh_process():
+def test_degree_256_modulus_under_a_second_in_a_fresh_process(run_python):
     code = ("import time\n"
             "from fourierprg.fields import irreducible_modulus\n"
             "t0 = time.perf_counter()\n"
             "f = irreducible_modulus(256)\n"
             "print(time.perf_counter() - t0, f)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     seconds, f = proc.stdout.split()
     assert int(f) == (1 << 256) | 0x425
@@ -396,6 +470,22 @@ def test_next_prime_large_is_fast():
     assert next_prime(2**60) == 2**60 + 33
     assert next_prime(2**40) == 2**40 + 15
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_prime_field_vec_products_int64_when_operands_allow():
+    # (p - 1)^2 passes 2^63, but Horner's points are short: the n = 128
+    # tree's column family multiplies residues by points below 2^16
+    p = next_prime(3037000499)
+    f = prime_field(p)
+    rng = np.random.default_rng(p)
+    a = np.concatenate([rng.integers(0, p, 50), [0, p - 1, p - 1]])
+    b = np.concatenate([rng.integers(0, 1 << 16, 50), [1 << 16, 0, 1]])
+    out = f.mul_vec(a, b)
+    assert out.dtype == np.int64
+    assert out.tolist() == [int(x) * int(y) % p for x, y in zip(a, b)]
+    wide = f.mul_vec(a, a[::-1])
+    assert wide.tolist() == [int(x) * int(y) % p for x, y in zip(a, a[::-1])]
+    assert f.mul_vec(a[:0], b[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("p", [2**32 + 15, 2**61 - 1, 2**64 + 13])

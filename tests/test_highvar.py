@@ -300,7 +300,7 @@ def _g1_per_family_reference(g: G1Plan, seeds, rows, coords) -> np.ndarray:
     ((2, 2 ** 16), {}, 1 << 15),         # bucket fields up to GF(2^15)
     ((3, 32), {}, 192007),              # int64 primes
     ((5, 12), {"p": 3}, 160001),
-    ((30000, 64), {"p": 3}, 3840000041)],  # top p^2 >= 2^63: python ints
+    ((30000, 64), {"p": 3}, 3840000041)],  # top p^2 >= 2^63, still int64
     ids=["gf2-15", "m3", "m5-p3", "m30000-p3"])
 def test_g1_one_pass_matches_per_family_reference(args, kwargs, top):
     g = G1Plan(*args, **kwargs)
@@ -321,6 +321,27 @@ def test_g1_one_pass_matches_per_family_reference(args, kwargs, top):
         (np.repeat([N - 1, N - 2], 50), np.full(100, g.n - 1)),
         (rows[::-1], coords[::-1])]
     for rows, coords in requests:
+        got = g.eval_points(seeds, rows, coords)
+        assert got.dtype == np.int64 and got.shape == rows.shape
+        assert np.array_equal(got,
+                              _g1_per_family_reference(g, seeds, rows, coords))
+
+
+@pytest.mark.parametrize("m,n,p,dtype", [
+    (30000, 64, 3, np.int64),        # 3,840,000,041 * 33 < 2^63
+    ((1 << 50) + 1, 8, 2, object)])  # 18,014,398,509,482,000,027 * 5 is not
+def test_g1_prime_buckets_int64_below_the_accumulator_bound(m, n, p, dtype):
+    # the prime buckets' Horner pass is int64 exactly when every
+    # acc * x + c < p_e (|bucket| + 1) fits, not only when p_e^2 does
+    g = G1Plan(m, n, p=p)
+    assert g._moduli.dtype == dtype
+    seeds = np.concatenate([_full_width_seeds(g.seed_bits, 5), [0]])
+    rng = np.random.default_rng(m % 1000)
+    rows, coords = np.divmod(rng.permutation(len(seeds) * n), n)
+    none = np.zeros(0, dtype=np.int64)
+    for rows, coords in [(rows, coords), (none, none),
+                         (np.full(20, len(seeds) - 1), np.full(20, n - 1)),
+                         (rows[::-1], coords[::-1])]:
         got = g.eval_points(seeds, rows, coords)
         assert got.dtype == np.int64 and got.shape == rows.shape
         assert np.array_equal(got,
