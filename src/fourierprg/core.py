@@ -16,6 +16,9 @@ from .families import KWiseFamily, SmallBiasFamily, deviation_q_min
 
 PLAN_REGISTRY: dict[str, type] = {}
 
+# seeds per chunk: n = 16 outputs fill 8 MiB, below the 32 MiB mmap threshold
+ENUM_CHUNK = 1 << 16
+
 
 class Refused(ValueError):
     """A well-formed instance that an exact evaluation cap turns away; a
@@ -135,22 +138,22 @@ class Generator:
 
     # -- enumeration support ------------------------------------------
 
-    def enumerate_outputs(self, seed_cap: int = 26, chunk: int = 1 << 18):
+    def enumerate_outputs(self, seed_cap: int = 26):
         """Outputs of all 2^seed_bits seeds in seed order, lazily in
-        chunks of `chunk` rows; refused at once above seed_cap."""
+        chunks of ENUM_CHUNK rows; refused at once above seed_cap."""
         if self.seed_bits > seed_cap:
             raise Refused(
                 f"seed length {self.seed_bits} exceeds enumeration cap "
                 f"{seed_cap}; use sampling instead")
         total = 1 << self.seed_bits
-        return (self.generate_batch(
-                    np.arange(lo, min(lo + chunk, total), dtype=np.int64))
-                for lo in range(0, total, chunk))
+        return (self.generate_batch(np.arange(
+                    lo, min(lo + ENUM_CHUNK, total), dtype=np.int64))
+                for lo in range(0, total, ENUM_CHUNK))
 
     def output_pmf(self, pattern_cap: int = 1 << 22,
                    seed_cap: int = 26) -> np.ndarray:
         """Exact pmf over all m^n output patterns under a uniform seed,
-        computed by full seed enumeration (cached)."""
+        computed by full seed enumeration, one chunk at a time (cached)."""
         npat = self.m ** self.n
         if npat > pattern_cap:
             raise Refused(f"{npat} patterns exceed cap {pattern_cap}")

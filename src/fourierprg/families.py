@@ -132,12 +132,15 @@ class KWiseFamily:
 
 class SmallBiasFamily:
     """delta-biased bits by the powering construction over GF(2^t):
-    bit i = lsb(x^i * y) for seed (x, y), t = ceil(log2(n/delta)) + 1.
+    bit i = lsb(x^i * y) for seed (x, y), t = ceil(log2(n/delta)) + 1 <= 64.
 
-    For t <= 16 every bit comes from one exponent through the field's
-    log/exp tables: x^i * y = exp((i log x + log y) mod (2^t - 1)). Rows
-    with y = 0 are all zeros, and rows with x = 0 are (lsb y, 0, ..., 0)
-    since x^0 = 1. Wider fields multiply y * x^i up by x, one bit at a time."""
+    Bit i fills row i of an (n, N) uint8 array, cast once to int64 on its
+    transpose. For t <= 16 a row's exponent e = i log x + log y steps as
+    e <- min(e + log x, e + log x - (2^t - 1)), whose unsigned subtraction
+    wraps exactly when no reduction is due, in uint16 (uint32 at t = 16),
+    and indexes a uint8 lsb table. Rows with y = 0 are all zeros, and rows
+    with x = 0 are (lsb y, 0, ..., 0) since x^0 = 1. Wider fields multiply
+    y * x^i up by x, one bit at a time."""
 
     def __init__(self, n: int, delta: float):
         if not 0 < delta <= 1:
@@ -145,6 +148,9 @@ class SmallBiasFamily:
         self.n = n
         self.delta = delta
         self.t = max(1, math.ceil(math.log2(max(n, 1) / delta))) + 1
+        if self.t > 64:
+            raise ValueError(f"small-bias-lift n={n}, delta={delta:g} needs "
+                             f"GF(2^{self.t}), past the t <= 64 limit")
         self.field = gf2(self.t)
         self.seed_bits = 2 * self.t
         # worst-case parity bias: a nonzero polynomial of degree < n has
@@ -152,31 +158,32 @@ class SmallBiasFamily:
         self.bias_bound = (n - 1) / (1 << self.t) if n > 1 else 0.0
 
     def sample_batch(self, seeds) -> np.ndarray:
-        """(len(seeds), n) array of bits."""
+        """(len(seeds), n) array of bits, F-ordered."""
         x, y = bit_fields(as_bits(seeds, self.seed_bits), self.t)
-        out = np.empty((len(x), self.n), dtype=np.int64)
+        bits = np.empty((self.n, len(x)), dtype=np.uint8)
         f = self.field
         if self.t > 16:  # no log tables: y * x^i as v <- v * x
             v = y
             for i in range(self.n):
-                out[:, i] = v & 1
+                bits[i] = v & 1
                 if i + 1 < self.n:
                     v = f.mul_vec(v, x)
-            return out
-        log, exp, _ = f.tables
-        # log(0) mod (q - 1) reads 0 as 1; the fixes below undo that.
-        # n <= 2^(t-1), so i * log x + log y < 2^(2t-1) fits int32
-        log, lsb = log % (f.q - 1), (exp[:f.q - 1] & 1).astype(np.int64)
-        cols = np.arange(self.n, dtype=np.int32)
-        for lo in range(0, len(x), 1 << 13):  # int32 blocks bound the RSS
-            hi = lo + (1 << 13)
-            e = np.multiply.outer(log[x[lo:hi]], cols)
-            e += log[y[lo:hi], None]
-            e %= f.q - 1  # in range, so "clip" skips take's bounds copy
-            np.take(lsb, e, out=out[lo:hi], mode="clip")
-        out[y == 0] = 0
-        out[x == 0, 1:] = 0  # x^0 = 1: column 0 already reads lsb(y)
-        return out
+        else:
+            log, exp, _ = f.tables
+            q1 = f.q - 1
+            # log(0) mod (q - 1) reads 0 as 1; the fixes below undo that
+            log = (log % q1).astype(np.uint16 if q1 < 1 << 15 else np.uint32)
+            lsb = (exp[:q1] & 1).astype(np.uint8)
+            lx, e = log.take(x), log.take(y)
+            for i in range(self.n):
+                # in range, so "clip" skips take's bounds copy
+                np.take(lsb, e, out=bits[i], mode="clip")
+                if i + 1 < self.n:
+                    e += lx
+                    np.minimum(e, e - q1, out=e)
+            bits[:, y == 0] = 0
+            bits[1:, x == 0] = 0  # x^0 = 1: row 0 already reads lsb(y)
+        return bits.T.astype(np.int64)
 
 
 class CombinedHashFamily(KWiseFamily):

@@ -154,10 +154,8 @@ def expectation(g: Generator, stat, mode, enumerate_cap: int = 26,
                 digits[:g.n - k] = np.array(top)[:, None]
                 parts.append(pmf[c * size:(c + 1) * size] @ stat(digits.T))
             return Estimate(sum(parts[1:], parts[0]), 0.0, total)
-        # this branch serves m^n > pattern_cap, so n is large: 2^16 rows
-        # bound the (N, n) outputs and statistic inputs of one chunk
         acc = 0
-        for out in g.enumerate_outputs(enumerate_cap, chunk=1 << 16):
+        for out in g.enumerate_outputs(enumerate_cap):
             acc = acc + stat(out).sum(axis=0)
             del out  # free this chunk before the next one is built
         return Estimate(acc / total, 0.0, total)

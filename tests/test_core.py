@@ -252,8 +252,9 @@ def test_output_pmf_cache_keeps_the_seed_cap():
 
 
 def test_output_pmf_holds_one_chunk_at_a_time():
-    # a 2^18-row int64 chunk of n = 16 symbols is 32 MiB; holding the
-    # previous chunk while the next is generated peaked at 80 MB
+    # a 2^16-row int64 chunk of n = 16 symbols is 8 MiB; 2^18-row chunks
+    # peaked at 48 MiB, and holding the previous chunk while the next was
+    # generated at 80 MB
     g = plan_to_generator({"type": "small-bias-lift", "n": 16,
                            "delta": 1 / 64})
     assert g.seed_bits == 22
@@ -264,7 +265,16 @@ def test_output_pmf_holds_one_chunk_at_a_time():
     finally:
         tracemalloc.stop()
     assert pmf.shape == (1 << 16,) and abs(pmf.sum() - 1) < 1e-9
-    assert peak < 64 * 2 ** 20
+    assert peak < 32 * 2 ** 20
+
+
+def test_enum_exact_pmf_is_pinned():
+    # sha256 of the float64 pmf bytes of perfbench's enum-exact plan,
+    # computed before the small-bias bits were built column by column
+    g = plan_to_generator({"type": "small-bias-lift", "n": 16,
+                           "delta": 1 / 64})
+    assert hashlib.sha256(g.output_pmf().tobytes()).hexdigest() == (
+        "0cb9b7835fba731af784a5912470e0d92f4629ed2e09186a0850d2a7b4451272")
 
 
 def reference_sample_seeds(rng: np.random.Generator, nbits: int,

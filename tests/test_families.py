@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -282,6 +283,17 @@ def test_small_bias_deterministic():
     assert np.array_equal(fam.sample_batch([999]), fam.sample_batch([999]))
 
 
+def test_small_bias_refuses_fields_above_64_bits_at_build():
+    # n = 64, delta = 2^-60 needs t = 67, past the GF(2^t) products
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"small-bias-lift n=64, "
+                       r"delta=8\.67362e-19 .*GF\(2\^67\).*t <= 64"):
+        plan_to_generator({"type": "small-bias-lift", "n": 64,
+                           "delta": 2.0 ** -60})
+    assert time.perf_counter() - start < 0.1
+    assert SmallBiasFamily(64, 2.0 ** -57).t == 64  # the widest it builds
+
+
 def small_bias_reference(fam: SmallBiasFamily, seeds) -> np.ndarray:
     """SmallBiasFamily as first written: x^i built up by one field
     multiply per column, bit i = lsb(x^i * y)."""
@@ -332,8 +344,10 @@ def test_small_bias_enum_exact_plan_matches_reference():
 
 
 @pytest.mark.parametrize("n,delta,t", [
-    (16, 2.0 ** -11, 16),    # largest log/exp table
-    (1 << 15, 1.0, 16),      # exponents up to n (2^t - 2) = 2^31 - 2^16
+    (16, 2.0 ** -10, 15),    # widest uint16 exponent: e + log x <= 65,532
+    (1 << 14, 1.0, 15),      # every column of the widest uint16 field
+    (16, 2.0 ** -11, 16),    # largest log/exp table, uint32 exponents
+    (1 << 15, 1.0, 16),      # every column of GF(2^16)
     (64, 1e-3, 17),          # no tables: the multiply loop
 ])
 def test_small_bias_matches_reference_on_wide_and_edge_seeds(n, delta, t):
@@ -344,6 +358,7 @@ def test_small_bias_matches_reference_on_wide_and_edge_seeds(n, delta, t):
     got = fam.sample_batch(seeds)
     assert np.array_equal(got, small_bias_reference(fam, seeds))
     assert got.dtype == np.int64
+    assert np.array_equal(np.ascontiguousarray(got), got)
     assert not got[-3].any()                       # x = y = 0
     assert not got[-4].any()                       # y = 0
     assert not got[-5, 1:].any()                   # x = 0
