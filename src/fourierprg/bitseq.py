@@ -5,14 +5,13 @@ of a seed of length r is its r-bit big-endian reading. Its text form, the
 one `gen --seed` reads, is that int in plain big-endian hex, so seed 5 of
 a 12-bit generator is "5" (or "005").
 
-Inside the package a batch of N seeds is always an (N, r) uint8 matrix of
-0/1 entries in that order, a bit matrix. `as_bits` is the one entry
-point: it turns an int, a list or 1-D array of ints (int64 or python
-ints) or a bit matrix into one. A plan node hands each child its own
-column slice of the matrix, and `to_ints` reads whole rows back as
-python ints. `read_fields` is the one reader of fixed-width fields: the
-INW base case cuts its symbols with it, G1 all its buckets' coefficients
-of mixed widths in one call, and `bit_fields` its seeds.
+A batch of N seeds is an int, a list or 1-D array of ints (int64 or
+python ints) or an (N, r) uint8 matrix of 0/1 entries in that order, a
+bit matrix, into which `as_bits` turns any batch; a plan node hands each
+child its own column slice of it, and `to_ints` reads rows back as python
+ints. `bit_fields` cuts 1-D int seeds into fixed-width fields by shift
+and mask, any other batch with `read_fields`, the one reader of fields
+of bit streams, which also cuts INW's symbols and G1's coefficients.
 """
 
 from __future__ import annotations
@@ -128,16 +127,22 @@ def read_fields(blocks: np.ndarray, D: int, width, count: int | None = None
     return np.bitwise_or.reduce(pieces, axis=0)
 
 
-def bit_fields(bits: np.ndarray, width: int) -> np.ndarray:
-    """(k, N) values of the k = ncols // width consecutive width-bit
-    fields of each of the N rows of a bit matrix, MSB first: int64 up to
-    63 bits, uint64 at 64 and python ints above, as GF(2^t) products."""
-    n, ncols = bits.shape
-    if ncols % 8:  # one flat packbits of padded rows beats axis=1
-        padded = np.zeros((n, ncols - ncols % 8 + 8), dtype=np.uint8)
-        padded[:, :ncols] = bits
+def bit_fields(seeds, nbits: int, width: int) -> np.ndarray:
+    """(k, N) values of the k = nbits // width consecutive width-bit
+    fields of a batch `as_bits` accepts, MSB first: int64 up to 63 bits,
+    uint64 at 64, python ints above. A 1-D int array's low nbits <= 63
+    bits, those as_bits reads, are cut by shift and mask, never unpacked."""
+    if (isinstance(seeds, np.ndarray) and seeds.ndim == 1
+            and seeds.dtype.kind in "iu" and nbits <= 63):
+        shifts = nbits - width * np.arange(1, nbits // width + 1)[:, None]
+        return seeds.astype(np.int64, copy=False) >> shifts & (1 << width) - 1
+    bits = as_bits(seeds, nbits)
+    n = len(bits)
+    if nbits % 8:  # one flat packbits of padded rows beats axis=1
+        padded = np.zeros((n, nbits - nbits % 8 + 8), dtype=np.uint8)
+        padded[:, :nbits] = bits
         bits = padded
     packed = np.packbits(np.ascontiguousarray(bits).reshape(-1))
     packed = packed.reshape(n, bits.shape[1] // 8).T
-    fields = read_fields(packed, 8, width, ncols // width)
+    fields = read_fields(packed, 8, width, nbits // width)
     return fields if width >= 64 else fields.astype(np.int64)

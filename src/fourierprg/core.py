@@ -65,12 +65,12 @@ class Generator:
     the fields back, rebuilds the children through plan_to_generator and
     refuses a plan with a key or a value the rebuilt node's plan() lacks.
 
-    generate_batch takes any seed batch `bitseq.as_bits` accepts, turns it
-    into an (N, seed_bits) bit matrix with one as_bits call and returns an
-    (N, n) int64 array of output symbols in an unspecified memory layout
-    (the INW nodes return Fortran order). A consumer that reduces floats
-    across coordinates must add them in a fixed order, not with a sum
-    whose rounding follows the layout."""
+    generate_batch takes any seed batch `bitseq.as_bits` accepts, makes at
+    most one as_bits call (none where `bit_fields` cuts 1-D int seeds) and
+    returns an (N, n) int64 array of output symbols in an unspecified
+    memory layout (the INW nodes return Fortran order). A consumer that
+    reduces floats across coordinates must add them in a fixed order, not
+    with a sum whose rounding follows the layout."""
 
     m: int
     n: int
@@ -166,7 +166,7 @@ class Generator:
         counts = np.zeros(npat, dtype=np.int64)
         weights = self.m ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
         for out in outputs:
-            codes = np.asarray(out, dtype=np.int64) @ weights
+            codes = np.einsum("ij,j->i", out, weights)
             del out  # else it lives on while the next chunk is generated
             counts += np.bincount(codes, minlength=npat)
         pmf = counts / (1 << self.seed_bits)
@@ -250,7 +250,7 @@ class SmallBiasLift(Generator):
         self.seed_bits = self.family.seed_bits
 
     def generate_batch(self, seeds) -> np.ndarray:
-        return self.family.sample_batch(as_bits(seeds, self.seed_bits))
+        return self.family.sample_batch(seeds)
 
 
 def sample_seeds(rng: np.random.Generator, nbits: int, count: int):

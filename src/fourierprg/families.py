@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .bitseq import as_bits, bit_fields
+from .bitseq import bit_fields
 from .fields import GF2Field, gf2, next_prime, prime_field
 
 
@@ -91,7 +91,7 @@ class KWiseFamily:
         """(k, N) coefficients, constant term first: the coeff_bits-wide
         seed fields MSB first, reduced mod q (over GF(2^t) coeff_bits = t,
         so they already are), in `bit_fields`' dtype."""
-        coeffs = bit_fields(as_bits(seeds, self.seed_bits), self.coeff_bits)
+        coeffs = bit_fields(seeds, self.seed_bits, self.coeff_bits)
         return coeffs if isinstance(self.field, GF2Field) else coeffs % self.q
 
     def horner(self, coeffs, points) -> np.ndarray:
@@ -136,11 +136,12 @@ class SmallBiasFamily:
 
     Bit i fills row i of an (n, N) uint8 array, cast once to int64 on its
     transpose. For t <= 16 a row's exponent e = i log x + log y steps as
-    e <- min(e + log x, e + log x - (2^t - 1)), whose unsigned subtraction
-    wraps exactly when no reduction is due, in uint16 (uint32 at t = 16),
-    and indexes a uint8 lsb table. Rows with y = 0 are all zeros, and rows
-    with x = 0 are (lsb y, 0, ..., 0) since x^0 = 1. Wider fields multiply
-    y * x^i up by x, one bit at a time."""
+    e <- e + log x in uint16 (uint32 at t = 16) and indexes a uint8 lsb
+    table tiled R = max(2, 2^16 // (2^t - 1)) times, so only every R - 1
+    steps is e reduced mod 2^t - 1, at R = 2 as min(e, e - (2^t - 1)),
+    whose unsigned subtraction wraps exactly when no reduction is due.
+    Rows with y = 0 are 0, rows with x = 0 (lsb y, 0, ..., 0) as x^0 = 1;
+    wider fields multiply y * x^i up by x, bit by bit."""
 
     def __init__(self, n: int, delta: float):
         if not 0 < delta <= 1:
@@ -159,30 +160,31 @@ class SmallBiasFamily:
 
     def sample_batch(self, seeds) -> np.ndarray:
         """(len(seeds), n) array of bits, F-ordered."""
-        x, y = bit_fields(as_bits(seeds, self.seed_bits), self.t)
+        x, y = bit_fields(seeds, self.seed_bits, self.t)
         bits = np.empty((self.n, len(x)), dtype=np.uint8)
-        f = self.field
         if self.t > 16:  # no log tables: y * x^i as v <- v * x
             v = y
             for i in range(self.n):
                 bits[i] = v & 1
                 if i + 1 < self.n:
-                    v = f.mul_vec(v, x)
+                    v = self.field.mul_vec(v, x)
         else:
-            log, exp, _ = f.tables
-            q1 = f.q - 1
+            log, exp, _ = self.field.tables
+            q1 = self.field.q - 1
+            R = max(2, (1 << 16) // q1)  # lsb's period count
             # log(0) mod (q - 1) reads 0 as 1; the fixes below undo that
             log = (log % q1).astype(np.uint16 if q1 < 1 << 15 else np.uint32)
-            lsb = (exp[:q1] & 1).astype(np.uint8)
+            lsb = np.tile((exp[:q1] & 1).astype(np.uint8), R)
             lx, e = log.take(x), log.take(y)
             for i in range(self.n):
                 # in range, so "clip" skips take's bounds copy
                 np.take(lsb, e, out=bits[i], mode="clip")
                 if i + 1 < self.n:
                     e += lx
-                    np.minimum(e, e - q1, out=e)
-            bits[:, y == 0] = 0
-            bits[1:, x == 0] = 0  # x^0 = 1: row 0 already reads lsb(y)
+                    if (i + 1) % (R - 1) == 0:  # keeps e < R (q - 1)
+                        e = e % q1 if R > 2 else np.minimum(e, e - q1)
+            bits[:, np.flatnonzero(y == 0)] = 0
+            bits[1:, np.flatnonzero(x == 0)] = 0  # x^0 = 1: row 0 is lsb y
         return bits.T.astype(np.int64)
 
 

@@ -99,7 +99,8 @@ class G1Plan(Generator):
         coefficients, read for every bucket by one `read_fields` call."""
         bits = as_bits(seeds, self.seed_bits)
         # perm seed (a_raw, b) in the high bits, recycler seed below
-        a_raw, b = bit_fields(bits[:, :self.perm_bits], self.tlog)
+        a_raw, b = bit_fields(bits[:, :self.perm_bits], self.perm_bits,
+                              self.tlog)
         inw = self.recycler.inw
         coeffs = read_fields(inw.expand_batch(bits[:, self.perm_bits:]).T,
                              inw.D, self._widths).reshape(-1)

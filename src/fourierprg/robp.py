@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitseq import as_bits, bit_fields
+from .bitseq import bit_fields
 from .core import Generator, register_plan
 from .families import log_step
 from .fields import gf2
@@ -97,7 +97,7 @@ class INWGenerator(Generator):
         """(len(seeds), T) blocks of D bits, in the state dtype."""
         # x, then (a, b) per level: one row per w-bit seed field, MSB first
         w = self.state_bits
-        fields = bit_fields(as_bits(seeds, self.seed_bits), w).astype(
+        fields = bit_fields(seeds, self.seed_bits, w).astype(
             self._dtype, copy=False)
         states = np.empty((self.T, fields.shape[1]), dtype=self._dtype)
         states[0] = fields[0]

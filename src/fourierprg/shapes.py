@@ -3,6 +3,7 @@ mapping [m] into the complex unit disk, stored as explicit n x m tables."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,6 +126,14 @@ class Estimate:
     count: int            # seeds enumerated or drawn
 
 
+@functools.lru_cache(maxsize=4)
+def _pattern_digits(m: int, n: int, k: int) -> np.ndarray:
+    """np.indices((m,) * n).reshape(n, -1)[:, :m^k]; shared, so read-only."""
+    digits = np.indices((1,) * (n - k) + (m,) * k).reshape(n, m ** k)
+    digits.flags.writeable = False
+    return digits
+
+
 def expectation(g: Generator, stat, mode, enumerate_cap: int = 26,
                 pattern_cap: int = 1 << 22) -> Estimate:
     """E[stat(G(seed))] under a uniform seed, where stat maps an (N, n)
@@ -138,20 +147,18 @@ def expectation(g: Generator, stat, mode, enumerate_cap: int = 26,
         total = 1 << g.seed_bits
         if g.m ** g.n <= pattern_cap:
             pmf = g.output_pmf(pattern_cap, enumerate_cap)
-            # stat on chunks of m^k patterns, k the largest with m^k <=
-            # 2^16 (at least 1, at most n): the codes that share their
-            # n - k leading digits, each laid out as
-            # np.indices((m,) * n).reshape(n, -1).T lays out all of them
-            # (F-ordered base-m digits, coordinate 0 most significant)
+            # stat on chunks of m^k patterns sharing n - k leading digits
+            # (coordinate 0 first), k <= n the largest with m^k <= 2^16, or 1
             k = 1
             while k < g.n and g.m ** (k + 1) <= 1 << 16:
                 k += 1
             size = g.m ** k
             parts = []
             for c, top in enumerate(np.ndindex((g.m,) * (g.n - k))):
-                digits = np.indices((1,) * (g.n - k) + (g.m,) * k)
-                digits = digits.reshape(g.n, size)
-                digits[:g.n - k] = np.array(top)[:, None]
+                digits = _pattern_digits(g.m, g.n, k)
+                if c:  # chunk 0's leading digits are the cached zeros
+                    digits = digits.copy()
+                    digits[:g.n - k] = np.array(top)[:, None]
                 parts.append(pmf[c * size:(c + 1) * size] @ stat(digits.T))
             return Estimate(sum(parts[1:], parts[0]), 0.0, total)
         acc = 0

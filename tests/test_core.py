@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,10 +26,10 @@ def test_bit_slice_msb_first():
     # 0b1011 0100 as an 8-bit seed: bit_fields reads its slices MSB first,
     # one row per field
     bits = as_bits(0b10110100, 8)
-    assert np.array_equal(bit_fields(bits, 4), [[0b1011], [0b0100]])
-    assert np.array_equal(bit_fields(bits, 3), [[0b101], [0b101]])
+    assert np.array_equal(bit_fields(bits, 8, 4), [[0b1011], [0b0100]])
+    assert np.array_equal(bit_fields(bits, 8, 3), [[0b101], [0b101]])
     # 64-bit fields come back as python ints
-    wide = bit_fields(as_bits([(1 << 64) - 2], 64), 64)
+    wide = bit_fields(as_bits([(1 << 64) - 2], 64), 64, 64)
     assert wide.shape == (1, 1) and wide[0, 0] == (1 << 64) - 2
 
 
@@ -46,7 +47,7 @@ def test_bit_matrix_and_fields_match_bit_slice():
         if nbits <= 62:
             assert np.array_equal(as_bits(obj.astype(np.int64), nbits),
                                   bits)
-        fields = bit_fields(bits, width)
+        fields = bit_fields(bits, nbits, width)
         k = nbits // width
         assert fields.shape == (k, len(seeds)) and fields.dtype == np.int64
         for seed, brow, frow in zip(seeds, bits, fields.T):
@@ -72,13 +73,13 @@ def test_read_fields_mixed_widths_match_bit_fields():
     start = 0
     for j, w in enumerate(widths):
         assert np.array_equal(got[j], bit_fields(bits[:, start:start + w],
-                                                 w)[0])
+                                                 w, w)[0])
         start += w
     # a field of 63 bits or more turns the whole read into python ints
     wide = read_fields(blocks, 8, (5, 70, 3))
     assert wide.dtype == object
     assert [[int(v) for v in row] for row in wide] == \
-        [[int(v) for v in bit_fields(bits[:, lo:lo + w], w)[0]]
+        [[int(v) for v in bit_fields(bits[:, lo:lo + w], w, w)[0]]
          for lo, w in ((0, 5), (5, 70), (75, 3))]
 
 
@@ -117,8 +118,27 @@ def test_read_fields_matches_int_slicing(D, data):
     # bit_fields reads all total // width fields of the same bits
     bits = np.array([[(v >> (total - 1 - i)) & 1 for i in range(total)]
                      for v in rows], dtype=np.uint8).reshape(N, total)
-    assert [[int(x) for x in r] for r in bit_fields(bits, width)] == \
+    assert [[int(x) for x in r] for r in bit_fields(bits, total, width)] == \
         [[field(v, j, total) for v in rows] for j in range(total // width)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nbits=st.integers(1, 63), data=st.data())
+def test_bit_fields_int_seeds_match_bit_matrix(nbits, data):
+    # shift and mask on 1-D int64 and uint64 seeds against the packed bit
+    # matrix, for every width: seeds of 2^nbits and above and negative
+    # int64 seeds keep their low nbits bits, as as_bits reads them
+    value = st.one_of(
+        st.sampled_from([0, (1 << nbits) - 1, 1 << nbits, 1 << 63,
+                         (1 << 64) - 1]),
+        st.integers(0, (1 << nbits) - 1), st.integers(0, (1 << 64) - 1))
+    raw = np.array(data.draw(st.lists(value, max_size=6)), dtype=np.uint64)
+    for seeds in (raw, raw.view(np.int64)):
+        bits = as_bits(seeds, nbits)
+        for width in range(1, nbits + 1):
+            got = bit_fields(seeds, nbits, width)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, bit_fields(bits, nbits, width))
 
 
 def test_bit_matrix_reads_low_bits_of_wider_seeds():
@@ -275,6 +295,26 @@ def test_enum_exact_pmf_is_pinned():
                            "delta": 1 / 64})
     assert hashlib.sha256(g.output_pmf().tobytes()).hexdigest() == (
         "0cb9b7835fba731af784a5912470e0d92f4629ed2e09186a0850d2a7b4451272")
+
+
+def test_enum_exact_chunk_makes_no_as_bits_call(monkeypatch):
+    # int64 seeds reach the small-bias fields by shift and mask: a chunk of
+    # exact enumeration never unpacks them into a bit matrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return as_bits(*args)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fourierprg") and hasattr(module, "as_bits"):
+            monkeypatch.setattr(module, "as_bits", counted)
+    g = plan_to_generator({"type": "small-bias-lift", "n": 16,
+                           "delta": 1 / 64})
+    seeds = np.arange(1 << 16, dtype=np.int64)
+    assert g.generate_batch(seeds).shape == (1 << 16, 16)
+    assert calls == []
+    g.generate_batch(as_bits(seeds[:4], 22))  # the count is live
+    assert len(calls) == 1
 
 
 def reference_sample_seeds(rng: np.random.Generator, nbits: int,

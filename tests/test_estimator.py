@@ -322,6 +322,10 @@ def test_pmf_branch_across_chunks_matches_reference(g, size, count):
     assert all(x.flags.f_contiguous for x in chunks)
     assert np.array_equal(np.vstack(chunks),
                           all_patterns_reference(g.m, g.n))
+    # the first chunk's digits are built once, shared and read-only
+    expectation(g, keep, mode)
+    assert np.shares_memory(chunks[0], chunks[count])
+    assert not chunks[0].flags.writeable and chunks[1].flags.writeable
 
 
 @pytest.mark.parametrize("make", [

@@ -297,7 +297,8 @@ def test_small_bias_refuses_fields_above_64_bits_at_build():
 def small_bias_reference(fam: SmallBiasFamily, seeds) -> np.ndarray:
     """SmallBiasFamily as first written: x^i built up by one field
     multiply per column, bit i = lsb(x^i * y)."""
-    x, y = bit_fields(as_bits(seeds, fam.seed_bits), fam.t)
+    x, y = bit_fields(as_bits(seeds, fam.seed_bits), fam.seed_bits,
+                      fam.t)
     out = np.empty((len(x), fam.n), dtype=np.int64)
     power = np.ones(len(x), dtype=np.int64)
     for i in range(fam.n):
@@ -349,6 +350,7 @@ def test_small_bias_enum_exact_plan_matches_reference():
     (16, 2.0 ** -11, 16),    # largest log/exp table, uint32 exponents
     (1 << 15, 1.0, 16),      # every column of GF(2^16)
     (64, 1e-3, 17),          # no tables: the multiply loop
+    (64, 1 / 16, 11),        # 32 lsb periods: e %= q - 1 twice
 ])
 def test_small_bias_matches_reference_on_wide_and_edge_seeds(n, delta, t):
     fam = SmallBiasFamily(n, delta)
@@ -362,6 +364,8 @@ def test_small_bias_matches_reference_on_wide_and_edge_seeds(n, delta, t):
     assert not got[-3].any()                       # x = y = 0
     assert not got[-4].any()                       # y = 0
     assert not got[-5, 1:].any()                   # x = 0
+    if 2 * t <= 63:  # int64 seeds skip the bit matrix
+        assert np.array_equal(fam.sample_batch(seeds.astype(np.int64)), got)
     for i in (0, len(seeds) - 1):
         assert np.array_equal(fam.sample_batch(int(seeds[i]))[0], got[i])
 

@@ -279,7 +279,7 @@ def _g1_per_family_reference(g: G1Plan, seeds, rows, coords) -> np.ndarray:
     stream unpacked to bits, each family's coefficients decoded on their
     own, and each bucket's entries evaluated by its `KWiseFamily.horner`."""
     bits = as_bits(seeds, g.seed_bits)
-    a_raw, b = bit_fields(bits[:, :g.perm_bits], g.tlog)
+    a_raw, b = bit_fields(bits[:, :g.perm_bits], g.perm_bits, g.tlog)
     stream = g.recycler.bitstream_batch(bits[:, g.perm_bits:])
     f = gf2(g.tlog)
     log, exp, _ = f.tables
